@@ -8,6 +8,11 @@ non-increasing step function, constant on half-open intervals
 definition.  Breakpoints and values are exact rationals; floats appear
 only when a caller asks for them.
 
+Every plug-in p is c/n, so over L = lcm of the denominators each p is an
+integer and a cover curve is a vector of integer task counts on an integer
+grid.  Curve construction and the curve integrals in `dominance` work on
+that grid and form a Fraction only for the final result.
+
 Key identities (realized exactly or in closed form):
 
     pass@k  = integral over [0,1] of k(1-tau)^(k-1) * G(tau) dtau
@@ -17,12 +22,14 @@ Key identities (realized exactly or in closed form):
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .metrics import _check_k, pass_at_k_exact
+from .metrics import _check_k, _pass_from_complements, complements
 from .records import ONE, ZERO, RationalLike, SuccessProfile, as_unit_rational
 
 
@@ -89,13 +96,26 @@ class PassCurve:
 
 def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
     """Cover curve of a profile: breakpoints are the distinct p values
-    plus the endpoints 0 and 1."""
-    probs = sorted(profile.probabilities)
-    bps = sorted({ZERO, ONE, *probs})
+    plus the endpoints 0 and 1.
+
+    Each p is scaled to an integer over the lcm of the denominators, so the
+    distinct values and the number of tasks at each are an integer tally.
+    """
+    probs = profile.probabilities
+    scale = math.lcm(*{p.denominator for p in probs})
+    tally = Counter(p.numerator * (scale // p.denominator) for p in probs)
     t = profile.num_tasks
+    bps = [ZERO]
     values = [ONE]
-    for b in bps[1:]:
-        values.append(Fraction(t - bisect_left(probs, b), t))
+    at_least = t  # tasks with p >= the current point
+    for point in sorted(tally):
+        if point:
+            bps.append(Fraction(point, scale))
+            values.append(Fraction(at_least, t))
+        at_least -= tally[point]
+    if bps[-1] != ONE:
+        bps.append(ONE)
+        values.append(ZERO)
     return CoverCurve(
         model=profile.model,
         breakpoints=tuple(bps),
@@ -110,7 +130,8 @@ def pass_curve(profile: SuccessProfile, ks: Sequence[int]) -> PassCurve:
         raise ValueError("k grid is empty")
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
         raise ValueError(f"k grid must be strictly ascending, got {list(ks)}")
-    values = tuple(pass_at_k_exact(profile, k) for k in ks)
+    qs = complements(profile)
+    values = tuple(_pass_from_complements(qs, k) for k in ks)
     return PassCurve(model=profile.model, ks=tuple(ks), values=values)
 
 

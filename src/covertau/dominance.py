@@ -6,13 +6,22 @@ The excess AUC between two cover curves,
 
 is the total coverage advantage of A over B across reliability thresholds,
 ignoring regions where A is worse.  Averaging it against every other model
-in a set gives a single dominance score per model.  Both integrals are
-exact: the curves are step functions, so integration is a finite sum over
-the merged breakpoint partition.
+in a set gives a single dominance score per model.
+
+Both integrals are exact and run on an integer grid.  With L the lcm of all
+breakpoint denominators and V that of all curve values, each curve is a
+vector of integer heights V*G on the merged breakpoint grid, whose interval
+widths are integers over L.  Row i of the whole auc+ matrix is then
+
+    sum over the grid of max(H_i - H_j, 0) * width,
+
+an integer sum in int64 (or Python ints once V*L reaches 2**62) that is
+divided by V*L once, as a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -20,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .curves import CoverCurve, PassCurve
-from .records import ZERO, RationalLike, SuccessProfile, as_unit_rational
+from .records import RationalLike, SuccessProfile, as_unit_rational
 
 
 @dataclass(frozen=True)
@@ -46,41 +55,74 @@ class DominanceReport:
     rankings: dict[str, list[tuple[str, float, int]]]
 
 
-def _merged_partition(curve_a: CoverCurve, curve_b: CoverCurve) -> list[Fraction]:
-    if curve_a.num_tasks != curve_b.num_tasks:
-        raise ValueError(
-            f"curves cover different task universes "
-            f"({curve_a.model!r}: {curve_a.num_tasks} tasks, {curve_b.model!r}: {curve_b.num_tasks}); "
-            "align profiles to a shared task set first"
-        )
-    return sorted(set(curve_a.breakpoints) | set(curve_b.breakpoints))
+def _cover_grid(curves: Sequence[CoverCurve]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Curves over one task set as integers on their merged breakpoint grid.
+
+    Returns (heights, widths, scale).  heights[i, j] is V * G_i on the j-th
+    interval (grid[j], grid[j+1]] and widths[j] is L * its length, so each
+    interval contributes heights * widths / scale with scale = V * L.  All
+    heights lie in [0, V] and the widths sum to L, so no product, and no sum
+    of clipped differences times widths, exceeds scale.
+    """
+    first = curves[0]
+    for curve in curves[1:]:
+        if curve.num_tasks != first.num_tasks:
+            raise ValueError(
+                f"curves cover different task universes "
+                f"({first.model!r}: {first.num_tasks} tasks, {curve.model!r}: {curve.num_tasks}); "
+                "align profiles to a shared task set first"
+            )
+    width_scale = math.lcm(*{b.denominator for c in curves for b in c.breakpoints})
+    height_scale = math.lcm(*{v.denominator for c in curves for v in c.values})
+    scale = width_scale * height_scale
+    # int64 cannot wrap below 2**62; past it, the same code runs on Python ints
+    dtype = np.int64 if scale < 2**62 else object
+    scaled = [[b.numerator * (width_scale // b.denominator) for b in c.breakpoints] for c in curves]
+    bps = [np.array(s, dtype=dtype) for s in scaled]
+    grid = np.array(sorted(set().union(*scaled)), dtype=dtype)
+    heights = np.stack([
+        # each curve is constant on (lo, hi]: its value at the first own breakpoint >= hi
+        np.array([v.numerator * (height_scale // v.denominator) for v in c.values], dtype=dtype)[
+            np.searchsorted(b, grid[1:], side="left")
+        ]
+        for c, b in zip(curves, bps)
+    ])
+    return heights, np.diff(grid), scale
 
 
-def auc_plus_cover(curve_a: CoverCurve, curve_b: CoverCurve) -> Fraction:
-    """Exact integral of max(G_A - G_B, 0) over [0, 1]."""
-    taus = _merged_partition(curve_a, curve_b)
-    total = ZERO
-    for lo, hi in zip(taus, taus[1:]):
-        # both curves are constant on (lo, hi]; evaluate at the right end
-        diff = curve_a.value_at(hi) - curve_b.value_at(hi)
-        if diff > 0:
-            total += diff * (hi - lo)
-    return total
+def _auc_plus_totals(curves: Sequence[CoverCurve]) -> tuple[list[list[int]], int]:
+    """The whole auc+ matrix as integers over one denominator:
+    auc_plus(curves[i], curves[j]) == totals[i][j] / scale."""
+    heights, widths, scale = _cover_grid(curves)
+    totals = [(np.maximum(row - heights, 0) * widths).sum(axis=1).tolist() for row in heights]
+    return totals, scale
 
 
-def avg_auc_plus(curves: Sequence[CoverCurve]) -> dict[str, Fraction]:
-    """Mean pairwise excess AUC of each model against all others."""
+def _row_averages(totals: list[list[int]], scale: int) -> list[Fraction]:
+    """AvgAUC+ per model: each row's excess over the m - 1 other models."""
+    m = len(totals)
+    return [Fraction(sum(row), scale * (m - 1)) for row in totals]
+
+
+def _check_model_set(curves: Sequence[CoverCurve]) -> None:
     if len(curves) < 2:
         raise ValueError(f"need at least 2 models, got {len(curves)}")
     names = [c.model for c in curves]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate model names in {names}")
-    m = len(curves)
-    out: dict[str, Fraction] = {}
-    for a in curves:
-        total = sum((auc_plus_cover(a, b) for b in curves if b is not a), ZERO)
-        out[a.model] = total / (m - 1)
-    return out
+
+
+def auc_plus_cover(curve_a: CoverCurve, curve_b: CoverCurve) -> Fraction:
+    """Exact integral of max(G_A - G_B, 0) over [0, 1]."""
+    totals, scale = _auc_plus_totals([curve_a, curve_b])
+    return Fraction(totals[0][1], scale)
+
+
+def avg_auc_plus(curves: Sequence[CoverCurve]) -> dict[str, Fraction]:
+    """Mean pairwise excess AUC of each model against all others."""
+    _check_model_set(curves)
+    totals, scale = _auc_plus_totals(curves)
+    return {c.model: avg for c, avg in zip(curves, _row_averages(totals, scale))}
 
 
 def check_cover_dominance(curve_a: CoverCurve, curve_b: CoverCurve) -> bool:
@@ -89,8 +131,8 @@ def check_cover_dominance(curve_a: CoverCurve, curve_b: CoverCurve) -> bool:
     When true, pass@k(A) >= pass@k(B) for every k: pass@k is a
     positive-weight integral of the curve difference.
     """
-    taus = _merged_partition(curve_a, curve_b)
-    return all(curve_a.value_at(t) >= curve_b.value_at(t) for t in taus[1:])
+    heights, _, _ = _cover_grid([curve_a, curve_b])
+    return bool((heights[0] >= heights[1]).all())
 
 
 def _sign(x: float) -> int:
@@ -152,14 +194,12 @@ def dominance_report(
     `extra_metrics` maps metric name -> per-model values to rank alongside
     the always-present avg_auc_plus ranking.
     """
-    if len(curves) < 2:
-        raise ValueError(f"need at least 2 models, got {len(curves)}")
+    _check_model_set(curves)
     models = tuple(c.model for c in curves)
-    matrix = tuple(
-        tuple(ZERO if a is b else auc_plus_cover(a, b) for b in curves) for a in curves
-    )
-    averages = avg_auc_plus(curves)
-    avg_vector = tuple(averages[m] for m in models)
+    totals, scale = _auc_plus_totals(curves)
+    matrix = tuple(tuple(Fraction(total, scale) for total in row) for row in totals)
+    avg_vector = tuple(_row_averages(totals, scale))
+    averages = dict(zip(models, avg_vector))
     rankings = {"avg_auc_plus": rank_models(averages)}
     for metric, vals in (extra_metrics or {}).items():
         rankings[metric] = rank_models(vals)

@@ -16,6 +16,7 @@ unchanged data is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -386,33 +387,49 @@ def persist_run(
 
 
 def write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Replace `path` with `text` through a temp file of its own in the same
+    directory, so concurrent writers never share one, and a failed write
+    leaves neither a partial target nor a temp file behind."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL: never reuse an existing file; mode 0o666 is narrowed by the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]]:
-    """Load a persisted run, validating the manifest against the body."""
+    """Load a persisted run, validating the manifest against the body.
+
+    The body (every byte after the manifest line) must hash to the
+    manifest's run_id, so a run file edited after it was written is
+    rejected rather than loaded under a stale id.
+    """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    data = path.read_bytes()
+    if not data:
         raise ParseError(f"{path}: empty run file")
-    head = _parse_json_line(lines[0], 1, str(path))
+    cut = data.find(b"\n") + 1 or len(data)
+    head = _parse_json_line(data[:cut].decode("utf-8"), 1, str(path))
     if head.get("kind") != "manifest":
         raise ParseError(f"{path}:1: missing manifest header; is this a raw log?")
     if head.get("format") != FORMAT_NAME:
         raise ParseError(f"{path}:1: unsupported run format {head.get('format')!r}")
-    manifest = RunManifest(
-        run_id=str(head["run_id"]),
-        source_digests={str(k): str(v) for k, v in head.get("source_digests", {}).items()},
-        record_count=int(head["record_count"]),
-        models=tuple(head["models"]),
-        tasks=tuple(head["tasks"]),
-        trials={m: {t: int(n) for t, n in ts.items()} for m, ts in head["trials"].items()},
-        verdict_source=str(head["verdict_source"]),
-    )
+    manifest = _manifest_from_obj(head, str(path))
+    if hashlib.sha256(memoryview(data)[cut:]).hexdigest() != manifest.run_id:
+        raise ParseError(
+            f"{path}:1: run_id does not match the sha256 of the lines after the manifest; "
+            "the run file was changed after it was written"
+        )
+    body = str(memoryview(data)[cut:], "utf-8")
+    del data  # peak memory: the decoded body and its lines, not the raw bytes too
     counts: dict[str, dict[str, TaskCounts]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body.splitlines(), start=2):
         if not line.strip():
             continue
         obj = _parse_json_line(line, lineno, str(path))
@@ -422,6 +439,44 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
         raise ParseError(f"{path}: run file has no aggregated lines")
     _check_consistent(manifest, counts_lists)
     return manifest, counts_lists
+
+
+def _manifest_from_obj(head: dict, source: str) -> RunManifest:
+    """RunManifest from a parsed manifest line; a missing key or a value of
+    the wrong type is a ParseError on line 1."""
+
+    def checked(key: str, valid, want: str):
+        value = head.get(key)
+        if not valid(value):
+            raise ParseError(f"{source}:1: field {key!r} must be {want}")
+        return value
+
+    def str_list(v) -> bool:
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+    def str_map(v, valid) -> bool:
+        return isinstance(v, dict) and all(valid(x) for x in v.values())
+
+    def int_value(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    digests = checked(
+        "source_digests", lambda v: v is None or str_map(v, lambda d: isinstance(d, str)),
+        "a map of file names to digests",
+    )
+    trials = checked(
+        "trials", lambda v: str_map(v, lambda ts: str_map(ts, int_value)),
+        "a map of model to task trial counts",
+    )
+    return RunManifest(
+        run_id=_require_str(head, "run_id", 1, source),
+        source_digests=digests or {},
+        record_count=_require_int(head, "record_count", 1, source),
+        models=tuple(checked("models", str_list, "a list of strings")),
+        tasks=tuple(checked("tasks", str_list, "a list of strings")),
+        trials=trials,
+        verdict_source=_require_str(head, "verdict_source", 1, source),
+    )
 
 
 def digest_file(path: str | Path) -> str:

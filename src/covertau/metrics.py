@@ -68,11 +68,17 @@ def pass_at_k_exact(profile: SuccessProfile, k: int) -> float:
     conversion, so the power base is the correctly rounded complement even
     for p near 1.
     """
+    return _pass_from_complements(complements(profile), k)
+
+
+def _pass_from_complements(qs: Sequence[float], k: int) -> float:
+    """pass@k from per-task complements float(1 - p), so a k grid can
+    reuse one `complements` call."""
     _check_k(k)
     total = 0.0
-    for q in complements(profile):
+    for q in qs:
         total += 1.0 - q**k
-    return total / profile.num_tasks
+    return total / len(qs)
 
 
 def complements(profile: SuccessProfile) -> list[float]:

@@ -110,18 +110,15 @@ def _group_profiles(profile: SuccessProfile, delimiter: str) -> dict[str, Succes
     }
 
 
-def _metric_table_pooled(
+def _point_metric_table(
     profiles: Sequence[SuccessProfile], taus: Sequence[Fraction]
 ) -> dict[str, dict[str, Fraction]]:
+    """pass@1 and cover at each tau, per model."""
     table: dict[str, dict[str, Fraction]] = {}
-    curves = [build_cover_curve(p) for p in profiles]
-    avg_map = avg_auc_plus(curves) if len(curves) >= 2 else {}
     for prof in profiles:
         row: dict[str, Fraction] = {"pass@1": prof.mean_p}
         for tau in taus:
             row[f"cov@{format_tau(tau)}"] = cover_at_tau(prof, tau)
-        if avg_map:
-            row["avg_auc_plus"] = avg_map[prof.model]
         table[prof.model] = row
     return table
 
@@ -136,7 +133,13 @@ def _metric_table_grouped(
             raise ValueError(f"model {model!r} has different task groups after alignment")
     per_group: list[dict[str, dict[str, Fraction]]] = []
     for g in group_names:
-        per_group.append(_metric_table_pooled([by_model[m][g] for m in sorted(by_model)], taus))
+        group_profiles = [by_model[m][g] for m in sorted(by_model)]
+        group_table = _point_metric_table(group_profiles, taus)
+        if len(group_profiles) >= 2:
+            averages = avg_auc_plus([build_cover_curve(p) for p in group_profiles])
+            for model, value in averages.items():
+                group_table[model]["avg_auc_plus"] = value
+        per_group.append(group_table)
     n_groups = len(group_names)
     table: dict[str, dict[str, Fraction]] = {}
     for model in sorted(by_model):
@@ -193,7 +196,7 @@ def build_report(
             "curves and dominance remain pooled"
         )
     else:
-        metrics = _metric_table_pooled(aligned, tau_fracs)
+        metrics = _point_metric_table(aligned, tau_fracs)
 
     cover_curves = {p.model: build_cover_curve(p) for p in aligned}
     pass_curves = {p.model: pass_curve(p, ks) for p in aligned}
@@ -206,6 +209,10 @@ def build_report(
             if metric != "avg_auc_plus":
                 extra_metrics[metric] = {m: metrics[m][metric] for m in metrics}
         dominance = dominance_report([cover_curves[p.model] for p in aligned], extra_metrics)
+        if aggregation == "pooled":
+            # the pooled table's avg_auc_plus is the dominance matrix's
+            for model, value in zip(dominance.models, dominance.avg_auc_plus):
+                metrics[model]["avg_auc_plus"] = value
         names = [p.model for p in aligned]
         for i, a in enumerate(names):
             for b in names[i + 1 :]:

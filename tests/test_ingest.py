@@ -1,6 +1,7 @@
 """Log parsing, grading, and run persistence round-trips."""
 
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from covertau import (
     parse_records,
     persist_run,
 )
+from covertau.cli import main
+from covertau.ingest import write_atomic
 
 F = Fraction
 
@@ -241,3 +244,84 @@ class TestPersistence:
             m, c = load_run(tmp_path / f"c{i - 1}.jsonl")
             persist_run(m, c, tmp_path / f"c{i}.jsonl")
         assert (tmp_path / "c1.jsonl").read_bytes() == (tmp_path / "c3.jsonl").read_bytes()
+
+
+class TestRunFileIntegrity:
+    def _run(self, tmp_path):
+        counts = {"m1": [TaskCounts(task="t1", n=2000, c=304), TaskCounts(task="t2", n=2000, c=7)]}
+        manifest = build_manifest(counts, {"log": "x" * 64}, "aggregated")
+        return persist_run(manifest, counts, tmp_path / "run.jsonl")
+
+    def test_edited_body_rejected_under_stale_run_id(self, tmp_path, capsys):
+        path = self._run(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert '"c":304,' in text
+        path.write_text(text.replace('"c":304,', '"c":1304,'), encoding="utf-8")
+        with pytest.raises(ParseError, match=r":1: run_id does not match"):
+            load_run(path)
+        assert main(["compute", "--input", str(path)]) == 2
+        assert "run_id does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("run_id", None),
+            ("record_count", None),
+            ("models", None),
+            ("tasks", None),
+            ("trials", None),
+            ("verdict_source", None),
+            ("run_id", 7),
+            ("record_count", "4004"),
+            ("models", "m1"),
+            ("trials", {"m1": {"t1": "2000", "t2": 2000}}),
+            ("trials", ["m1"]),
+            ("source_digests", {"log": 1}),
+        ],
+    )
+    def test_malformed_manifest_is_a_line_one_error(self, tmp_path, capsys, key, value):
+        path = self._run(tmp_path)
+        head, body = path.read_text(encoding="utf-8").split("\n", 1)
+        obj = json.loads(head)
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        path.write_text(json.dumps(obj) + "\n" + body, encoding="utf-8")
+        with pytest.raises(ParseError, match=rf":1: field '{key}' must be"):
+            load_run(path)
+        assert main(["compute", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err
+
+
+class TestWriteAtomic:
+    def test_stale_tmp_is_neither_clobbered_nor_needed(self, tmp_path):
+        target = tmp_path / "bundle.json"
+        stale = tmp_path / "bundle.json.tmp"
+        stale.write_text("left by another writer", encoding="utf-8")
+        write_atomic(target, "fresh\n")
+        assert target.read_text(encoding="utf-8") == "fresh\n"
+        assert stale.read_text(encoding="utf-8") == "left by another writer"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle.json", "bundle.json.tmp"]
+
+    def test_failed_replace_keeps_target_and_removes_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "metrics.csv"
+        target.write_text("old\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(target, "new\n")
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_atomic(tmp_path / "run.jsonl", "x\n")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "run.jsonl").stat().st_mode & 0o777 == 0o640
