@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,17 +82,22 @@ def _parse_ks(raw: str | None) -> tuple[int, ...]:
     return ks
 
 
-def _load_counts(input_path: str, gold_path: str | None):
-    """Counts from either a persisted run or a raw log, plus provenance."""
-    if is_run_file(input_path):
-        manifest, counts = load_run(input_path)
-        return counts, {"run_id": manifest.run_id, "verdict_source": manifest.verdict_source}
+def _counts_from_raw_log(input_path: str, gold_path: str | None):
+    """(counts, verdict source) of a raw log, graded against gold if given."""
     parsed = read_log(input_path)
     gold = None
     if gold_path:
         with Path(gold_path).open(encoding="utf-8") as fh:
             gold = parse_gold(fh, gold_path)
-    counts, verdict_source = counts_from_log(parsed, gold)
+    return counts_from_log(parsed, gold)
+
+
+def _load_counts(input_path: str, gold_path: str | None):
+    """Counts from either a persisted run or a raw log, plus provenance."""
+    if is_run_file(input_path):
+        manifest, counts = load_run(input_path)
+        return counts, {"run_id": manifest.run_id, "verdict_source": manifest.verdict_source}
+    counts, verdict_source = _counts_from_raw_log(input_path, gold_path)
     return counts, {"source_digest": digest_file(input_path), "verdict_source": verdict_source}
 
 
@@ -128,9 +134,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--gold-out applies to the guesser kind only")
     write_atomic(Path(args.out), records_to_jsonl(records))
 
-    counts: dict[Fraction, int] = {}
-    for p in profile.probabilities:
-        counts[p] = counts.get(p, 0) + 1
+    counts = Counter(profile.probabilities)
     print(f"model {profile.model}: {profile.num_tasks} tasks, {args.trials} trials each")
     print("exact per-task success probabilities:")
     for p in sorted(counts):
@@ -140,12 +144,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    parsed = read_log(args.input)
-    gold = None
-    if args.gold:
-        with Path(args.gold).open(encoding="utf-8") as fh:
-            gold = parse_gold(fh, args.gold)
-    counts, verdict_source = counts_from_log(parsed, gold)
+    counts, verdict_source = _counts_from_raw_log(args.input, args.gold)
     digests = {Path(args.input).name: digest_file(args.input)}
     if args.gold:
         digests[Path(args.gold).name] = digest_file(args.gold)

@@ -94,6 +94,13 @@ class PassCurve:
             raise ValueError("pass curve must be non-decreasing")
 
 
+def scale_to_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rows of Fractions as integers over one scale, the lcm of all their
+    denominators: rows[i][j] == scaled[i][j] / scale."""
+    scale = math.lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
 def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
     """Cover curve of a profile: breakpoints are the distinct p values
     plus the endpoints 0 and 1.
@@ -101,9 +108,8 @@ def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
     Each p is scaled to an integer over the lcm of the denominators, so the
     distinct values and the number of tasks at each are an integer tally.
     """
-    probs = profile.probabilities
-    scale = math.lcm(*{p.denominator for p in probs})
-    tally = Counter(p.numerator * (scale // p.denominator) for p in probs)
+    (scaled,), scale = scale_to_lcm([profile.probabilities])
+    tally = Counter(scaled)
     t = profile.num_tasks
     bps = [ZERO]
     values = [ONE]

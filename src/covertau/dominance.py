@@ -22,14 +22,15 @@ divided by V*L once, as a Fraction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .curves import CoverCurve, PassCurve
-from .records import RationalLike, SuccessProfile, as_unit_rational
+from .curves import CoverCurve, PassCurve, scale_to_lcm
+from .records import RationalLike, SuccessProfile, as_unit_rational, format_tau
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,11 @@ class DominanceReport:
     rankings: dict[str, list[tuple[str, float, int]]]
 
 
+def _grid_dtype(scale: int) -> type:
+    # int64 cannot wrap below 2**62; past it, the same code runs on Python ints
+    return np.int64 if scale < 2**62 else object
+
+
 def _cover_grid(curves: Sequence[CoverCurve]) -> tuple[np.ndarray, np.ndarray, int]:
     """Curves over one task set as integers on their merged breakpoint grid.
 
@@ -72,30 +78,29 @@ def _cover_grid(curves: Sequence[CoverCurve]) -> tuple[np.ndarray, np.ndarray, i
                 f"({first.model!r}: {first.num_tasks} tasks, {curve.model!r}: {curve.num_tasks}); "
                 "align profiles to a shared task set first"
             )
-    width_scale = math.lcm(*{b.denominator for c in curves for b in c.breakpoints})
-    height_scale = math.lcm(*{v.denominator for c in curves for v in c.values})
+    scaled, width_scale = scale_to_lcm([c.breakpoints for c in curves])
+    scaled_values, height_scale = scale_to_lcm([c.values for c in curves])
     scale = width_scale * height_scale
-    # int64 cannot wrap below 2**62; past it, the same code runs on Python ints
-    dtype = np.int64 if scale < 2**62 else object
-    scaled = [[b.numerator * (width_scale // b.denominator) for b in c.breakpoints] for c in curves]
-    bps = [np.array(s, dtype=dtype) for s in scaled]
+    dtype = _grid_dtype(scale)
     grid = np.array(sorted(set().union(*scaled)), dtype=dtype)
     heights = np.stack([
         # each curve is constant on (lo, hi]: its value at the first own breakpoint >= hi
-        np.array([v.numerator * (height_scale // v.denominator) for v in c.values], dtype=dtype)[
-            np.searchsorted(b, grid[1:], side="left")
-        ]
-        for c, b in zip(curves, bps)
+        np.array(v, dtype=dtype)[np.searchsorted(np.array(b, dtype=dtype), grid[1:], side="left")]
+        for b, v in zip(scaled, scaled_values)
     ])
     return heights, np.diff(grid), scale
+
+
+def _excess_totals(heights: np.ndarray, widths: np.ndarray) -> list[list[int]]:
+    """totals[i][j] = sum over the grid of max(heights[i] - heights[j], 0) * widths."""
+    return [(np.maximum(row - heights, 0) * widths).sum(axis=1).tolist() for row in heights]
 
 
 def _auc_plus_totals(curves: Sequence[CoverCurve]) -> tuple[list[list[int]], int]:
     """The whole auc+ matrix as integers over one denominator:
     auc_plus(curves[i], curves[j]) == totals[i][j] / scale."""
     heights, widths, scale = _cover_grid(curves)
-    totals = [(np.maximum(row - heights, 0) * widths).sum(axis=1).tolist() for row in heights]
-    return totals, scale
+    return _excess_totals(heights, widths), scale
 
 
 def _row_averages(totals: list[list[int]], scale: int) -> list[Fraction]:
@@ -220,9 +225,12 @@ def bootstrap_bands(
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """Percentile bands from resampling tasks with replacement.
 
-    Cover values and AvgAUC+ are recomputed on each resampled task multiset
-    in float arithmetic (bands are statistical decoration; point estimates
-    stay exact elsewhere).  Profiles must share an identical task tuple.
+    Resample r uses task indices idx[r], row r of one (resamples, T) integer
+    draw from Philox keyed on (seed mod 2**64, 0x626F6F74).  On each resampled
+    multiset, cov@tau and AvgAUC+ are computed exactly on the integer grid of
+    the point estimates (p >= tau is scaled p >= ceil(tau * L)) and rounded
+    to a float once; bands are percentiles of those samples.  Profiles must
+    share an identical task tuple.
     Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
     """
     if not profiles:
@@ -235,53 +243,39 @@ def bootstrap_bands(
             raise ValueError("bootstrap requires profiles aligned to the same task set")
     tau_fracs = [as_unit_rational(t, "tau") for t in taus]
     t_count = len(tasks)
-    p_matrix = np.array([[float(p) for p in prof.probabilities] for prof in profiles])
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed & _MASK64, 0x626F6F74], dtype=np.uint64)))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)))
     idx = rng.integers(0, t_count, size=(resamples, t_count))
 
-    m = len(profiles)
+    # grid[g] is the g-th distinct scaled p (plus 0 and L); model i's task at
+    # grid position g is cell i * size + g of one flat tally
+    scaled, scale = scale_to_lcm([prof.probabilities for prof in profiles])
+    grid = sorted(set().union(*scaled, (0, scale)))
+    position = {point: g for g, point in enumerate(grid)}
+    m, size = len(profiles), len(grid)
+    cells = np.array([[i * size + position[x] for x in row] for i, row in enumerate(scaled)])
+    tau_at = [bisect_left(grid, math.ceil(tau * scale)) for tau in tau_fracs]
+    dtype = _grid_dtype(t_count * scale)
+    widths = np.diff(np.array(grid, dtype=dtype))
+    divisor = t_count * scale * (m - 1)
+
     cover_samples = np.empty((m, len(tau_fracs), resamples))
     avg_samples = np.empty((m, resamples)) if m >= 2 else None
     for r in range(resamples):
-        sample = p_matrix[:, idx[r]]
-        for j, tau in enumerate(tau_fracs):
-            cover_samples[:, j, r] = (sample >= float(tau)).mean(axis=1)
+        tally = np.bincount(cells[:, idx[r]].ravel(), minlength=m * size).reshape(m, size)
+        at_least = tally[:, ::-1].cumsum(axis=1)[:, ::-1]  # tasks with p >= grid[g]
+        cover_samples[:, :, r] = at_least[:, tau_at] / t_count
         if avg_samples is not None:
-            avg_samples[:, r] = _avg_auc_plus_float(sample)
+            # on (grid[g-1], grid[g]] each curve is at_least[:, g] / T
+            totals = _excess_totals(at_least[:, 1:].astype(dtype, copy=False), widths)
+            avg_samples[:, r] = [sum(row) / divisor for row in totals]
 
-    lo_q, hi_q = levels
+    def band(samples: np.ndarray) -> tuple[float, float]:
+        lo, hi = np.quantile(samples, levels)
+        return float(lo), float(hi)
+
     out: dict[str, dict[str, tuple[float, float]]] = {}
     for i, prof in enumerate(profiles):
-        bands: dict[str, tuple[float, float]] = {}
-        for j, tau in enumerate(tau_fracs):
-            lo, hi = np.quantile(cover_samples[i, j], [lo_q, hi_q])
-            bands[f"cov@{tau}"] = (float(lo), float(hi))
+        out[prof.model] = {f"cov@{format_tau(tau)}": band(cover_samples[i, j]) for j, tau in enumerate(tau_fracs)}
         if avg_samples is not None:
-            lo, hi = np.quantile(avg_samples[i], [lo_q, hi_q])
-            bands["avg_auc_plus"] = (float(lo), float(hi))
-        out[prof.model] = bands
-    return out
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def _avg_auc_plus_float(p_matrix: np.ndarray) -> np.ndarray:
-    """Float AvgAUC+ per model for one resampled probability matrix.
-
-    Integrates max(G_A - G_B, 0) on the merged grid of distinct p values;
-    on (grid[j-1], grid[j]] each curve equals the fraction of its p values
-    >= grid[j].
-    """
-    m, t = p_matrix.shape
-    grid = np.unique(np.concatenate([p_matrix.ravel(), [0.0, 1.0]]))
-    widths = np.diff(grid)
-    sorted_p = np.sort(p_matrix, axis=1)
-    # counts[i, j] = #{p in model i >= grid[j+1]}
-    counts = t - np.stack([np.searchsorted(sorted_p[i], grid[1:], side="left") for i in range(m)])
-    g = counts / t
-    out = np.empty(m)
-    for i in range(m):
-        excess = np.clip(g[i] - g, 0.0, None) * widths
-        out[i] = excess.sum() / (m - 1)
+            out[prof.model]["avg_auc_plus"] = band(avg_samples[i])
     return out

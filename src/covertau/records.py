@@ -46,6 +46,18 @@ def as_unit_rational(value: RationalLike, name: str = "value") -> Fraction:
     return r
 
 
+def format_tau(tau: Fraction) -> str:
+    """Compact exact rendering: decimal when the denominator allows, else num/den."""
+    for digits in range(7):
+        scaled = tau * 10**digits
+        if scaled.denominator == 1:
+            if digits == 0:
+                return str(scaled.numerator)
+            s = str(scaled.numerator).rjust(digits + 1, "0")
+            return f"{s[:-digits]}.{s[-digits:]}"
+    return f"{tau.numerator}/{tau.denominator}"
+
+
 @dataclass(frozen=True)
 class SampleRecord:
     """One completion's verdict for a (model, task) pair.
@@ -123,7 +135,7 @@ class SuccessProfile:
 
     @classmethod
     def from_pairs(cls, model: str, pairs: Iterable[tuple[str, RationalLike]]) -> "SuccessProfile":
-        entries = tuple(sorted((task, as_unit_rational(p, f"p[{task}]")) for task, p in pairs))
+        entries = tuple(sorted((task, as_rational(p, f"p[{task}]")) for task, p in pairs))
         return cls(model=model, entries=entries)
 
     @property

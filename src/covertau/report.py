@@ -27,24 +27,12 @@ from .dominance import (
     rank_models,
 )
 from .metrics import cover_at_tau, estimate_success
-from .records import RationalLike, SuccessProfile, TaskCounts, as_unit_rational
+from .records import RationalLike, SuccessProfile, TaskCounts, as_unit_rational, format_tau
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
 DEFAULT_K_GRID = tuple(2**i for i in range(14))  # 1 .. 2^13
 
 LOW_TRIAL_WARNING = 16
-
-
-def format_tau(tau: Fraction) -> str:
-    """Compact exact rendering: decimal when the denominator allows, else num/den."""
-    for digits in range(7):
-        scaled = tau * 10**digits
-        if scaled.denominator == 1:
-            if digits == 0:
-                return str(scaled.numerator)
-            s = str(scaled.numerator).rjust(digits + 1, "0")
-            return f"{s[:-digits]}.{s[-digits:]}"
-    return f"{tau.numerator}/{tau.denominator}"
 
 
 def format_exact(value: Fraction) -> str:
@@ -96,7 +84,8 @@ def align_profiles(
         extra = tuple(sorted(set(prof.tasks) - shared))
         if extra:
             dropped[prof.model] = extra
-        aligned.append(prof.restrict(sorted(shared)))
+            prof = prof.restrict(sorted(shared))
+        aligned.append(prof)
     return aligned, dropped
 
 

@@ -23,6 +23,7 @@ from covertau import (
     toy_model_b,
     uniform_auc,
 )
+from covertau.report import format_tau
 
 F = Fraction
 
@@ -262,10 +263,18 @@ class TestBootstrapBands:
         bands = bootstrap_bands(profiles, [F(1, 5), F(4, 5)], resamples=500, seed=9)
         for prof in profiles:
             for tau in (F(1, 5), F(4, 5)):
-                lo, hi = bands[prof.model][f"cov@{tau}"]
+                lo, hi = bands[prof.model][f"cov@{format_tau(tau)}"]
                 point = float(cover_at_tau(prof, tau))
                 assert lo <= point <= hi
                 assert lo <= hi
+
+    def test_threshold_is_exact_for_float_derived_p(self):
+        # Fraction(1/3) is just below 1/3, so cover at 1/3 is 0, not 1
+        below = SuccessProfile.from_pairs("A", [("t0", F(1 / 3)), ("t1", F(1 / 3))])
+        zero = SuccessProfile.from_pairs("B", [("t0", F(0)), ("t1", F(0))])
+        assert cover_at_tau(below, F(1, 3)) == 0
+        bands = bootstrap_bands([below, zero], [F(1, 3)], resamples=20, seed=0)
+        assert bands["A"]["cov@1/3"] == (0.0, 0.0)
 
     def test_misaligned_profiles_rejected(self):
         a = toy_model_a(tasks=10)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,13 +13,16 @@ from covertau import (
     SuccessProfile,
     auc_plus_cover,
     avg_auc_plus,
+    bootstrap_bands,
     build_cover_curve,
     check_cover_dominance,
+    cover_at_tau,
     dominance_report,
     pass_at_k_exact,
     pass_curve,
 )
 from covertau.dominance import _cover_grid
+from covertau.report import format_tau
 
 F = Fraction
 
@@ -33,9 +37,9 @@ rate = st.one_of(plug_in, st.sampled_from([F(0), F(1)]), wide, from_float)
 
 
 @st.composite
-def profile_sets(draw, rates=rate):
+def profile_sets(draw, rates=rate, min_models=2):
     tasks = draw(st.integers(1, 12))
-    models = draw(st.integers(2, 4))
+    models = draw(st.integers(min_models, 4))
     return [
         SuccessProfile.from_pairs(
             f"m{i}", ((f"t{j:02d}", draw(rates)) for j in range(tasks))
@@ -99,3 +103,49 @@ def test_hand_built_curves_with_values_off_the_task_grid():
     a = CoverCurve(model="A", breakpoints=(F(0), F(2, 7), F(1)), values=(F(1), F(5, 9), F(1, 3)), num_tasks=4)
     b = CoverCurve(model="B", breakpoints=(F(0), F(1, 2), F(1)), values=(F(1), F(2, 3), F(0)), num_tasks=4)
     assert_matches_oracle([a, b])
+
+
+def resampled(profiles, seed):
+    """The task multiset of bootstrap resample 0 (resamples=1), tasks renamed apart."""
+    t = profiles[0].num_tasks
+    key = np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)
+    (idx,) = np.random.Generator(np.random.Philox(key=key)).integers(0, t, size=(1, t))
+    return [
+        SuccessProfile.from_pairs(p.model, ((f"r{k:02d}", p.probabilities[i]) for k, i in enumerate(idx)))
+        for p in profiles
+    ]
+
+
+def assert_band_is_the_exact_sample(profiles, taus, seed):
+    bands = bootstrap_bands(profiles, taus, resamples=1, seed=seed)
+    sample = resampled(profiles, seed)
+    averages = oracle.avg_auc_plus([oracle.build_cover_curve(p) for p in sample]) if len(sample) > 1 else {}
+    for prof in sample:
+        expected = {f"cov@{format_tau(tau)}": float(cover_at_tau(prof, tau)) for tau in taus}
+        if averages:
+            expected["avg_auc_plus"] = float(averages[prof.model])
+        assert bands[prof.model] == {name: (value, value) for name, value in expected.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    profile_sets(min_models=1),
+    st.lists(st.one_of(plug_in, st.sampled_from([F(0), F(1)]), from_float), min_size=1, max_size=3),
+    st.integers(-(2**64), 2**64),
+)
+def test_single_resample_band_is_the_exact_sample(profiles, taus, seed):
+    assert_band_is_the_exact_sample(profiles, taus, seed)
+
+
+@pytest.mark.parametrize("d", [2**61 - 1, 2**62 + 1])
+def test_single_resample_band_on_python_ints(d):
+    # T * L >= 2**62 puts the bootstrap sums on Python ints; with d = 2**61 - 1
+    # the lcm L = 2d alone is below 2**62 but int64 sums would wrap
+    profiles = [
+        SuccessProfile.from_pairs("A", [(f"t{j}", F(1)) for j in range(8)]),
+        SuccessProfile.from_pairs(
+            "B", [("t0", F(1, d)), ("t1", F(d - 1, d)), ("t2", F(1, 2))] + [(f"t{j}", F(0)) for j in range(3, 8)]
+        ),
+    ]
+    for seed in range(3):
+        assert_band_is_the_exact_sample(profiles, [F(1, d), F(1, 2), F(1)], seed)
