@@ -29,6 +29,7 @@ from .ingest import (
     ParseError,
     build_manifest,
     counts_from_log,
+    decode_lines,
     digest_file,
     is_run_file,
     load_run,
@@ -87,8 +88,8 @@ def _counts_from_raw_log(input_path: str, gold_path: str | None):
     parsed = read_log(input_path)
     gold = None
     if gold_path:
-        with Path(gold_path).open(encoding="utf-8") as fh:
-            gold = parse_gold(fh, gold_path)
+        with Path(gold_path).open("rb") as fh:
+            gold = parse_gold(decode_lines(fh, gold_path), gold_path)
     return counts_from_log(parsed, gold)
 
 

@@ -12,6 +12,15 @@ File formats (all JSON Lines, UTF-8, "\n" line endings):
 A file holds either per-completion lines or aggregated lines, never both.
 Persisted runs are canonical JSON (sorted keys, no spaces), so re-saving
 unchanged data is byte-identical.
+
+A per-completion log is folded line by line into one `SampleTally` per
+(model, task): flagged lines add to its n and c at once, unflagged lines
+add their answer text to a counter, and the only per-line state kept is the
+key's set of seen sample_index values, so memory grows with keys and
+distinct answers rather than with lines.  `counts_from_log` grades each
+distinct (task, answer) once against gold.  `apply_grading` and
+`metrics.aggregate` do the same job record by record for in-memory
+`SampleRecord` lists.
 """
 
 from __future__ import annotations
@@ -22,11 +31,12 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
-from .metrics import aggregate
+from .metrics import aggregate  # noqa: F401  (perfbench/spans.py wraps it here)
 from .records import GoldAnswer, SampleRecord, TaskCounts
 
 FORMAT_NAME = "covertau-run-v1"
@@ -35,18 +45,36 @@ FORMAT_NAME = "covertau-run-v1"
 # exponent; no fraction bars, no thousands separators
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _WS_RE = re.compile(r"\s+")
+_DIGEST_CHUNK = 1 << 20
 
 
 class ParseError(ValueError):
     """Malformed log content, annotated with the offending line number."""
 
 
+@dataclass(slots=True)
+class SampleTally:
+    """Running tally of one (model, task) key of a per-completion log."""
+
+    seen: set[int] = field(default_factory=set)  # sample_index values read so far
+    n: int = 0  # lines with a correct flag
+    c: int = 0  # of those, flagged correct
+    answers: Counter[str] = field(default_factory=Counter)  # answer text of unflagged lines
+    first_ungraded: tuple[int, int] | None = None  # (line, sample_index) of the first unflagged line
+
+
 @dataclass(frozen=True)
 class ParsedLog:
-    """Result of parsing one log file: exactly one of the two forms."""
+    """Result of parsing one log file: exactly one of the two forms.
 
-    records: tuple[SampleRecord, ...] | None
+    `records` maps (model, task) to its `SampleTally` for a per-completion
+    log; `counts` holds per-model counts for an aggregated one.  `source`
+    names the file in grading errors.
+    """
+
+    records: dict[tuple[str, str], SampleTally] | None
     counts: dict[str, list[TaskCounts]] | None
+    source: str = "<stream>"
 
     @property
     def kind(self) -> str:
@@ -84,38 +112,70 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
 
     Accepts either the per-completion schema or the aggregated schema;
     mixing the two in one file is rejected.  Blank lines are ignored.
+    Per-completion lines are folded into per-(model, task) tallies as they
+    are read; a repeated sample_index within a key is rejected on its line.
     Every failure names the 1-based line number.
     """
-    records: list[SampleRecord] = []
+    tallies: dict[tuple[str, str], SampleTally] = {}
     counts: dict[str, dict[str, TaskCounts]] = {}
     kind: str | None = None
-    saw_any = False
+    last_key: tuple[str, str] | None = None
+    loads, decode_error = json.loads, json.JSONDecodeError
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        saw_any = True
-        obj = _parse_json_line(line, lineno, source)
-        line_kind = _classify_line(obj, lineno, source)
-        if kind is None:
-            kind = line_kind
-        elif kind != line_kind:
+        try:
+            obj = loads(raw)
+        except decode_error:
+            # JSON whitespace is a subset of str.strip's: blank lines and
+            # bad JSON both land here, and bad JSON is reported as before
+            line = raw.strip()
+            if not line:
+                continue
+            obj = _parse_json_line(line, lineno, source)
+        # Fast path: a well-formed per-completion line in a per-completion
+        # log.  Anything else takes the checked path, which classifies the
+        # line and raises the error that names it.
+        ok = False
+        if (kind == "samples" and type(obj) is dict and "sample_index" in obj
+                and not ("n" in obj or "c" in obj or "kind" in obj)):
+            model, task, index = obj.get("model"), obj.get("task"), obj["sample_index"]
+            correct, answer = obj.get("correct"), obj.get("answer")
+            ok = (type(model) is str and model and type(task) is str and task
+                  and type(index) is int and index >= 0
+                  and (answer is None or type(answer) is str)
+                  and (correct is True or correct is False or answer is not None and correct is None))
+        if not ok:
+            kind = _line_kind(obj, kind, lineno, source)
+            if kind == "aggregated":
+                _add_aggregated(counts, obj, lineno, source)
+                continue
+            model, task, index, correct, answer = _sample_fields(obj, lineno, source)
+        key = (model, task)
+        if key != last_key:
+            tally = tallies.get(key)
+            if tally is None:
+                tally = tallies[key] = SampleTally()
+            last_key, seen, answers = key, tally.seen, tally.answers
+        if index in seen:
             raise ParseError(
-                f"{source}:{lineno}: mixed schemas in one file "
-                f"(saw {kind} lines before, this line is {line_kind})"
+                f"{source}:{lineno}: duplicate record key (model={model!r}, "
+                f"task={task!r}, sample_index={index})"
             )
-        if line_kind == "samples":
-            records.append(_sample_from_obj(obj, lineno, source))
+        seen.add(index)
+        if correct is None:
+            answers[answer] += 1
+            if tally.first_ungraded is None:
+                tally.first_ungraded = (lineno, index)
         else:
-            _add_aggregated(counts, obj, lineno, source)
-    if not saw_any:
+            tally.n += 1
+            tally.c += correct
+    if kind is None:
         raise ParseError(f"{source}: no records found")
     if kind == "samples":
-        _check_unique_keys(records, source)
-        return ParsedLog(records=tuple(records), counts=None)
+        return ParsedLog(records=tallies, counts=None, source=source)
     return ParsedLog(
         records=None,
         counts={m: [tc for _, tc in sorted(t.items())] for m, t in sorted(counts.items())},
+        source=source,
     )
 
 
@@ -129,7 +189,11 @@ def _parse_json_line(line: str, lineno: int, source: str) -> dict:
     return obj
 
 
-def _classify_line(obj: dict, lineno: int, source: str) -> str:
+def _line_kind(obj: object, kind: str | None, lineno: int, source: str) -> str:
+    """The schema of one line ("samples" or "aggregated"), which must match
+    the `kind` of the lines before it, if any."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{source}:{lineno}: expected an object, got {type(obj).__name__}")
     if obj.get("kind") == "manifest":
         raise ParseError(
             f"{source}:{lineno}: found a run manifest; load this file with load_run()"
@@ -140,7 +204,13 @@ def _classify_line(obj: dict, lineno: int, source: str) -> str:
         raise ParseError(f"{source}:{lineno}: line mixes per-completion and aggregated fields")
     if not has_agg and not has_sample:
         raise ParseError(f"{source}:{lineno}: line is neither per-completion (sample_index) nor aggregated (n, c)")
-    return "aggregated" if has_agg else "samples"
+    line_kind = "aggregated" if has_agg else "samples"
+    if kind is not None and kind != line_kind:
+        raise ParseError(
+            f"{source}:{lineno}: mixed schemas in one file "
+            f"(saw {kind} lines before, this line is {line_kind})"
+        )
+    return line_kind
 
 
 def _require_str(obj: dict, key: str, lineno: int, source: str) -> str:
@@ -157,7 +227,10 @@ def _require_int(obj: dict, key: str, lineno: int, source: str) -> int:
     return value
 
 
-def _sample_from_obj(obj: dict, lineno: int, source: str) -> SampleRecord:
+def _sample_fields(
+    obj: dict, lineno: int, source: str
+) -> tuple[str, str, int, bool | None, str | None]:
+    """(model, task, sample_index, correct, answer) of a per-completion line."""
     model = _require_str(obj, "model", lineno, source)
     task = _require_str(obj, "task", lineno, source)
     index = _require_int(obj, "sample_index", lineno, source)
@@ -173,7 +246,7 @@ def _sample_from_obj(obj: dict, lineno: int, source: str) -> SampleRecord:
         raise ParseError(
             f"{source}:{lineno}: record has neither a 'correct' verdict nor an 'answer' to grade"
         )
-    return SampleRecord(model=model, task=task, sample_index=index, answer=answer, correct=correct)
+    return model, task, index, correct, answer
 
 
 def _add_aggregated(
@@ -191,17 +264,6 @@ def _add_aggregated(
     if task in per_model:
         raise ParseError(f"{source}:{lineno}: duplicate aggregated line for (model={model!r}, task={task!r})")
     per_model[task] = tc
-
-
-def _check_unique_keys(records: Sequence[SampleRecord], source: str) -> None:
-    seen: set[tuple[str, str, int]] = set()
-    for rec in records:
-        if rec.key in seen:
-            raise ParseError(
-                f"{source}: duplicate record key (model={rec.model!r}, "
-                f"task={rec.task!r}, sample_index={rec.sample_index})"
-            )
-        seen.add(rec.key)
 
 
 def parse_gold(lines: Iterable[str], source: str = "<gold>") -> dict[str, str]:
@@ -313,11 +375,43 @@ def apply_grading(
 def counts_from_log(
     parsed: ParsedLog, gold: Mapping[str, str] | None = None
 ) -> tuple[dict[str, list[TaskCounts]], str]:
-    """Aggregate a parsed log into per-model counts plus the verdict source."""
+    """Per-model counts of a parsed log plus the verdict source.
+
+    Explicit flags win; unflagged answers are graded against gold, each
+    distinct (task, answer) once, and the verdict is weighted by the
+    answer's count.  Gives what `aggregate(apply_grading(records, gold)[0])`
+    gives for the log's records, and rejects a key with unflagged lines but
+    no gold answer at its first such line.
+    """
     if parsed.counts is not None:
         return parsed.counts, "aggregated"
-    resolved, verdict_source = apply_grading(parsed.records or (), gold)
-    return aggregate(resolved), verdict_source
+    tallies = parsed.records or {}
+    graded: dict[tuple[str, str], int] = {}  # key -> correct unflagged lines
+    verdicts: dict[tuple[str, str], bool] = {}
+    # keys in the order of their first unflagged line, so the first
+    # ungradable line in the file is the one reported
+    ungraded = sorted((t.first_ungraded, key) for key, t in tallies.items() if t.first_ungraded)
+    for (lineno, index), key in ungraded:
+        model, task = key
+        if gold is None or task not in gold:
+            raise ValueError(
+                f"{parsed.source}:{lineno}: record (model={model!r}, task={task!r}, "
+                f"sample_index={index}) has no verdict and no gold answer to grade against"
+            )
+        hits = 0
+        for answer, count in tallies[key].answers.items():
+            verdict = verdicts.get((task, answer))
+            if verdict is None:
+                verdict = verdicts[task, answer] = grade(answer, gold[task])
+            hits += count * verdict
+        graded[key] = hits
+    per_model: dict[str, dict[str, TaskCounts]] = {}
+    for (model, task), tally in tallies.items():
+        n = tally.n + sum(tally.answers.values())
+        c = tally.c + graded.get((model, task), 0)
+        per_model.setdefault(model, {})[task] = TaskCounts(task=task, n=n, c=c)
+    counts = {m: [tc for _, tc in sorted(t.items())] for m, t in sorted(per_model.items())}
+    return counts, ("flags+gold" if graded else "flags")
 
 
 def build_manifest(
@@ -480,21 +574,38 @@ def _manifest_from_obj(head: dict, source: str) -> RunManifest:
 
 
 def digest_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file's bytes, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(_DIGEST_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def decode_lines(fh: BinaryIO, source: str) -> Iterator[str]:
+    """The lines of a binary stream decoded as UTF-8; an undecodable line is
+    a ParseError that names it."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{source}:{lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
 
 
 def read_log(path: str | Path) -> ParsedLog:
     """Parse a raw log from disk (per-completion or aggregated form)."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        return parse_records(fh, source=str(path))
+    with path.open("rb") as fh:
+        return parse_records(decode_lines(fh, str(path)), source=str(path))
 
 
 def is_run_file(path: str | Path) -> bool:
     """Sniff whether a file starts with a run manifest."""
     try:
-        with Path(path).open(encoding="utf-8") as fh:
-            first = fh.readline().strip()
+        with Path(path).open("rb") as fh:
+            first = fh.readline().decode("utf-8").strip()
         return bool(first) and json.loads(first).get("kind") == "manifest"
-    except (OSError, json.JSONDecodeError, AttributeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, AttributeError):
         return False

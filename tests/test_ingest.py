@@ -1,7 +1,10 @@
 """Log parsing, grading, and run persistence round-trips."""
 
+import hashlib
 import json
 import os
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +26,9 @@ from covertau import (
     parse_records,
     persist_run,
 )
+from covertau import ingest
 from covertau.cli import main
-from covertau.ingest import write_atomic
+from covertau.ingest import SampleTally, digest_file, is_run_file, read_log, write_atomic
 
 F = Fraction
 
@@ -38,12 +42,29 @@ class TestParseRecords:
         lines = [sample_line("m", "t", i, correct=i == 0) for i in range(3)]
         parsed = parse_records(lines)
         assert parsed.kind == "samples"
-        assert len(parsed.records) == 3
-        assert parsed.records[0].correct is True
+        assert parsed.records == {("m", "t"): SampleTally(seen={0, 1, 2}, n=3, c=1)}
 
     def test_blank_lines_skipped(self):
-        lines = ["", sample_line("m", "t", 0, correct=True), "   "]
-        assert len(parse_records(lines).records) == 1
+        lines = ["", sample_line("m", "t", 0, correct=True), "   ", "\f\n"]
+        assert parse_records(lines).records == {("m", "t"): SampleTally(seen={0}, n=1, c=1)}
+
+    def test_lines_fold_into_per_key_tallies(self):
+        lines = [
+            sample_line("m", "t1", 7, answer="42"),
+            sample_line("m", "t2", 0, correct=True, answer="ignored"),
+            sample_line("m2", "t1", 3, correct=False),
+            sample_line("m", "t1", 2, answer=" 42 "),
+            sample_line("m", "t1", 9, answer="42"),
+            sample_line("m", "t1", 4, correct=True),
+        ]
+        assert parse_records(lines).records == {
+            ("m", "t1"): SampleTally(
+                seen={7, 2, 9, 4}, n=1, c=1, answers=Counter({"42": 2, " 42 ": 1}),
+                first_ungraded=(1, 7),
+            ),
+            ("m", "t2"): SampleTally(seen={0}, n=1, c=1),
+            ("m2", "t1"): SampleTally(seen={3}, n=1, c=0),
+        }
 
     def test_invalid_json_names_line(self):
         lines = [sample_line("m", "t", 0, correct=True), "{nope"]
@@ -56,7 +77,27 @@ class TestParseRecords:
 
     def test_answer_only_line_accepted(self):
         parsed = parse_records([sample_line("m", "t", 0, answer="42")])
-        assert parsed.records[0].correct is None
+        assert parsed.records == {
+            ("m", "t"): SampleTally(seen={0}, answers=Counter({"42": 1}), first_ungraded=(1, 0))
+        }
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"model": ""}, "field 'model' must be a nonempty string"),
+        ({"model": 3}, "field 'model' must be a nonempty string"),
+        ({"task": None}, "field 'task' must be a nonempty string"),
+        ({"sample_index": True}, "field 'sample_index' must be an integer"),
+        ({"sample_index": 1.0}, "field 'sample_index' must be an integer"),
+        ({"sample_index": -1}, "sample_index must be >= 0, got -1"),
+        ({"correct": 1}, "field 'correct' must be a boolean when present"),
+        ({"correct": None, "answer": 5}, "field 'answer' must be a string when present"),
+        ({"correct": None}, "record has neither"),
+    ])
+    def test_bad_field_named_on_any_line(self, fields, message):
+        # the first line takes the checked path, later ones the fast path
+        bad = json.dumps({"model": "m", "task": "t", "sample_index": 1, "correct": True, **fields})
+        for lineno, lines in ((1, [bad]), (2, [sample_line("m", "t", 0, correct=True), bad])):
+            with pytest.raises(ParseError, match=rf"<stream>:{lineno}: {re.escape(message)}"):
+                parse_records(lines)
 
     def test_mixed_schemas_rejected(self):
         lines = [
@@ -86,7 +127,17 @@ class TestParseRecords:
 
     def test_duplicate_sample_key_rejected(self):
         lines = [sample_line("m", "t", 0, correct=True)] * 2
-        with pytest.raises(ParseError, match="duplicate record key"):
+        with pytest.raises(ParseError, match=r"<stream>:2: duplicate record key"):
+            parse_records(lines)
+
+    def test_duplicate_named_on_its_line_across_keys(self):
+        lines = [
+            sample_line("m", "t", 0, correct=True),
+            sample_line("m", "u", 0, answer="1"),
+            "",
+            sample_line("m", "t", 0, answer="2"),
+        ]
+        with pytest.raises(ParseError, match=r":4: duplicate record key \(model='m', task='t', sample_index=0\)"):
             parse_records(lines)
 
     def test_bad_count_bounds_named(self):
@@ -164,6 +215,95 @@ class TestApplyGrading:
         records = [SampleRecord(model="m", task="t", sample_index=3, answer="42")]
         with pytest.raises(ValueError, match="sample_index=3"):
             apply_grading(records, {})
+
+
+class TestCountsFromLog:
+    def test_each_distinct_answer_graded_once(self, monkeypatch):
+        calls = []
+
+        def counting_grade(answer, gold):
+            calls.append((answer, gold))
+            return grade(answer, gold)
+
+        monkeypatch.setattr(ingest, "grade", counting_grade)
+        lines = [sample_line(m, "t", i, answer=a) for m in ("m1", "m2")
+                 for i, a in enumerate(["42", "41", "42", "42.0", "41"])]
+        lines.append(sample_line("m1", "t", 9, correct=True))
+        counts, source = counts_from_log(parse_records(lines), {"t": "42"})
+        assert sorted(calls) == [("41", "42"), ("42", "42"), ("42.0", "42")]
+        assert counts == {"m1": [TaskCounts(task="t", n=6, c=4)],
+                          "m2": [TaskCounts(task="t", n=5, c=3)]}
+        assert source == "flags+gold"
+
+    def test_first_ungradable_line_in_the_file_is_named(self):
+        lines = [
+            sample_line("m", "t", 0, correct=True),
+            sample_line("m", "u", 4, answer="1"),
+            sample_line("m", "t", 5, answer="1"),
+            sample_line("m", "u", 6, answer="2"),
+        ]
+        parsed = parse_records(lines)
+        with pytest.raises(ValueError, match=r"<stream>:2: record \(model='m', task='u', sample_index=4\) "
+                                             r"has no verdict and no gold answer"):
+            counts_from_log(parsed, {"t": "1"})
+        with pytest.raises(ValueError, match=r"<stream>:2: .*task='u'"):
+            counts_from_log(parsed)
+
+
+class TestRawFiles:
+    def test_invalid_utf8_in_log_names_the_line(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_bytes(sample_line("m", "t", 0, correct=True).encode() + b"\n"
+                        + b'{"model":"m","task":"t","sample_index":1,"answer":"\xff"}\n')
+        with pytest.raises(ParseError, match=r"log\.jsonl:2: invalid UTF-8"):
+            read_log(log)
+        assert main(["ingest", "--input", str(log), "--out", str(tmp_path / "run.jsonl")]) == 2
+        assert "log.jsonl:2: invalid UTF-8" in capsys.readouterr().err
+
+    def test_invalid_utf8_in_gold_names_the_line(self, tmp_path, capsys):
+        log, gold = tmp_path / "log.jsonl", tmp_path / "gold.jsonl"
+        log.write_text(sample_line("m", "t", 0, answer="42") + "\n", encoding="utf-8")
+        gold.write_bytes(b'\n{"task":"t","answer":"4\xc32"}\n')
+        args = ["ingest", "--input", str(log), "--gold", str(gold), "--out", str(tmp_path / "run.jsonl")]
+        assert main(args) == 2
+        assert "gold.jsonl:2: invalid UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_first_line_is_not_a_run_file(self, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"kind":"manifest","x":"\xff"}\n')
+        assert is_run_file(path) is False
+        assert main(["compute", "--input", str(path)]) == 2
+        assert "log.jsonl:1: invalid UTF-8" in capsys.readouterr().err
+
+    def test_answer_only_log_without_gold_names_model_task_and_line(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(line + "\n" for line in [
+            sample_line("m", "t", 0, correct=True),
+            sample_line("grader", "t7", 3, answer="42"),
+            sample_line("grader", "t7", 4, answer="41"),
+        ]), encoding="utf-8")
+        assert main(["ingest", "--input", str(log), "--out", str(tmp_path / "run.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "log.jsonl:2: record (model='grader', task='t7', sample_index=3)" in err
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_digest_is_chunked_and_matches_whole_file_hash(self, tmp_path, monkeypatch):
+        path = tmp_path / "blob"
+        data = os.urandom(1000)
+        path.write_bytes(data)
+        monkeypatch.setattr(ingest, "_DIGEST_CHUNK", 7)
+        reads = []
+        real_open = type(path).open
+
+        def spying_open(self, *args, **kwargs):
+            fh = real_open(self, *args, **kwargs)
+            read = fh.read
+            fh.read = lambda size=-1: reads.append(size) or read(size)
+            return fh
+
+        monkeypatch.setattr(type(path), "open", spying_open)
+        assert digest_file(path) == hashlib.sha256(data).hexdigest()
+        assert set(reads) == {7}
 
 
 class TestParseGold:

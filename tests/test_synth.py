@@ -1,5 +1,6 @@
 """Synthetic profile generators and Monte-Carlo simulators."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from covertau import (
     ProfileSpec,
     aggregate,
     cons_at_n,
+    counts_from_log,
     cover_at_tau,
     make_profile,
     parse_records,
@@ -174,8 +176,18 @@ class TestLogEmission:
     def test_round_trips_through_parser(self):
         spec = GuesserSpec(support_size=4, tasks=3, trials=8, seed=5)
         _, records = simulate_guesser(spec)
-        parsed = parse_records(records_to_jsonl(records).splitlines())
-        assert list(parsed.records) == records
+        lines = records_to_jsonl(records).splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"model": r.model, "task": r.task, "sample_index": r.sample_index,
+             "answer": r.answer, "correct": r.correct}
+            for r in records
+        ]
+        parsed = parse_records(lines)
+        assert {key: tally.seen for key, tally in parsed.records.items()} == {
+            (r.model, r.task): {s.sample_index for s in records if s.task == r.task}
+            for r in records
+        }
+        assert counts_from_log(parsed) == (aggregate(records), "flags")
 
     def test_emission_is_deterministic(self):
         spec = GuesserSpec(support_size=4, tasks=3, trials=8, seed=5)
