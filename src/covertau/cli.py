@@ -55,12 +55,13 @@ from .report import (
 from .synth import (
     GuesserSpec,
     ProfileSpec,
+    completions_log,
     guesser_gold,
+    guesser_log,
+    guesser_profile,
     make_profile,
-    records_to_jsonl,
-    simulate_completions,
-    simulate_guesser,
 )
+from .synth import records_to_jsonl, simulate_guesser  # noqa: F401  (perfbench/spans.py wraps them here)
 
 
 def _parse_taus(raw: list[str] | None) -> tuple[Fraction, ...]:
@@ -111,7 +112,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             model=args.model or "guesser",
         )
-        profile, records = simulate_guesser(spec)
+        profile, log = guesser_profile(spec), guesser_log(spec)
         if args.gold_out:
             lines = "".join(
                 json.dumps({"answer": a, "task": t}, sort_keys=True, separators=(",", ":")) + "\n"
@@ -130,17 +131,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             ratio=args.ratio,
         )
         profile = make_profile(profile_spec)
-        records = simulate_completions(profile, args.trials, args.seed)
+        log = completions_log(profile, args.trials, args.seed)
         if args.gold_out:
             raise ValueError("--gold-out applies to the guesser kind only")
-    write_atomic(Path(args.out), records_to_jsonl(records))
+    write_atomic(Path(args.out), log)
 
     counts = Counter(profile.probabilities)
     print(f"model {profile.model}: {profile.num_tasks} tasks, {args.trials} trials each")
     print("exact per-task success probabilities:")
     for p in sorted(counts):
         print(f"  p={p} on {counts[p]} task(s)")
-    print(f"wrote {len(records)} records to {args.out}")
+    print(f"wrote {profile.num_tasks * args.trials} records to {args.out}")
     return 0
 
 

@@ -480,16 +480,17 @@ def persist_run(
     return path
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Replace `path` with `text` through a temp file of its own in the same
-    directory, so concurrent writers never share one, and a failed write
-    leaves neither a partial target nor a temp file behind."""
+def write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    """Replace `path` with `text`, a string or an iterable of string chunks
+    written in order, through a temp file of its own in the same directory,
+    so concurrent writers never share one, and a failed write (an iterable
+    that raises too) leaves neither a partial target nor a temp file behind."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     # O_EXCL: never reuse an existing file; mode 0o666 is narrowed by the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -509,7 +510,7 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
     if not data:
         raise ParseError(f"{path}: empty run file")
     cut = data.find(b"\n") + 1 or len(data)
-    head = _parse_json_line(data[:cut].decode("utf-8"), 1, str(path))
+    head = _parse_json_line(_decode_utf8(data[:cut], str(path), 1), 1, str(path))
     if head.get("kind") != "manifest":
         raise ParseError(f"{path}:1: missing manifest header; is this a raw log?")
     if head.get("format") != FORMAT_NAME:
@@ -520,7 +521,7 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
             f"{path}:1: run_id does not match the sha256 of the lines after the manifest; "
             "the run file was changed after it was written"
         )
-    body = str(memoryview(data)[cut:], "utf-8")
+    body = _decode_utf8(memoryview(data)[cut:], str(path), 2)
     del data  # peak memory: the decoded body and its lines, not the raw bytes too
     counts: dict[str, dict[str, TaskCounts]] = {}
     for lineno, line in enumerate(body.splitlines(), start=2):
@@ -582,16 +583,28 @@ def digest_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _decode_utf8(data: bytes | memoryview, source: str, first_lineno: int) -> str:
+    """`data`, whose first line is line `first_lineno` of `source`, decoded as
+    UTF-8; an undecodable byte is a ParseError that names its line."""
+    try:
+        return str(data, "utf-8")
+    except UnicodeDecodeError as exc:
+        before = bytes(data[: exc.start])
+        lineno = first_lineno + before.count(b"\n")
+        column = exc.start - (before.rfind(b"\n") + 1)
+        raise ParseError(f"{source}:{lineno}: invalid UTF-8 ({exc.reason} at byte {column})") from None
+
+
 def decode_lines(fh: BinaryIO, source: str) -> Iterator[str]:
     """The lines of a binary stream decoded as UTF-8; an undecodable line is
     a ParseError that names it."""
     for lineno, raw in enumerate(fh, start=1):
         try:
             yield raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"{source}:{lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})"
-            ) from None
+        except UnicodeDecodeError:
+            # the helper decodes again and raises the ParseError that names the line
+            _decode_utf8(raw, source, lineno)
+            raise
 
 
 def read_log(path: str | Path) -> ParsedLog:

@@ -125,6 +125,8 @@ class SuccessProfile:
             raise ValueError(f"profile for {self.model!r} has no tasks")
         seen: set[str] = set()
         for task, p in self.entries:
+            if not task:
+                raise ValueError(f"task identifier must be nonempty in profile for {self.model!r}")
             if task in seen:
                 raise ValueError(f"duplicate task {task!r} in profile for {self.model!r}")
             seen.add(task)

@@ -26,7 +26,8 @@ from .dominance import (
     find_crossover,
     rank_models,
 )
-from .metrics import cover_at_tau, estimate_success
+from .metrics import cover_at_tau  # noqa: F401  (perfbench/spans.py wraps it here)
+from .metrics import estimate_success
 from .records import RationalLike, SuccessProfile, TaskCounts, as_unit_rational, format_tau
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
@@ -100,14 +101,15 @@ def _group_profiles(profile: SuccessProfile, delimiter: str) -> dict[str, Succes
 
 
 def _point_metric_table(
-    profiles: Sequence[SuccessProfile], taus: Sequence[Fraction]
+    profiles: Sequence[SuccessProfile], curves: Sequence[CoverCurve], taus: Sequence[Fraction]
 ) -> dict[str, dict[str, Fraction]]:
-    """pass@1 and cover at each tau, per model."""
+    """pass@1 and cover at each tau, per model; cover is read off the
+    model's cover curve (`curves[i]` belongs to `profiles[i]`)."""
     table: dict[str, dict[str, Fraction]] = {}
-    for prof in profiles:
+    for prof, curve in zip(profiles, curves):
         row: dict[str, Fraction] = {"pass@1": prof.mean_p}
         for tau in taus:
-            row[f"cov@{format_tau(tau)}"] = cover_at_tau(prof, tau)
+            row[f"cov@{format_tau(tau)}"] = curve.value_at(tau)
         table[prof.model] = row
     return table
 
@@ -123,9 +125,10 @@ def _metric_table_grouped(
     per_group: list[dict[str, dict[str, Fraction]]] = []
     for g in group_names:
         group_profiles = [by_model[m][g] for m in sorted(by_model)]
-        group_table = _point_metric_table(group_profiles, taus)
+        group_curves = [build_cover_curve(p) for p in group_profiles]
+        group_table = _point_metric_table(group_profiles, group_curves, taus)
         if len(group_profiles) >= 2:
-            averages = avg_auc_plus([build_cover_curve(p) for p in group_profiles])
+            averages = avg_auc_plus(group_curves)
             for model, value in averages.items():
                 group_table[model]["avg_auc_plus"] = value
         per_group.append(group_table)
@@ -176,6 +179,7 @@ def build_report(
             + ", ".join(extra)
         )
 
+    cover_curves = {p.model: build_cover_curve(p) for p in aligned}
     aggregation = "pooled"
     if group_delimiter:
         aggregation = "per-group-averaged"
@@ -185,9 +189,8 @@ def build_report(
             "curves and dominance remain pooled"
         )
     else:
-        metrics = _point_metric_table(aligned, tau_fracs)
+        metrics = _point_metric_table(aligned, list(cover_curves.values()), tau_fracs)
 
-    cover_curves = {p.model: build_cover_curve(p) for p in aligned}
     pass_curves = {p.model: pass_curve(p, ks) for p in aligned}
 
     dominance: DominanceReport | None = None

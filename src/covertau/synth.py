@@ -14,6 +14,15 @@ Two canned regimes:
   * constant-p and two-point profiles, the toy pair where equal pass@1
     hides opposite breadth/consistency trade-offs.
 
+Logs are written column-wise: `guesser_log` and `completions_log` turn
+each task's draw column straight into canonical JSON lines (one prebuilt
+prefix per possible draw value, then the sample index and a per-task
+suffix) and yield one chunk per task, so a log of any length is streamed
+with one task's column in memory.  `simulate_guesser`,
+`simulate_completions` and `records_to_jsonl` build on the same draws and
+give the same bytes through `SampleRecord`s; they are the record-level API
+and the emitters' test oracle.
+
 The guesser is a deliberate simplification: a real model's answer
 distribution over a small support is not uniform.
 """
@@ -23,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +60,8 @@ class GuesserSpec:
             raise ValueError(f"tasks must be >= 1, got {self.tasks}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not self.model:
+            raise ValueError("model identifier must be nonempty")
 
     @property
     def success_probability(self) -> Fraction:
@@ -134,19 +145,39 @@ def _task_rng(seed: int, task_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate_completions(profile: SuccessProfile, trials: int, seed: int) -> list[SampleRecord]:
-    """n i.i.d. Bernoulli(p) verdicts per task, task-major, trial-minor."""
+def _completion_draws(
+    profile: SuccessProfile, trials: int, seed: int
+) -> Iterator[tuple[str, np.ndarray]]:
+    """(task, hits) per task: `trials` exact Bernoulli(p) verdicts as a bool
+    column.  `trials` is checked now; the draws are made lazily, one task at
+    a time."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    records: list[SampleRecord] = []
-    for i, (task, p) in enumerate(profile.entries):
-        rng = _task_rng(seed, i)
-        draws = rng.integers(0, p.denominator, size=trials) < p.numerator
-        records.extend(
-            SampleRecord(model=profile.model, task=task, sample_index=j, correct=bool(hit))
-            for j, hit in enumerate(draws)
-        )
-    return records
+    return (
+        (task, _task_rng(seed, i).integers(0, p.denominator, size=trials) < p.numerator)
+        for i, (task, p) in enumerate(profile.entries)
+    )
+
+
+def _guesser_draws(spec: GuesserSpec) -> Iterator[tuple[str, np.ndarray]]:
+    """(task, guesses) per task: `spec.trials` labels drawn from 0..m-1."""
+    for i, task in enumerate(task_ids(spec.tasks)):
+        yield task, _task_rng(spec.seed, i).integers(0, spec.support_size, size=spec.trials)
+
+
+def simulate_completions(profile: SuccessProfile, trials: int, seed: int) -> list[SampleRecord]:
+    """n i.i.d. Bernoulli(p) verdicts per task, task-major, trial-minor."""
+    return [
+        SampleRecord(model=profile.model, task=task, sample_index=j, correct=hit)
+        for task, hits in _completion_draws(profile, trials, seed)
+        for j, hit in enumerate(hits.tolist())
+    ]
+
+
+def guesser_profile(spec: GuesserSpec) -> SuccessProfile:
+    """The guesser's exact profile: p = 1/m on every task."""
+    p = spec.success_probability
+    return SuccessProfile.from_pairs(spec.model, ((t, p) for t in task_ids(spec.tasks)))
 
 
 def simulate_guesser(spec: GuesserSpec) -> tuple[SuccessProfile, list[SampleRecord]]:
@@ -156,24 +187,12 @@ def simulate_guesser(spec: GuesserSpec) -> tuple[SuccessProfile, list[SampleReco
     records; records carry both the guessed answer text and the verdict, so
     the same log also exercises consensus scoring.
     """
-    ids = task_ids(spec.tasks)
-    p = spec.success_probability
-    profile = SuccessProfile.from_pairs(spec.model, ((t, p) for t in ids))
-    records: list[SampleRecord] = []
-    for i, task in enumerate(ids):
-        rng = _task_rng(spec.seed, i)
-        guesses = rng.integers(0, spec.support_size, size=spec.trials)
-        records.extend(
-            SampleRecord(
-                model=spec.model,
-                task=task,
-                sample_index=j,
-                answer=str(int(g)),
-                correct=bool(g == 0),
-            )
-            for j, g in enumerate(guesses)
-        )
-    return profile, records
+    records = [
+        SampleRecord(model=spec.model, task=task, sample_index=j, answer=str(g), correct=g == 0)
+        for task, guesses in _guesser_draws(spec)
+        for j, g in enumerate(guesses.tolist())
+    ]
+    return guesser_profile(spec), records
 
 
 def guesser_gold(spec: GuesserSpec) -> dict[str, str]:
@@ -192,3 +211,32 @@ def records_to_jsonl(records: Sequence[SampleRecord]) -> str:
             obj["answer"] = rec.answer
         lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     return "".join(line + "\n" for line in lines)
+
+
+def _jsonl_chunks(
+    model: str, draws: Iterable[tuple[str, np.ndarray]], fields: Sequence[str]
+) -> Iterator[str]:
+    """One chunk of canonical-JSON lines per task, the bytes of
+    `records_to_jsonl`.  `fields[v]` holds the fields that sort before
+    "model" for draw value v; the keys sort as answer, correct, model,
+    sample_index, task, so a line is prefix[v] + index + task suffix."""
+    head = f',"model":{json.dumps(model)},"sample_index":'
+    prefixes = ["{" + f + head for f in fields]
+    for task, column in draws:
+        suffix = f',"task":{json.dumps(task)}}}\n'
+        yield "".join([prefixes[v] + str(j) + suffix for j, v in enumerate(column.tolist())])
+
+
+def completions_log(profile: SuccessProfile, trials: int, seed: int) -> Iterator[str]:
+    """`records_to_jsonl(simulate_completions(profile, trials, seed))`, one
+    chunk per task, with no record objects."""
+    return _jsonl_chunks(profile.model, _completion_draws(profile, trials, seed),
+                         ['"correct":false', '"correct":true'])
+
+
+def guesser_log(spec: GuesserSpec) -> Iterator[str]:
+    """`records_to_jsonl(simulate_guesser(spec)[1])`, one chunk per task,
+    with no record objects."""
+    fields = [f'"answer":{json.dumps(str(g))},"correct":{json.dumps(g == 0)}'
+              for g in range(spec.support_size)]
+    return _jsonl_chunks(spec.model, _guesser_draws(spec), fields)

@@ -70,6 +70,16 @@ def test_kernel_equals_fraction_oracle(profiles):
     assert_matches_oracle(curves)
 
 
+@settings(max_examples=200, deadline=None)
+@given(profile_sets(min_models=1), st.lists(rate, max_size=4))
+def test_value_at_equals_cover_at_tau(profiles, taus):
+    # tau on every breakpoint, at 0 and 1, and off the grid
+    for prof in profiles:
+        curve = build_cover_curve(prof)
+        for tau in [F(0), F(1), *curve.breakpoints, *taus]:
+            assert curve.value_at(tau) == cover_at_tau(prof, tau)
+
+
 @settings(max_examples=100, deadline=None)
 @given(profile_sets(rates=st.one_of(plug_in, st.sampled_from([F(0), F(1)]))))
 def test_pass_curve_equals_pointwise_pass_at_k(profiles):

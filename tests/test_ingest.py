@@ -435,7 +435,45 @@ class TestRunFileIntegrity:
         assert err.startswith("error: ") and f"'{key}'" in err
 
 
+    def test_undecodable_manifest_line_is_named(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b'{"kind":"manifest","x":"\xff"}\n')
+        with pytest.raises(ParseError, match=r"run\.jsonl:1: invalid UTF-8 \(invalid start byte at byte 24\)"):
+            load_run(path)
+
+    def test_undecodable_body_line_is_named(self, tmp_path):
+        # the run_id is re-hashed over the edited body, so only the decode fails
+        data = self._run(tmp_path).read_bytes()
+        head, body = data.split(b"\n", 1)
+        assert body.count(b"\n") == 2 and b'"task":"t2"' in body.split(b"\n")[1]
+        body = body.replace(b'"task":"t2"', b'"task":"t\xc32"')
+        manifest = json.loads(head)
+        manifest["run_id"] = hashlib.sha256(body).hexdigest()
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + body)
+        with pytest.raises(ParseError, match=r"run\.jsonl:3: invalid UTF-8 \(invalid continuation byte at byte \d+\)"):
+            load_run(path)
+
+
 class TestWriteAtomic:
+    def test_chunks_are_written_in_order(self, tmp_path):
+        target = tmp_path / "log.jsonl"
+        write_atomic(target, (f"{i}\n" for i in range(5)))
+        assert target.read_text(encoding="utf-8") == "0\n1\n2\n3\n4\n"
+
+    def test_chunk_iterable_that_raises_keeps_target_and_removes_temp(self, tmp_path):
+        target = tmp_path / "log.jsonl"
+        target.write_text("old\n", encoding="utf-8")
+
+        def chunks():
+            yield "new line 1\n"
+            raise RuntimeError("draw failed")
+
+        with pytest.raises(RuntimeError, match="draw failed"):
+            write_atomic(target, chunks())
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.jsonl"]
+
     def test_stale_tmp_is_neither_clobbered_nor_needed(self, tmp_path):
         target = tmp_path / "bundle.json"
         stale = tmp_path / "bundle.json.tmp"

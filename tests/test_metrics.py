@@ -298,6 +298,10 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError, match="no tasks"):
             SuccessProfile(model="m", entries=())
 
+    def test_empty_task_identifier_rejected(self):
+        with pytest.raises(ValueError, match="task identifier must be nonempty"):
+            SuccessProfile.from_pairs("m", [("t", F(1, 2)), ("", F(1, 2))])
+
     def test_probability_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SuccessProfile.from_pairs("m", [("t", F(3, 2))])

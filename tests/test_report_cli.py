@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from covertau import SampleRecord, TaskCounts
+from covertau import SampleRecord, TaskCounts, cover_at_tau, estimate_success
 from covertau.cli import main
 from covertau.report import (
     build_report,
@@ -108,6 +108,22 @@ class TestBuildReport:
         assert grouped.metrics["A"]["pass@1"] == F(1, 2)
         assert grouped.metrics["B"]["pass@1"] == F(1, 2)
         assert any("per task group" in note for note in grouped.notes)
+
+    def test_cover_columns_equal_cover_at_tau(self):
+        # taus at 0, at 1, on breakpoints (1/4, 1/2) and between them (0.3)
+        cs = {"A": [4, 1, 2, 0, 3], "B": [2, 2, 2, 4, 0], "C": [0, 1, 1, 4, 4]}
+        tasks = ["g1/t1", "g1/t2", "g2/t1", "g2/t2", "g2/t3"]
+        counts = {m: [TaskCounts(task=t, n=4, c=c) for t, c in zip(tasks, row)] for m, row in cs.items()}
+        taus = (F(0), F(1, 4), F("0.3"), F(1, 2), F(1))
+        profiles = {m: estimate_success(tcs, m) for m, tcs in counts.items()}
+        pooled = build_report(counts, taus=taus)
+        grouped = build_report(counts, taus=taus, group_delimiter="/")
+        for m, prof in profiles.items():
+            groups = [prof.restrict(tasks[:2]), prof.restrict(tasks[2:])]
+            for tau in taus:
+                key = f"cov@{format_tau(tau)}"
+                assert pooled.metrics[m][key] == cover_at_tau(prof, tau)
+                assert grouped.metrics[m][key] == sum(cover_at_tau(g, tau) for g in groups) / 2
 
     def test_crossover_listed_per_pair(self):
         bundle = build_report(toy_counts())

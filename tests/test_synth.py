@@ -2,14 +2,19 @@
 
 import json
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertau import (
     GuesserSpec,
     ProfileSpec,
+    SuccessProfile,
     aggregate,
     cons_at_n,
     counts_from_log,
@@ -23,7 +28,9 @@ from covertau import (
     toy_model_a,
     toy_model_b,
 )
-from covertau.synth import guesser_gold, records_to_jsonl
+from covertau.cli import main
+from covertau.ingest import write_atomic
+from covertau.synth import completions_log, guesser_gold, guesser_log, records_to_jsonl
 
 F = Fraction
 
@@ -139,6 +146,10 @@ class TestSimulateGuesser:
         score = cons_at_n(records, guesser_gold(spec))
         assert 0 <= score <= 1
 
+    def test_empty_model_rejected(self):
+        with pytest.raises(ValueError, match="model identifier must be nonempty"):
+            GuesserSpec(support_size=2, tasks=2, trials=2, seed=0, model="")
+
     def test_small_support_rejected(self):
         with pytest.raises(ValueError, match="support_size"):
             GuesserSpec(support_size=1, tasks=2, trials=2, seed=0)
@@ -194,3 +205,113 @@ class TestLogEmission:
         one = records_to_jsonl(simulate_guesser(spec)[1])
         two = records_to_jsonl(simulate_guesser(spec)[1])
         assert one == two
+
+
+# model names that JSON must escape: quotes, backslashes, control characters
+# and non-ASCII text, mixed with plain letters
+model_names = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\n\x7fé文 '), st.characters()), min_size=1, max_size=12
+)
+rationals = st.integers(1, 60).flatmap(lambda b: st.integers(0, b).map(lambda a: F(a, b)))
+
+
+@st.composite
+def profile_specs(draw):
+    """constant-p, two-point and uniform-random specs; uniform-random rates
+    are floats, with denominators up to 2**53."""
+    kind = draw(st.sampled_from(["constant-p", "two-point", "uniform-random"]))
+    params = {
+        "constant-p": lambda: {"p": draw(rationals)},
+        "two-point": lambda: {"low": draw(rationals), "high": draw(rationals), "ratio": draw(rationals)},
+        "uniform-random": lambda: {"seed": draw(st.integers(0, 2**32))},
+    }[kind]()
+    return ProfileSpec(kind=kind, tasks=draw(st.integers(1, 5)), model=draw(model_names), **params)
+
+
+class TestStreamingEmitters:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 5), st.integers(1, 300), st.integers(0, 2**64), model_names)
+    def test_guesser_log_equals_record_path(self, support, tasks, trials, seed, model):
+        spec = GuesserSpec(support_size=support, tasks=tasks, trials=trials, seed=seed, model=model)
+        chunks = list(guesser_log(spec))
+        assert len(chunks) == tasks
+        assert "".join(chunks) == records_to_jsonl(simulate_guesser(spec)[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(profile_specs(), st.integers(1, 300), st.integers(0, 2**64),
+           st.none() | st.lists(model_names, min_size=5, max_size=5, unique=True))
+    def test_completions_log_equals_record_path(self, spec, trials, seed, task_names):
+        prof = make_profile(spec)
+        if task_names is not None:  # task names that JSON must escape too
+            prof = SuccessProfile.from_pairs(prof.model, zip(task_names, prof.probabilities))
+        chunks = list(completions_log(prof, trials, seed))
+        assert len(chunks) == spec.tasks
+        assert "".join(chunks) == records_to_jsonl(simulate_completions(prof, trials, seed))
+
+    def test_bad_trial_count_rejected_before_any_draw(self):
+        prof = make_profile(ProfileSpec(kind="constant-p", tasks=2, p=F(1, 2)))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            completions_log(prof, 0, 0)
+
+    def test_streamed_guesser_write_stays_small(self, tmp_path):
+        # the record path holds 245,760 records and every line at once: well
+        # over 100 MB; the stream holds one task's column and chunk
+        spec = GuesserSpec(support_size=30, tasks=30, trials=8192, seed=7)
+        path = tmp_path / "guesser.jsonl"
+        tracemalloc.start()
+        try:
+            write_atomic(path, guesser_log(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        with path.open("rb") as fh:
+            assert sum(1 for _ in fh) == 30 * 8192
+
+
+def oracle_simulate_stdout(profile, trials, out):
+    counts = Counter(profile.probabilities)
+    lines = [f"model {profile.model}: {profile.num_tasks} tasks, {trials} trials each",
+             "exact per-task success probabilities:"]
+    lines += [f"  p={p} on {counts[p]} task(s)" for p in sorted(counts)]
+    lines.append(f"wrote {profile.num_tasks * trials} records to {out}")
+    return "".join(line + "\n" for line in lines)
+
+
+class TestSimulateCommand:
+    def test_guesser_files_and_stdout_equal_record_path(self, tmp_path, capsys):
+        out, gold = tmp_path / "log.jsonl", tmp_path / "gold.jsonl"
+        assert main(["simulate", "--kind", "guesser", "--support", "7", "--tasks", "4", "--trials", "50",
+                     "--seed", "3", "--model", 'g"\\é', "--out", str(out), "--gold-out", str(gold)]) == 0
+        spec = GuesserSpec(support_size=7, tasks=4, trials=50, seed=3, model='g"\\é')
+        profile, records = simulate_guesser(spec)
+        assert out.read_text(encoding="utf-8") == records_to_jsonl(records)
+        assert gold.read_text(encoding="utf-8") == "".join(
+            json.dumps({"answer": a, "task": t}, sort_keys=True, separators=(",", ":")) + "\n"
+            for t, a in sorted(guesser_gold(spec).items())
+        )
+        assert capsys.readouterr().out == oracle_simulate_stdout(profile, 50, out)
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("constant-p", {"p": "1/3"}),
+        ("two-point", {"low": "0.1", "high": "9/10", "ratio": "1/4"}),
+        ("uniform-random", {}),
+    ])
+    def test_profile_kinds_equal_record_path(self, tmp_path, capsys, kind, extra):
+        out = tmp_path / "log.jsonl"
+        flags = [x for key, value in extra.items() for x in (f"--{key}", value)]
+        assert main(["simulate", "--kind", kind, "--tasks", "6", "--trials", "40", "--seed", "5",
+                     "--out", str(out), *flags]) == 0
+        profile = make_profile(ProfileSpec(kind=kind, tasks=6, seed=5, model=kind, **extra))
+        assert out.read_text(encoding="utf-8") == records_to_jsonl(simulate_completions(profile, 40, 5))
+        assert capsys.readouterr().out == oracle_simulate_stdout(profile, 40, out)
+
+    def test_rejections_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "log.jsonl"
+        assert main(["simulate", "--kind", "constant-p", "--p", "1/2", "--tasks", "2", "--trials", "0",
+                     "--out", str(out)]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert main(["simulate", "--kind", "constant-p", "--p", "1/2", "--tasks", "2", "--trials", "3",
+                     "--out", str(out), "--gold-out", str(tmp_path / "gold.jsonl")]) == 2
+        assert "--gold-out applies to the guesser kind only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
