@@ -8,10 +8,11 @@ non-increasing step function, constant on half-open intervals
 definition.  Breakpoints and values are exact rationals; floats appear
 only when a caller asks for them.
 
-Every plug-in p is c/n, so over L = lcm of the denominators each p is an
-integer and a cover curve is a vector of integer task counts on an integer
-grid.  Curve construction and the curve integrals in `dominance` work on
-that grid and form a Fraction only for the final result.
+Every plug-in p is c/n, so over L = lcm of the trial counts each p is the
+integer c * (L / n) and a cover curve is a vector of integer task counts.
+Reports feed `scaled_cover_curve` and `complement_pass_curve` straight from
+the counts; `build_cover_curve` and `pass_curve` convert a profile's
+Fractions (`scale_to_lcm`, `complements`) and call the same kernels.
 
 Key identities (realized exactly or in closed form):
 
@@ -101,16 +102,12 @@ def scale_to_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], i
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
-    """Cover curve of a profile: breakpoints are the distinct p values
-    plus the endpoints 0 and 1.
-
-    Each p is scaled to an integer over the lcm of the denominators, so the
-    distinct values and the number of tasks at each are an integer tally.
-    """
-    (scaled,), scale = scale_to_lcm([profile.probabilities])
+def scaled_cover_curve(model: str, scaled: Sequence[int], scale: int) -> CoverCurve:
+    """Cover curve of tasks whose p values are scaled[i] / scale: breakpoints
+    are the distinct p values plus the endpoints 0 and 1, and the number of
+    tasks at each is an integer tally."""
     tally = Counter(scaled)
-    t = profile.num_tasks
+    t = len(scaled)
     bps = [ZERO]
     values = [ONE]
     at_least = t  # tasks with p >= the current point
@@ -122,23 +119,25 @@ def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
     if bps[-1] != ONE:
         bps.append(ONE)
         values.append(ZERO)
-    return CoverCurve(
-        model=profile.model,
-        breakpoints=tuple(bps),
-        values=tuple(values),
-        num_tasks=t,
-    )
+    return CoverCurve(model=model, breakpoints=tuple(bps), values=tuple(values), num_tasks=t)
+
+
+def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
+    """Cover curve of a profile, its p values scaled to integers over the
+    lcm of their denominators."""
+    (scaled,), scale = scale_to_lcm([profile.probabilities])
+    return scaled_cover_curve(profile.model, scaled, scale)
+
+
+def complement_pass_curve(model: str, qs: Sequence[float], ks: Sequence[int]) -> PassCurve:
+    """Pointwise pass@k over an ascending k grid, from per-task complements
+    qs[i] = float(1 - p_i); `PassCurve` checks the grid."""
+    return PassCurve(model=model, ks=tuple(ks), values=tuple(_pass_from_complements(qs, k) for k in ks))
 
 
 def pass_curve(profile: SuccessProfile, ks: Sequence[int]) -> PassCurve:
-    """Pointwise pass@k over an ascending k grid."""
-    if not ks:
-        raise ValueError("k grid is empty")
-    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-        raise ValueError(f"k grid must be strictly ascending, got {list(ks)}")
-    qs = complements(profile)
-    values = tuple(_pass_from_complements(qs, k) for k in ks)
-    return PassCurve(model=profile.model, ks=tuple(ks), values=values)
+    """Pointwise pass@k of a profile over an ascending k grid."""
+    return complement_pass_curve(profile.model, complements(profile), ks)
 
 
 def beta_weighted_pass(curve: CoverCurve, k: int) -> float:

@@ -17,6 +17,11 @@ widths are integers over L.  Row i of the whole auc+ matrix is then
 
 an integer sum in int64 (or Python ints once V*L reaches 2**62) that is
 divided by V*L once, as a Fraction.
+
+Reports start from counts: p = c/n is the integer c * (L/n) over L = lcm
+of the trial counts, and `scaled_dominance_report` tallies those integers,
+so every curve is a task count over T.  The bootstrap tallies each resample
+the same way: a point estimate is the identity resample.
 """
 
 from __future__ import annotations
@@ -96,38 +101,41 @@ def _excess_totals(heights: np.ndarray, widths: np.ndarray) -> list[list[int]]:
     return [(np.maximum(row - heights, 0) * widths).sum(axis=1).tolist() for row in heights]
 
 
-def _auc_plus_totals(curves: Sequence[CoverCurve]) -> tuple[list[list[int]], int]:
-    """The whole auc+ matrix as integers over one denominator:
-    auc_plus(curves[i], curves[j]) == totals[i][j] / scale."""
-    heights, widths, scale = _cover_grid(curves)
-    return _excess_totals(heights, widths), scale
+def _task_grid(scaled: Sequence[Sequence[int]], scale: int) -> tuple[list[int], np.ndarray]:
+    """Tasks whose p values are scaled[i][t] / scale, on the grid of their
+    distinct values plus 0 and scale.  Returns (grid, cells): model i's task t
+    at grid position g is cell i * len(grid) + g of one flat tally."""
+    grid = sorted(set().union(*scaled, (0, scale)))
+    position = {point: g for g, point in enumerate(grid)}
+    size = len(grid)
+    return grid, np.array([[i * size + position[x] for x in row] for i, row in enumerate(scaled)])
 
 
-def _row_averages(totals: list[list[int]], scale: int) -> list[Fraction]:
-    """AvgAUC+ per model: each row's excess over the m - 1 other models."""
-    m = len(totals)
-    return [Fraction(sum(row), scale * (m - 1)) for row in totals]
+def _at_least(cells: np.ndarray, size: int) -> np.ndarray:
+    """at_least[i, g]: how many tasks in row i of `cells` have p >= grid[g].
+    On (grid[g-1], grid[g]] model i's cover curve is at_least[i, g] / T."""
+    m = len(cells)
+    tally = np.bincount(cells.ravel(), minlength=m * size).reshape(m, size)
+    return tally[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
-def _check_model_set(curves: Sequence[CoverCurve]) -> None:
-    if len(curves) < 2:
-        raise ValueError(f"need at least 2 models, got {len(curves)}")
-    names = [c.model for c in curves]
+def _check_model_set(names: Sequence[str]) -> None:
+    if len(names) < 2:
+        raise ValueError(f"need at least 2 models, got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate model names in {names}")
 
 
 def auc_plus_cover(curve_a: CoverCurve, curve_b: CoverCurve) -> Fraction:
     """Exact integral of max(G_A - G_B, 0) over [0, 1]."""
-    totals, scale = _auc_plus_totals([curve_a, curve_b])
-    return Fraction(totals[0][1], scale)
+    heights, widths, scale = _cover_grid([curve_a, curve_b])
+    return Fraction(_excess_totals(heights, widths)[0][1], scale)
 
 
 def avg_auc_plus(curves: Sequence[CoverCurve]) -> dict[str, Fraction]:
     """Mean pairwise excess AUC of each model against all others."""
-    _check_model_set(curves)
-    totals, scale = _auc_plus_totals(curves)
-    return {c.model: avg for c, avg in zip(curves, _row_averages(totals, scale))}
+    report = dominance_report(curves)
+    return dict(zip(report.models, report.avg_auc_plus))
 
 
 def check_cover_dominance(curve_a: CoverCurve, curve_b: CoverCurve) -> bool:
@@ -190,30 +198,88 @@ def rank_models(values: Mapping[str, float | Fraction]) -> list[tuple[str, float
     return ranking
 
 
-def dominance_report(
-    curves: Sequence[CoverCurve],
-    extra_metrics: Mapping[str, Mapping[str, float | Fraction]] | None = None,
-) -> DominanceReport:
-    """Full pairwise matrix, AvgAUC+ vector, and rankings.
-
-    `extra_metrics` maps metric name -> per-model values to rank alongside
-    the always-present avg_auc_plus ranking.
-    """
-    _check_model_set(curves)
-    models = tuple(c.model for c in curves)
-    totals, scale = _auc_plus_totals(curves)
-    matrix = tuple(tuple(Fraction(total, scale) for total in row) for row in totals)
-    avg_vector = tuple(_row_averages(totals, scale))
-    averages = dict(zip(models, avg_vector))
-    rankings = {"avg_auc_plus": rank_models(averages)}
-    for metric, vals in (extra_metrics or {}).items():
-        rankings[metric] = rank_models(vals)
+def _dominance(models: Sequence[str], heights: np.ndarray, widths: np.ndarray, scale: int) -> DominanceReport:
+    """The auc+ matrix of curves given as heights on one grid (as `_cover_grid` returns them)."""
+    totals = _excess_totals(heights, widths)
+    # AvgAUC+: each row's excess over the m - 1 other models
+    avg_vector = tuple(Fraction(sum(row), scale * (len(totals) - 1)) for row in totals)
     return DominanceReport(
-        models=models,
-        auc_plus=matrix,
+        models=tuple(models),
+        auc_plus=tuple(tuple(Fraction(total, scale) for total in row) for row in totals),
         avg_auc_plus=avg_vector,
-        rankings=rankings,
+        rankings={"avg_auc_plus": rank_models(dict(zip(models, avg_vector)))},
     )
+
+
+def dominance_report(curves: Sequence[CoverCurve]) -> DominanceReport:
+    """Full pairwise matrix, AvgAUC+ vector, and the avg_auc_plus ranking."""
+    models = [c.model for c in curves]
+    _check_model_set(models)
+    return _dominance(models, *_cover_grid(curves))
+
+
+def scaled_dominance_report(models: Sequence[str], scaled: Sequence[Sequence[int]], scale: int) -> DominanceReport:
+    """`dominance_report` of the cover curves of tasks whose p values are
+    scaled[i][t] / scale (rows over one task set), from their task tallies."""
+    _check_model_set(models)
+    grid, cells = _task_grid(scaled, scale)
+    t_scale = cells.shape[1] * scale
+    dtype = _grid_dtype(t_scale)
+    heights = _at_least(cells, len(grid))[:, 1:].astype(dtype, copy=False)
+    return _dominance(models, heights, np.diff(np.array(grid, dtype=dtype)), t_scale)
+
+
+def scaled_bootstrap_bands(
+    models: Sequence[str],
+    scaled: Sequence[Sequence[int]],
+    scale: int,
+    taus: Sequence[RationalLike],
+    resamples: int = 1000,
+    seed: int = 0,
+    levels: tuple[float, float] = (0.025, 0.975),
+) -> dict[str, dict[str, tuple[float, float]]]:
+    """Percentile bands from resampling tasks with replacement, for tasks
+    whose p values are scaled[i][t] / scale (rows over one task set).
+
+    Resample r uses task indices idx[r], row r of one (resamples, T) integer
+    draw from Philox keyed on (seed mod 2**64, 0x626F6F74).  On each resampled
+    multiset, cov@tau and AvgAUC+ are computed exactly on the integer grid of
+    the point estimates (p >= tau is scaled p >= ceil(tau * scale)) and
+    rounded to a float once; bands are percentiles of those samples.
+    Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
+    """
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    tau_fracs = [as_unit_rational(t, "tau") for t in taus]
+    grid, cells = _task_grid(scaled, scale)
+    m, t_count = cells.shape
+    size = len(grid)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)))
+    idx = rng.integers(0, t_count, size=(resamples, t_count))
+    tau_at = [bisect_left(grid, math.ceil(tau * scale)) for tau in tau_fracs]
+    dtype = _grid_dtype(t_count * scale)
+    widths = np.diff(np.array(grid, dtype=dtype))
+    divisor = t_count * scale * (m - 1)
+
+    cover_samples = np.empty((m, len(tau_fracs), resamples))
+    avg_samples = np.empty((m, resamples)) if m >= 2 else None
+    for r in range(resamples):
+        at_least = _at_least(cells[:, idx[r]], size)
+        cover_samples[:, :, r] = at_least[:, tau_at] / t_count
+        if avg_samples is not None:
+            totals = _excess_totals(at_least[:, 1:].astype(dtype, copy=False), widths)
+            avg_samples[:, r] = [sum(row) / divisor for row in totals]
+
+    def band(samples: np.ndarray) -> tuple[float, float]:
+        lo, hi = np.quantile(samples, levels)
+        return float(lo), float(hi)
+
+    out: dict[str, dict[str, tuple[float, float]]] = {}
+    for i, model in enumerate(models):
+        out[model] = {f"cov@{format_tau(tau)}": band(cover_samples[i, j]) for j, tau in enumerate(tau_fracs)}
+        if avg_samples is not None:
+            out[model]["avg_auc_plus"] = band(avg_samples[i])
+    return out
 
 
 def bootstrap_bands(
@@ -223,59 +289,12 @@ def bootstrap_bands(
     seed: int = 0,
     levels: tuple[float, float] = (0.025, 0.975),
 ) -> dict[str, dict[str, tuple[float, float]]]:
-    """Percentile bands from resampling tasks with replacement.
-
-    Resample r uses task indices idx[r], row r of one (resamples, T) integer
-    draw from Philox keyed on (seed mod 2**64, 0x626F6F74).  On each resampled
-    multiset, cov@tau and AvgAUC+ are computed exactly on the integer grid of
-    the point estimates (p >= tau is scaled p >= ceil(tau * L)) and rounded
-    to a float once; bands are percentiles of those samples.  Profiles must
-    share an identical task tuple.
-    Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
-    """
+    """`scaled_bootstrap_bands` of profiles that share one task tuple, their
+    p values scaled to integers over the lcm of their denominators."""
     if not profiles:
         raise ValueError("no profiles")
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
-    tasks = profiles[0].tasks
     for prof in profiles[1:]:
-        if prof.tasks != tasks:
+        if prof.tasks != profiles[0].tasks:
             raise ValueError("bootstrap requires profiles aligned to the same task set")
-    tau_fracs = [as_unit_rational(t, "tau") for t in taus]
-    t_count = len(tasks)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)))
-    idx = rng.integers(0, t_count, size=(resamples, t_count))
-
-    # grid[g] is the g-th distinct scaled p (plus 0 and L); model i's task at
-    # grid position g is cell i * size + g of one flat tally
     scaled, scale = scale_to_lcm([prof.probabilities for prof in profiles])
-    grid = sorted(set().union(*scaled, (0, scale)))
-    position = {point: g for g, point in enumerate(grid)}
-    m, size = len(profiles), len(grid)
-    cells = np.array([[i * size + position[x] for x in row] for i, row in enumerate(scaled)])
-    tau_at = [bisect_left(grid, math.ceil(tau * scale)) for tau in tau_fracs]
-    dtype = _grid_dtype(t_count * scale)
-    widths = np.diff(np.array(grid, dtype=dtype))
-    divisor = t_count * scale * (m - 1)
-
-    cover_samples = np.empty((m, len(tau_fracs), resamples))
-    avg_samples = np.empty((m, resamples)) if m >= 2 else None
-    for r in range(resamples):
-        tally = np.bincount(cells[:, idx[r]].ravel(), minlength=m * size).reshape(m, size)
-        at_least = tally[:, ::-1].cumsum(axis=1)[:, ::-1]  # tasks with p >= grid[g]
-        cover_samples[:, :, r] = at_least[:, tau_at] / t_count
-        if avg_samples is not None:
-            # on (grid[g-1], grid[g]] each curve is at_least[:, g] / T
-            totals = _excess_totals(at_least[:, 1:].astype(dtype, copy=False), widths)
-            avg_samples[:, r] = [sum(row) / divisor for row in totals]
-
-    def band(samples: np.ndarray) -> tuple[float, float]:
-        lo, hi = np.quantile(samples, levels)
-        return float(lo), float(hi)
-
-    out: dict[str, dict[str, tuple[float, float]]] = {}
-    for i, prof in enumerate(profiles):
-        out[prof.model] = {f"cov@{format_tau(tau)}": band(cover_samples[i, j]) for j, tau in enumerate(tau_fracs)}
-        if avg_samples is not None:
-            out[prof.model]["avg_auc_plus"] = band(avg_samples[i])
-    return out
+    return scaled_bootstrap_bands([p.model for p in profiles], scaled, scale, taus, resamples, seed, levels)

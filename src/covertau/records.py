@@ -23,7 +23,8 @@ ONE = Fraction(1)
 def as_rational(value: RationalLike, name: str = "value") -> Fraction:
     """Coerce to Fraction, rejecting floats.
 
-    Strings are parsed exactly ("0.2" -> 1/5, "1/3" -> 1/3).  Pass a float
+    Strings are parsed exactly ("0.2" -> 1/5, "1/3" -> 1/3); a zero
+    denominator ("1/0") is a ValueError that names the field.  Pass a float
     through `Fraction(f)` yourself if you really mean its binary expansion.
     """
     if isinstance(value, float):
@@ -34,7 +35,10 @@ def as_rational(value: RationalLike, name: str = "value") -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{name} has a zero denominator: {value!r}") from None
     raise TypeError(f"{name} must be a Fraction, int, or string, got {type(value).__name__}")
 
 

@@ -3,6 +3,11 @@
 Human-facing tables print metrics x100 with two decimals (cover/pass) and
 mark the top three per column; machine-readable outputs (JSON, CSV) keep
 raw [0, 1] values, with exact rationals rendered as "num/den" strings.
+
+`build_report` scales each task's c/n by L, the lcm of the aligned trial
+counts, straight from the counts: every table, curve, matrix and band reads
+those integers (the pass curves read (n - c) / n), and a Fraction is formed
+only for a value that is written out.
 """
 
 from __future__ import annotations
@@ -10,25 +15,26 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import __version__
-from .curves import CoverCurve, PassCurve, build_cover_curve, pass_curve
+from .curves import CoverCurve, PassCurve, complement_pass_curve, scaled_cover_curve
+from .curves import build_cover_curve, pass_curve  # noqa: F401  (perfbench/spans.py wraps them)
 from .dominance import (
     CrossoverResult,
     DominanceReport,
-    avg_auc_plus,
-    bootstrap_bands,
-    dominance_report,
     find_crossover,
     rank_models,
+    scaled_bootstrap_bands,
+    scaled_dominance_report,
 )
-from .metrics import cover_at_tau  # noqa: F401  (perfbench/spans.py wraps it here)
-from .metrics import estimate_success
-from .records import RationalLike, SuccessProfile, TaskCounts, as_unit_rational, format_tau
+from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: F401  (perfbench/spans.py wraps them)
+from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
+from .records import RationalLike, TaskCounts, as_unit_rational, format_tau
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
 DEFAULT_K_GRID = tuple(2**i for i in range(14))  # 1 .. 2^13
@@ -62,84 +68,74 @@ class ReportBundle:
 
 
 def align_profiles(
-    profiles: Sequence[SuccessProfile],
-) -> tuple[list[SuccessProfile], dict[str, tuple[str, ...]]]:
-    """Restrict every profile to the intersection of task sets.
-
-    Curves of different models are only comparable over a shared task set;
-    the returned map names each model's dropped tasks.
-    """
-    if not profiles:
-        raise ValueError("no profiles to align")
-    shared = set(profiles[0].tasks)
-    for prof in profiles[1:]:
-        shared &= set(prof.tasks)
+    counts: Mapping[str, Sequence[TaskCounts]],
+) -> tuple[dict[str, list[TaskCounts]], dict[str, tuple[str, ...]]]:
+    """Restrict every model's counts, in task order, to the task set all
+    models share: curves are only comparable over one task set.  The
+    returned map names each model's dropped tasks.  (The name predates
+    counts; perfbench/spans.py wraps it.)"""
+    if not counts:
+        raise ValueError("no models to align")
+    for model, row in counts.items():
+        if not model:
+            raise ValueError("model identifier must be nonempty")
+        if not row:
+            raise ValueError(f"no task counts for model {model!r}")
+        if len({tc.task for tc in row}) != len(row):
+            raise ValueError(f"duplicate task in the counts for model {model!r}")
+    shared = set.intersection(*({tc.task for tc in row} for row in counts.values()))
     if not shared:
         raise ValueError(
             "task sets have empty intersection across models "
-            f"{[p.model for p in profiles]}; nothing to compare"
+            f"{list(counts)}; nothing to compare"
         )
-    aligned = []
+    aligned = {}
     dropped: dict[str, tuple[str, ...]] = {}
-    for prof in profiles:
-        extra = tuple(sorted(set(prof.tasks) - shared))
+    for model, row in counts.items():
+        extra = tuple(sorted(tc.task for tc in row if tc.task not in shared))
         if extra:
-            dropped[prof.model] = extra
-            prof = prof.restrict(sorted(shared))
-        aligned.append(prof)
+            dropped[model] = extra
+        aligned[model] = sorted((tc for tc in row if tc.task in shared), key=lambda tc: tc.task)
     return aligned, dropped
 
 
-def _group_profiles(profile: SuccessProfile, delimiter: str) -> dict[str, SuccessProfile]:
-    groups: dict[str, list[tuple[str, Fraction]]] = {}
-    for task, p in profile.entries:
-        groups.setdefault(task.split(delimiter, 1)[0], []).append((task, p))
-    return {
-        g: SuccessProfile(model=profile.model, entries=tuple(sorted(entries)))
-        for g, entries in sorted(groups.items())
-    }
-
-
-def _point_metric_table(
-    profiles: Sequence[SuccessProfile], curves: Sequence[CoverCurve], taus: Sequence[Fraction]
-) -> dict[str, dict[str, Fraction]]:
-    """pass@1 and cover at each tau, per model; cover is read off the
-    model's cover curve (`curves[i]` belongs to `profiles[i]`)."""
+def _metric_table(
+    scaled: Mapping[str, list[int]], scale: int, taus: Sequence[Fraction]
+) -> tuple[dict[str, dict[str, Fraction]], dict[str, CoverCurve], DominanceReport | None]:
+    """Metric table of tasks whose p values are row / scale, with the cover
+    curves and (for two or more models) the dominance report it reads."""
+    curves = {model: scaled_cover_curve(model, row, scale) for model, row in scaled.items()}
     table: dict[str, dict[str, Fraction]] = {}
-    for prof, curve in zip(profiles, curves):
-        row: dict[str, Fraction] = {"pass@1": prof.mean_p}
+    for model, row in scaled.items():
+        table[model] = {"pass@1": Fraction(sum(row), len(row) * scale)}
         for tau in taus:
-            row[f"cov@{format_tau(tau)}"] = curve.value_at(tau)
-        table[prof.model] = row
-    return table
+            table[model][f"cov@{format_tau(tau)}"] = curves[model].value_at(tau)
+    dominance = None
+    if len(scaled) >= 2:
+        dominance = scaled_dominance_report(list(scaled), list(scaled.values()), scale)
+        for model, value in zip(dominance.models, dominance.avg_auc_plus):
+            table[model]["avg_auc_plus"] = value
+    return table, curves, dominance
 
 
 def _metric_table_grouped(
-    profiles: Sequence[SuccessProfile], taus: Sequence[Fraction], delimiter: str
+    scaled: Mapping[str, list[int]], tasks: Sequence[str], scale: int, taus: Sequence[Fraction], delimiter: str
 ) -> dict[str, dict[str, Fraction]]:
-    by_model = {p.model: _group_profiles(p, delimiter) for p in profiles}
-    group_names = sorted(next(iter(by_model.values())))
-    for model, groups in by_model.items():
-        if sorted(groups) != group_names:
-            raise ValueError(f"model {model!r} has different task groups after alignment")
-    per_group: list[dict[str, dict[str, Fraction]]] = []
-    for g in group_names:
-        group_profiles = [by_model[m][g] for m in sorted(by_model)]
-        group_curves = [build_cover_curve(p) for p in group_profiles]
-        group_table = _point_metric_table(group_profiles, group_curves, taus)
-        if len(group_profiles) >= 2:
-            averages = avg_auc_plus(group_curves)
-            for model, value in averages.items():
-                group_table[model]["avg_auc_plus"] = value
-        per_group.append(group_table)
-    n_groups = len(group_names)
-    table: dict[str, dict[str, Fraction]] = {}
-    for model in sorted(by_model):
-        row: dict[str, Fraction] = {}
-        for metric in per_group[0][model]:
-            row[metric] = sum((grp[model][metric] for grp in per_group), Fraction(0)) / n_groups
-        table[model] = row
-    return table
+    """The metric table of each task group, averaged over the groups."""
+    groups: dict[str, list[int]] = {}
+    for t, task in enumerate(tasks):
+        groups.setdefault(task.split(delimiter, 1)[0], []).append(t)
+    per_group = [
+        _metric_table({model: [row[t] for t in members] for model, row in scaled.items()}, scale, taus)[0]
+        for _, members in sorted(groups.items())
+    ]
+    return {
+        model: {
+            metric: sum((grp[model][metric] for grp in per_group), Fraction(0)) / len(per_group)
+            for metric in per_group[0][model]
+        }
+        for model in scaled
+    }
 
 
 def build_report(
@@ -160,10 +156,14 @@ def build_report(
         if unknown:
             raise ValueError(f"unknown models {unknown}; known models: {known}")
         selected = sorted(set(model_filter))
+    if bootstrap_resamples < 0:
+        raise ValueError(f"bootstrap resample count must be >= 0, got {bootstrap_resamples}")
     tau_fracs = tuple(as_unit_rational(t, "tau") for t in taus)
 
-    profiles = [estimate_success(counts[m], m) for m in selected]
-    aligned, dropped = align_profiles(profiles)
+    aligned, dropped = align_profiles({m: counts[m] for m in selected})
+    tasks = [tc.task for tc in aligned[selected[0]]]
+    scale = math.lcm(*{tc.n for row in aligned.values() for tc in row})
+    scaled = {m: [tc.c * (scale // tc.n) for tc in row] for m, row in aligned.items()}
 
     notes: list[str] = []
     for model in selected:
@@ -179,58 +179,34 @@ def build_report(
             + ", ".join(extra)
         )
 
-    cover_curves = {p.model: build_cover_curve(p) for p in aligned}
+    metrics, cover_curves, dominance = _metric_table(scaled, scale, tau_fracs)
     aggregation = "pooled"
     if group_delimiter:
         aggregation = "per-group-averaged"
-        metrics = _metric_table_grouped(aligned, tau_fracs, group_delimiter)
+        metrics = _metric_table_grouped(scaled, tasks, scale, tau_fracs, group_delimiter)
         notes.append(
             f"metric table averages per task group (split on {group_delimiter!r}); "
             "curves and dominance remain pooled"
         )
-    else:
-        metrics = _point_metric_table(aligned, list(cover_curves.values()), tau_fracs)
-
-    pass_curves = {p.model: pass_curve(p, ks) for p in aligned}
-
-    dominance: DominanceReport | None = None
-    crossovers: list[CrossoverResult] = []
-    if len(aligned) >= 2:
-        extra_metrics: dict[str, dict[str, Fraction]] = {}
-        for metric in next(iter(metrics.values())):
-            if metric != "avg_auc_plus":
-                extra_metrics[metric] = {m: metrics[m][metric] for m in metrics}
-        dominance = dominance_report([cover_curves[p.model] for p in aligned], extra_metrics)
-        if aggregation == "pooled":
-            # the pooled table's avg_auc_plus is the dominance matrix's
-            for model, value in zip(dominance.models, dominance.avg_auc_plus):
-                metrics[model]["avg_auc_plus"] = value
-        names = [p.model for p in aligned]
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                crossovers.append(find_crossover(pass_curves[a], pass_curves[b]))
-    else:
+    if dominance is None:
         notes.append("avg_auc_plus column absent: needs at least 2 models")
+
+    # (n - c) / n is correctly rounded, as float(1 - Fraction(c, n)) is
+    pass_curves = {m: complement_pass_curve(m, [(tc.n - tc.c) / tc.n for tc in row], ks) for m, row in aligned.items()}
+    crossovers = [
+        find_crossover(pass_curves[a], pass_curves[b]) for i, a in enumerate(selected) for b in selected[i + 1 :]
+    ]
 
     bands = None
     if bootstrap_resamples > 0:
-        bands = bootstrap_bands(aligned, tau_fracs, resamples=bootstrap_resamples, seed=seed)
+        bands = scaled_bootstrap_bands(
+            selected, list(scaled.values()), scale, tau_fracs, resamples=bootstrap_resamples, seed=seed
+        )
 
     metric_names = ["pass@1"] + [f"cov@{format_tau(t)}" for t in tau_fracs]
-    if len(aligned) >= 2:
-        metric_names.append("avg_auc_plus")
-
-    rankings: dict[str, list[tuple[str, float, int]]] = {}
     if dominance is not None:
-        rankings.update(dominance.rankings)
-        if aggregation == "per-group-averaged":
-            # dominance rankings reflect pooled curves; rank the table itself
-            for metric in metric_names:
-                rankings[metric] = rank_models({m: metrics[m][metric] for m in metrics})
-    else:
-        for metric in metric_names:
-            if all(metric in metrics[m] for m in metrics):
-                rankings[metric] = rank_models({m: metrics[m][metric] for m in metrics})
+        metric_names.append("avg_auc_plus")
+    rankings = {metric: rank_models({m: metrics[m][metric] for m in metrics}) for metric in metric_names}
 
     prov: dict[str, object] = {
         "tool_version": __version__,
@@ -241,7 +217,7 @@ def build_report(
         prov.update(provenance)
 
     return ReportBundle(
-        models=tuple(p.model for p in aligned),
+        models=tuple(selected),
         taus=tau_fracs,
         k_grid=tuple(ks),
         aggregation=aggregation,

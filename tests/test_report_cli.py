@@ -249,6 +249,28 @@ class TestCli:
         assert main(["compute", "--input", str(log), "--tau", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_denominator_tau_rejected(self, tmp_path, capsys):
+        log = write_toy_logs(tmp_path)
+        assert main(["compute", "--input", str(log), "--tau", "1/0"]) == 2
+        assert "error: --tau has a zero denominator: '1/0'" in capsys.readouterr().err
+
+    def test_zero_denominator_p_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert main([
+            "simulate", "--kind", "constant-p", "--p", "1/0", "--tasks", "2",
+            "--trials", "2", "--out", str(out),
+        ]) == 2
+        assert "error: p has a zero denominator: '1/0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_bootstrap_rejected(self, tmp_path, capsys):
+        log = write_toy_logs(tmp_path)
+        for command in ("compute", "dominance"):
+            assert main([command, "--input", str(log), "--bootstrap", "-5"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: bootstrap resample count must be >= 0, got -5" in captured.err
+
     def test_gold_out_requires_guesser(self, tmp_path, capsys):
         assert main([
             "simulate", "--kind", "constant-p", "--p", "0.5", "--tasks", "2",
