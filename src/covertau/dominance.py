@@ -19,9 +19,12 @@ an integer sum in int64 (or Python ints once V*L reaches 2**62) that is
 divided by V*L once, as a Fraction.
 
 Reports start from counts: p = c/n is the integer c * (L/n) over L = lcm
-of the trial counts, and `scaled_dominance_report` tallies those integers,
-so every curve is a task count over T.  The bootstrap tallies each resample
-the same way: a point estimate is the identity resample.
+of the trial counts.  A `TaskTally` places each task once on the grid of
+those integers, and every report number is read off it for some multiset of
+task columns: the pooled table and auc+ matrix take all columns, a task
+group's table its own, and a bootstrap resample a draw with replacement.
+p >= tau is always scaled p >= ceil(tau * L), one threshold rule for point
+values and bands alike.
 """
 
 from __future__ import annotations
@@ -111,12 +114,35 @@ def _task_grid(scaled: Sequence[Sequence[int]], scale: int) -> tuple[list[int], 
     return grid, np.array([[i * size + position[x] for x in row] for i, row in enumerate(scaled)])
 
 
-def _at_least(cells: np.ndarray, size: int) -> np.ndarray:
-    """at_least[i, g]: how many tasks in row i of `cells` have p >= grid[g].
-    On (grid[g-1], grid[g]] model i's cover curve is at_least[i, g] / T."""
-    m = len(cells)
-    tally = np.bincount(cells.ravel(), minlength=m * size).reshape(m, size)
-    return tally[:, ::-1].cumsum(axis=1)[:, ::-1]
+class TaskTally:
+    """Tasks whose p values are scaled[i][t] / scale (rows over one task set,
+    one row per model), placed once on the grid of their distinct values
+    plus 0 and scale, with each tau's grid position and the grid widths.
+    `count` reads any multiset of task columns off it."""
+
+    def __init__(self, models: Sequence[str], scaled: Sequence[Sequence[int]], scale: int,
+                 taus: Sequence[Fraction]) -> None:
+        self.models = tuple(models)
+        self.taus = tuple(taus)
+        self.scale = scale
+        grid, self.cells = _task_grid(scaled, scale)
+        self.size = len(grid)
+        # p >= tau is scaled p >= ceil(tau * scale): the first grid point at or above it
+        self.tau_at = [bisect_left(grid, math.ceil(tau * scale)) for tau in self.taus]
+        # every multiset counted has at most T tasks, so T * scale bounds its sums
+        self.widths = np.diff(np.array(grid, dtype=_grid_dtype(self.cells.shape[1] * scale)))
+
+    def count(self, columns: Sequence[int] | np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+        """(covered, totals) of the tasks at `columns`, repeats counted: for
+        model i, covered[i, j] tasks have p >= taus[j], and auc+ of model i
+        over model j is totals[i][j] / (len(columns) * scale)."""
+        m = len(self.models)
+        tally = np.bincount(self.cells[:, columns].ravel(), minlength=m * self.size).reshape(m, self.size)
+        # at_least[i, g]: tasks of model i with p >= grid[g], so on
+        # (grid[g-1], grid[g]] its cover curve is at_least[i, g] / len(columns)
+        at_least = tally[:, ::-1].cumsum(axis=1)[:, ::-1]
+        heights = at_least[:, 1:].astype(self.widths.dtype, copy=False)
+        return at_least[:, self.tau_at], _excess_totals(heights, self.widths)
 
 
 def _check_model_set(names: Sequence[str]) -> None:
@@ -198,9 +224,8 @@ def rank_models(values: Mapping[str, float | Fraction]) -> list[tuple[str, float
     return ranking
 
 
-def _dominance(models: Sequence[str], heights: np.ndarray, widths: np.ndarray, scale: int) -> DominanceReport:
-    """The auc+ matrix of curves given as heights on one grid (as `_cover_grid` returns them)."""
-    totals = _excess_totals(heights, widths)
+def _dominance(models: Sequence[str], totals: Sequence[Sequence[int]], scale: int) -> DominanceReport:
+    """The auc+ matrix whose entry (i, j) is totals[i][j] / scale."""
     # AvgAUC+: each row's excess over the m - 1 other models
     avg_vector = tuple(Fraction(sum(row), scale * (len(totals) - 1)) for row in totals)
     return DominanceReport(
@@ -215,59 +240,38 @@ def dominance_report(curves: Sequence[CoverCurve]) -> DominanceReport:
     """Full pairwise matrix, AvgAUC+ vector, and the avg_auc_plus ranking."""
     models = [c.model for c in curves]
     _check_model_set(models)
-    return _dominance(models, *_cover_grid(curves))
-
-
-def scaled_dominance_report(models: Sequence[str], scaled: Sequence[Sequence[int]], scale: int) -> DominanceReport:
-    """`dominance_report` of the cover curves of tasks whose p values are
-    scaled[i][t] / scale (rows over one task set), from their task tallies."""
-    _check_model_set(models)
-    grid, cells = _task_grid(scaled, scale)
-    t_scale = cells.shape[1] * scale
-    dtype = _grid_dtype(t_scale)
-    heights = _at_least(cells, len(grid))[:, 1:].astype(dtype, copy=False)
-    return _dominance(models, heights, np.diff(np.array(grid, dtype=dtype)), t_scale)
+    heights, widths, scale = _cover_grid(curves)
+    return _dominance(models, _excess_totals(heights, widths), scale)
 
 
 def scaled_bootstrap_bands(
-    models: Sequence[str],
-    scaled: Sequence[Sequence[int]],
-    scale: int,
-    taus: Sequence[RationalLike],
+    tally: TaskTally,
     resamples: int = 1000,
     seed: int = 0,
     levels: tuple[float, float] = (0.025, 0.975),
 ) -> dict[str, dict[str, tuple[float, float]]]:
-    """Percentile bands from resampling tasks with replacement, for tasks
-    whose p values are scaled[i][t] / scale (rows over one task set).
+    """Percentile bands from resampling the tally's tasks with replacement.
 
     Resample r uses task indices idx[r], row r of one (resamples, T) integer
-    draw from Philox keyed on (seed mod 2**64, 0x626F6F74).  On each resampled
-    multiset, cov@tau and AvgAUC+ are computed exactly on the integer grid of
-    the point estimates (p >= tau is scaled p >= ceil(tau * scale)) and
-    rounded to a float once; bands are percentiles of those samples.
+    draw from Philox keyed on (seed mod 2**64, 0x626F6F74).  Each resampled
+    multiset is counted exactly on the tally, as the point estimates are,
+    and its cov@tau and AvgAUC+ rounded to a float once; bands are
+    percentiles of those samples.
     Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
     """
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
-    tau_fracs = [as_unit_rational(t, "tau") for t in taus]
-    grid, cells = _task_grid(scaled, scale)
-    m, t_count = cells.shape
-    size = len(grid)
+    m, t_count = tally.cells.shape
     rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)))
     idx = rng.integers(0, t_count, size=(resamples, t_count))
-    tau_at = [bisect_left(grid, math.ceil(tau * scale)) for tau in tau_fracs]
-    dtype = _grid_dtype(t_count * scale)
-    widths = np.diff(np.array(grid, dtype=dtype))
-    divisor = t_count * scale * (m - 1)
+    divisor = t_count * tally.scale * (m - 1)
 
-    cover_samples = np.empty((m, len(tau_fracs), resamples))
+    cover_samples = np.empty((m, len(tally.taus), resamples))
     avg_samples = np.empty((m, resamples)) if m >= 2 else None
     for r in range(resamples):
-        at_least = _at_least(cells[:, idx[r]], size)
-        cover_samples[:, :, r] = at_least[:, tau_at] / t_count
+        covered, totals = tally.count(idx[r])
+        cover_samples[:, :, r] = covered / t_count
         if avg_samples is not None:
-            totals = _excess_totals(at_least[:, 1:].astype(dtype, copy=False), widths)
             avg_samples[:, r] = [sum(row) / divisor for row in totals]
 
     def band(samples: np.ndarray) -> tuple[float, float]:
@@ -275,8 +279,8 @@ def scaled_bootstrap_bands(
         return float(lo), float(hi)
 
     out: dict[str, dict[str, tuple[float, float]]] = {}
-    for i, model in enumerate(models):
-        out[model] = {f"cov@{format_tau(tau)}": band(cover_samples[i, j]) for j, tau in enumerate(tau_fracs)}
+    for i, model in enumerate(tally.models):
+        out[model] = {f"cov@{format_tau(tau)}": band(cover_samples[i, j]) for j, tau in enumerate(tally.taus)}
         if avg_samples is not None:
             out[model]["avg_auc_plus"] = band(avg_samples[i])
     return out
@@ -289,12 +293,15 @@ def bootstrap_bands(
     seed: int = 0,
     levels: tuple[float, float] = (0.025, 0.975),
 ) -> dict[str, dict[str, tuple[float, float]]]:
-    """`scaled_bootstrap_bands` of profiles that share one task tuple, their
-    p values scaled to integers over the lcm of their denominators."""
+    """`scaled_bootstrap_bands` of the tally of profiles that share one task
+    tuple, their p values scaled to integers over the lcm of their
+    denominators."""
     if not profiles:
         raise ValueError("no profiles")
     for prof in profiles[1:]:
         if prof.tasks != profiles[0].tasks:
             raise ValueError("bootstrap requires profiles aligned to the same task set")
+    tau_fracs = [as_unit_rational(t, "tau") for t in taus]
     scaled, scale = scale_to_lcm([prof.probabilities for prof in profiles])
-    return scaled_bootstrap_bands([p.model for p in profiles], scaled, scale, taus, resamples, seed, levels)
+    tally = TaskTally([p.model for p in profiles], scaled, scale, tau_fracs)
+    return scaled_bootstrap_bands(tally, resamples, seed, levels)

@@ -470,13 +470,18 @@ def persist_run(
     """Write a self-contained aggregated run file (manifest line + body).
 
     The write is atomic (temp file + rename) and canonical, so a fixed
-    input always produces identical bytes.
+    input always produces identical bytes.  The body must hash to the
+    manifest's run_id, or `load_run` would reject the file it wrote.
     """
     _check_consistent(manifest, counts)
+    body = _render_body(counts)
+    if hashlib.sha256(body.encode("utf-8")).hexdigest() != manifest.run_id:
+        raise ValueError(
+            f"manifest run_id={manifest.run_id} does not match the sha256 of the counts' canonical body"
+        )
     path = Path(path)
     header = json.dumps(manifest.to_json_obj(), sort_keys=True, separators=(",", ":"))
-    payload = header + "\n" + _render_body(counts)
-    write_atomic(path, payload)
+    write_atomic(path, header + "\n" + body)
     return path
 
 

@@ -23,9 +23,10 @@ ONE = Fraction(1)
 def as_rational(value: RationalLike, name: str = "value") -> Fraction:
     """Coerce to Fraction, rejecting floats.
 
-    Strings are parsed exactly ("0.2" -> 1/5, "1/3" -> 1/3); a zero
-    denominator ("1/0") is a ValueError that names the field.  Pass a float
-    through `Fraction(f)` yourself if you really mean its binary expansion.
+    Strings are parsed exactly ("0.2" -> 1/5, "1/3" -> 1/3); a string that
+    does not parse, or has a zero denominator ("1/0"), is a ValueError that
+    names the field.  Pass a float through `Fraction(f)` yourself if you
+    really mean its binary expansion.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -39,6 +40,8 @@ def as_rational(value: RationalLike, name: str = "value") -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"{name} has a zero denominator: {value!r}") from None
+        except ValueError:
+            raise ValueError(f"{name} is not a rational number: {value!r}") from None
     raise TypeError(f"{name} must be a Fraction, int, or string, got {type(value).__name__}")
 
 

@@ -5,9 +5,13 @@ mark the top three per column; machine-readable outputs (JSON, CSV) keep
 raw [0, 1] values, with exact rationals rendered as "num/den" strings.
 
 `build_report` scales each task's c/n by L, the lcm of the aligned trial
-counts, straight from the counts: every table, curve, matrix and band reads
-those integers (the pass curves read (n - c) / n), and a Fraction is formed
-only for a value that is written out.
+counts, straight from the counts, and places every task once on a
+`TaskTally`.  Point, per-group and bootstrap values are then the same
+integer count over different multisets of task columns (all of them, one
+group's, a resample), with one threshold rule: p >= tau is scaled p >=
+ceil(tau * L).  A pooled table is the table of one group holding every
+task.  Cover curves read the same integers, pass curves read (n - c) / n,
+and a Fraction is formed only for a value that is written out.
 """
 
 from __future__ import annotations
@@ -24,14 +28,8 @@ from typing import Mapping, Sequence
 from . import __version__
 from .curves import CoverCurve, PassCurve, complement_pass_curve, scaled_cover_curve
 from .curves import build_cover_curve, pass_curve  # noqa: F401  (perfbench/spans.py wraps them)
-from .dominance import (
-    CrossoverResult,
-    DominanceReport,
-    find_crossover,
-    rank_models,
-    scaled_bootstrap_bands,
-    scaled_dominance_report,
-)
+from .dominance import (CrossoverResult, DominanceReport, TaskTally, _dominance, find_crossover, rank_models,
+                        scaled_bootstrap_bands)
 from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
 from .records import RationalLike, TaskCounts, as_unit_rational, format_tau
@@ -100,42 +98,19 @@ def align_profiles(
 
 
 def _metric_table(
-    scaled: Mapping[str, list[int]], scale: int, taus: Sequence[Fraction]
-) -> tuple[dict[str, dict[str, Fraction]], dict[str, CoverCurve], DominanceReport | None]:
-    """Metric table of tasks whose p values are row / scale, with the cover
-    curves and (for two or more models) the dominance report it reads."""
-    curves = {model: scaled_cover_curve(model, row, scale) for model, row in scaled.items()}
-    table: dict[str, dict[str, Fraction]] = {}
-    for model, row in scaled.items():
-        table[model] = {"pass@1": Fraction(sum(row), len(row) * scale)}
-        for tau in taus:
-            table[model][f"cov@{format_tau(tau)}"] = curves[model].value_at(tau)
-    dominance = None
-    if len(scaled) >= 2:
-        dominance = scaled_dominance_report(list(scaled), list(scaled.values()), scale)
-        for model, value in zip(dominance.models, dominance.avg_auc_plus):
-            table[model]["avg_auc_plus"] = value
-    return table, curves, dominance
-
-
-def _metric_table_grouped(
-    scaled: Mapping[str, list[int]], tasks: Sequence[str], scale: int, taus: Sequence[Fraction], delimiter: str
+    tally: TaskTally, scaled: Mapping[str, list[int]], columns: Sequence[int]
 ) -> dict[str, dict[str, Fraction]]:
-    """The metric table of each task group, averaged over the groups."""
-    groups: dict[str, list[int]] = {}
-    for t, task in enumerate(tasks):
-        groups.setdefault(task.split(delimiter, 1)[0], []).append(t)
-    per_group = [
-        _metric_table({model: [row[t] for t in members] for model, row in scaled.items()}, scale, taus)[0]
-        for _, members in sorted(groups.items())
-    ]
-    return {
-        model: {
-            metric: sum((grp[model][metric] for grp in per_group), Fraction(0)) / len(per_group)
-            for metric in per_group[0][model]
-        }
-        for model in scaled
-    }
+    """Metric table of the tasks at `columns`, read off the tally."""
+    covered, totals = tally.count(columns)
+    t, scale, m = len(columns), tally.scale, len(tally.models)
+    table: dict[str, dict[str, Fraction]] = {}
+    for i, (model, row) in enumerate(scaled.items()):
+        table[model] = {"pass@1": Fraction(sum(row[c] for c in columns), t * scale)}
+        for tau, k in zip(tally.taus, covered[i].tolist()):
+            table[model][f"cov@{format_tau(tau)}"] = Fraction(k, t)
+        if m >= 2:
+            table[model]["avg_auc_plus"] = Fraction(sum(totals[i]), t * scale * (m - 1))
+    return table
 
 
 def build_report(
@@ -158,6 +133,8 @@ def build_report(
         selected = sorted(set(model_filter))
     if bootstrap_resamples < 0:
         raise ValueError(f"bootstrap resample count must be >= 0, got {bootstrap_resamples}")
+    if group_delimiter == "":
+        raise ValueError("group delimiter must be a nonempty string, got ''")
     tau_fracs = tuple(as_unit_rational(t, "tau") for t in taus)
 
     aligned, dropped = align_profiles({m: counts[m] for m in selected})
@@ -179,16 +156,31 @@ def build_report(
             + ", ".join(extra)
         )
 
-    metrics, cover_curves, dominance = _metric_table(scaled, scale, tau_fracs)
-    aggregation = "pooled"
-    if group_delimiter:
-        aggregation = "per-group-averaged"
-        metrics = _metric_table_grouped(scaled, tasks, scale, tau_fracs, group_delimiter)
+    tally = TaskTally(selected, list(scaled.values()), scale, tau_fracs)
+    everything = range(len(tasks))
+    aggregation, groups = "pooled", [everything]
+    if group_delimiter is not None:
+        members: dict[str, list[int]] = {}
+        for t, task in enumerate(tasks):
+            members.setdefault(task.split(group_delimiter, 1)[0], []).append(t)
+        aggregation, groups = "per-group-averaged", [cols for _, cols in sorted(members.items())]
         notes.append(
             f"metric table averages per task group (split on {group_delimiter!r}); "
             "curves and dominance remain pooled"
         )
-    if dominance is None:
+    # the published table is the mean of the group tables; pooled is one group
+    per_group = [_metric_table(tally, scaled, columns) for columns in groups]
+    metrics = {
+        model: {
+            name: sum((grp[model][name] for grp in per_group), Fraction(0)) / len(per_group) for name in row
+        }
+        for model, row in per_group[0].items()
+    }
+    cover_curves = {model: scaled_cover_curve(model, row, scale) for model, row in scaled.items()}
+    dominance = None
+    if len(selected) >= 2:
+        dominance = _dominance(selected, tally.count(everything)[1], len(tasks) * scale)
+    else:
         notes.append("avg_auc_plus column absent: needs at least 2 models")
 
     # (n - c) / n is correctly rounded, as float(1 - Fraction(c, n)) is
@@ -199,9 +191,7 @@ def build_report(
 
     bands = None
     if bootstrap_resamples > 0:
-        bands = scaled_bootstrap_bands(
-            selected, list(scaled.values()), scale, tau_fracs, resamples=bootstrap_resamples, seed=seed
-        )
+        bands = scaled_bootstrap_bands(tally, resamples=bootstrap_resamples, seed=seed)
 
     metric_names = ["pass@1"] + [f"cov@{format_tau(t)}" for t in tau_fracs]
     if dominance is not None:

@@ -374,6 +374,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match="does not match"):
             persist_run(manifest, counts, tmp_path / "run.jsonl")
 
+    def test_manifest_of_other_counts_rejected_on_save(self, tmp_path):
+        # same models, tasks and trials, so only the run_id tells the counts apart
+        manifest = build_manifest({"m": [TaskCounts("t", 4, 1)]}, {}, "flags")
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(ValueError, match="run_id=.* does not match the sha256"):
+            persist_run(manifest, {"m": [TaskCounts("t", 4, 3)]}, path)
+        assert not path.exists() and list(tmp_path.iterdir()) == []
+
     def test_parse_aggregate_persist_cycle_is_stable(self, tmp_path):
         # idempotence beyond the first cycle: bytes fixed after one round
         lines = [sample_line("m", "t", i, correct=i < 5) for i in range(9)]

@@ -263,6 +263,34 @@ class TestCli:
         assert "error: p has a zero denominator: '1/0'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unparsable_tau_names_the_flag(self, tmp_path, capsys):
+        log = write_toy_logs(tmp_path)
+        assert main(["compute", "--input", str(log), "--tau", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --tau is not a rational number: 'nope'" in captured.err
+
+    @pytest.mark.parametrize("field", ["p", "low", "high", "ratio"])
+    def test_unparsable_profile_value_names_the_field(self, tmp_path, capsys, field):
+        if field == "p":
+            spec = ["--kind", "constant-p", "--p", "half"]
+        else:
+            values = {"low": "0", "high": "1", "ratio": "1/2", field: "half"}
+            spec = ["--kind", "two-point", *(arg for name, v in values.items() for arg in (f"--{name}", v))]
+        out = tmp_path / "x.jsonl"
+        assert main(["simulate", *spec, "--tasks", "2", "--trials", "2", "--out", str(out)]) == 2
+        assert f"error: {field} is not a rational number: 'half'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_group_delimiter_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="group delimiter must be a nonempty string, got ''"):
+            build_report(toy_counts(), group_delimiter="")
+        log = write_toy_logs(tmp_path)
+        assert main(["compute", "--input", str(log), "--group-delimiter", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: group delimiter must be a nonempty string, got ''" in captured.err
+
     def test_negative_bootstrap_rejected(self, tmp_path, capsys):
         log = write_toy_logs(tmp_path)
         for command in ("compute", "dominance"):

@@ -153,6 +153,21 @@ def test_report_builds_no_profile_and_no_fraction_round_trip(monkeypatch):
                          (covertau.curves, "scale_to_lcm"), (covertau.dominance, "scale_to_lcm")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
+    # one task tally per report and one validated cover curve per model
+    built = []
+    task_grid, curve_post_init = covertau.dominance._task_grid, covertau.curves.CoverCurve.__post_init__
+
+    def counting_task_grid(*args):
+        built.append("_task_grid")
+        return task_grid(*args)
+
+    def counting_curve(self):
+        built.append("CoverCurve")
+        curve_post_init(self)
+
+    monkeypatch.setattr(covertau.dominance, "_task_grid", counting_task_grid)
+    monkeypatch.setattr(covertau.curves.CoverCurve, "__post_init__", counting_curve)
+
     counts = {
         m: [TaskCounts(task=f"g{j % 3}/t{j}", n=n, c=(j * (i + 1)) % (n + 1)) for j, n in enumerate([4, 7, 9, 16, 5, 1])]
         for i, m in enumerate("ABC")
@@ -160,6 +175,7 @@ def test_report_builds_no_profile_and_no_fraction_round_trip(monkeypatch):
     bundle = build_report(counts, group_delimiter="/", bootstrap_resamples=5, seed=1)
     assert bundle.bootstrap is not None and bundle.aggregation == "per-group-averaged"
     assert calls == []
+    assert built.count("_task_grid") == 1 and built.count("CoverCurve") == 3
 
     # the patches do see the profile path
     bootstrap_bands([covertau.metrics.estimate_success(counts[m], m) for m in "AB"], [F(1, 2)], resamples=1)
