@@ -158,18 +158,23 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
+def _report(args: argparse.Namespace, **options):
+    """The report bundle of `args.input` under the shared input flags plus
+    a command's own `build_report` options."""
     counts, provenance = _load_counts(args.input, args.gold)
-    bundle = build_report(
+    return build_report(
         counts,
         taus=_parse_taus(args.tau),
         ks=_parse_ks(args.k),
         model_filter=args.model,
-        group_delimiter=args.group_delimiter,
-        bootstrap_resamples=args.bootstrap,
         seed=args.seed,
         provenance=provenance,
+        **options,
     )
+
+
+def _cmd_compute(args: argparse.Namespace) -> int:
+    bundle = _report(args, group_delimiter=args.group_delimiter, bootstrap_resamples=args.bootstrap)
     sys.stdout.write(render_metrics_table(bundle))
     if args.out_dir:
         out = Path(args.out_dir)
@@ -181,19 +186,18 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
-    counts, provenance = _load_counts(args.input, args.gold)
-    bundle = build_report(
-        counts,
-        taus=_parse_taus(args.tau),
-        ks=_parse_ks(args.k),
-        model_filter=args.model,
-        seed=args.seed,
-        provenance=provenance,
-    )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    bundle = _report(args)
+    stems: dict[str, str] = {}
     for model in bundle.models:
         stem = safe_filename(model)
+        if stems.setdefault(stem, model) != model:
+            raise ValueError(
+                f"models {stems[stem]!r} and {model!r} would both write cover_curve_{stem}.csv "
+                f"and pass_curve_{stem}.csv; select one of them with --model"
+            )
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, model in stems.items():
         write_atomic(out / f"cover_curve_{stem}.csv", cover_curve_csv(bundle.cover_curves[model]))
         write_atomic(out / f"pass_curve_{stem}.csv", pass_curve_csv(bundle.pass_curves[model]))
     write_atomic(out / "cover_curves.svg", cover_curves_svg(list(bundle.cover_curves.values())))
@@ -203,16 +207,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
-    counts, provenance = _load_counts(args.input, args.gold)
-    bundle = build_report(
-        counts,
-        taus=_parse_taus(args.tau),
-        ks=_parse_ks(args.k),
-        model_filter=args.model,
-        bootstrap_resamples=args.bootstrap,
-        seed=args.seed,
-        provenance=provenance,
-    )
+    bundle = _report(args, bootstrap_resamples=args.bootstrap)
     if bundle.dominance is None:
         raise ValueError("dominance needs at least 2 models in the run")
     sys.stdout.write(render_dominance_text(bundle))

@@ -40,6 +40,9 @@ import numpy as np
 from .curves import CoverCurve, PassCurve, scale_to_lcm
 from .records import RationalLike, SuccessProfile, as_unit_rational, format_tau
 
+#: quantiles of the resampled values that bound a bootstrap band (a 95% interval)
+BAND_LEVELS = (0.025, 0.975)
+
 
 @dataclass(frozen=True)
 class CrossoverResult:
@@ -248,15 +251,14 @@ def scaled_bootstrap_bands(
     tally: TaskTally,
     resamples: int = 1000,
     seed: int = 0,
-    levels: tuple[float, float] = (0.025, 0.975),
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """Percentile bands from resampling the tally's tasks with replacement.
 
     Resample r uses task indices idx[r], row r of one (resamples, T) integer
     draw from Philox keyed on (seed mod 2**64, 0x626F6F74).  Each resampled
     multiset is counted exactly on the tally, as the point estimates are,
-    and its cov@tau and AvgAUC+ rounded to a float once; bands are
-    percentiles of those samples.
+    and its cov@tau and AvgAUC+ rounded to a float once; bands are the
+    BAND_LEVELS quantiles of those samples.
     Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
     """
     if resamples < 1:
@@ -275,7 +277,7 @@ def scaled_bootstrap_bands(
             avg_samples[:, r] = [sum(row) / divisor for row in totals]
 
     def band(samples: np.ndarray) -> tuple[float, float]:
-        lo, hi = np.quantile(samples, levels)
+        lo, hi = np.quantile(samples, BAND_LEVELS)
         return float(lo), float(hi)
 
     out: dict[str, dict[str, tuple[float, float]]] = {}
@@ -291,7 +293,6 @@ def bootstrap_bands(
     taus: Sequence[RationalLike],
     resamples: int = 1000,
     seed: int = 0,
-    levels: tuple[float, float] = (0.025, 0.975),
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """`scaled_bootstrap_bands` of the tally of profiles that share one task
     tuple, their p values scaled to integers over the lcm of their
@@ -304,4 +305,4 @@ def bootstrap_bands(
     tau_fracs = [as_unit_rational(t, "tau") for t in taus]
     scaled, scale = scale_to_lcm([prof.probabilities for prof in profiles])
     tally = TaskTally([p.model for p in profiles], scaled, scale, tau_fracs)
-    return scaled_bootstrap_bands(tally, resamples, seed, levels)
+    return scaled_bootstrap_bands(tally, resamples, seed)

@@ -11,7 +11,8 @@ File formats (all JSON Lines, UTF-8, "\n" line endings):
 
 A file holds either per-completion lines or aggregated lines, never both.
 Persisted runs are canonical JSON (sorted keys, no spaces), so re-saving
-unchanged data is byte-identical.
+unchanged data is byte-identical.  A run's manifest must equal the one its
+body implies, which one function derives to build, save and load a run.
 
 A per-completion log is folded line by line into one `SampleTally` per
 (model, task): flagged lines add to its n and c at once, unflagged lines
@@ -172,11 +173,12 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
         raise ParseError(f"{source}: no records found")
     if kind == "samples":
         return ParsedLog(records=tallies, counts=None, source=source)
-    return ParsedLog(
-        records=None,
-        counts={m: [tc for _, tc in sorted(t.items())] for m, t in sorted(counts.items())},
-        source=source,
-    )
+    return ParsedLog(records=None, counts=_sorted_counts(counts), source=source)
+
+
+def _sorted_counts(per_model: Mapping[str, Mapping[str, TaskCounts]]) -> dict[str, list[TaskCounts]]:
+    """{model: {task: counts}} as per-model count lists, models and tasks sorted."""
+    return {m: [tc for _, tc in sorted(t.items())] for m, t in sorted(per_model.items())}
 
 
 def _parse_json_line(line: str, lineno: int, source: str) -> dict:
@@ -254,10 +256,8 @@ def _add_aggregated(
 ) -> None:
     model = _require_str(obj, "model", lineno, source)
     task = _require_str(obj, "task", lineno, source)
-    n = _require_int(obj, "n", lineno, source)
-    c = _require_int(obj, "c", lineno, source)
-    try:
-        tc = TaskCounts(task=task, n=n, c=c)
+    try:  # TaskCounts rejects an n or c that is missing, a bool or not an integer
+        tc = TaskCounts(task=task, n=obj.get("n"), c=obj.get("c"))
     except ValueError as exc:
         raise ParseError(f"{source}:{lineno}: {exc}") from exc
     per_model = counts.setdefault(model, {})
@@ -269,12 +269,10 @@ def _add_aggregated(
 def parse_gold(lines: Iterable[str], source: str = "<gold>") -> dict[str, str]:
     """Parse a gold-answer file into {task: answer}."""
     gold: dict[str, str] = {}
-    saw_any = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        saw_any = True
         obj = _parse_json_line(line, lineno, source)
         entry = GoldAnswer(
             task=_require_str(obj, "task", lineno, source),
@@ -283,7 +281,7 @@ def parse_gold(lines: Iterable[str], source: str = "<gold>") -> dict[str, str]:
         if entry.task in gold:
             raise ParseError(f"{source}:{lineno}: duplicate gold answer for task {entry.task!r}")
         gold[entry.task] = entry.answer
-    if not saw_any:
+    if not gold:
         raise ParseError(f"{source}: no gold answers found")
     return gold
 
@@ -410,8 +408,7 @@ def counts_from_log(
         n = tally.n + sum(tally.answers.values())
         c = tally.c + graded.get((model, task), 0)
         per_model.setdefault(model, {})[task] = TaskCounts(task=task, n=n, c=c)
-    counts = {m: [tc for _, tc in sorted(t.items())] for m, t in sorted(per_model.items())}
-    return counts, ("flags+gold" if graded else "flags")
+    return _sorted_counts(per_model), ("flags+gold" if graded else "flags")
 
 
 def build_manifest(
@@ -423,45 +420,37 @@ def build_manifest(
     body, so identical data yields an identical manifest."""
     if not counts:
         raise ValueError("no counts to persist")
-    body = _render_body(counts)
-    models = tuple(sorted(counts))
-    tasks = tuple(sorted({tc.task for tcs in counts.values() for tc in tcs}))
-    trials = {m: {tc.task: tc.n for tc in tcs} for m, tcs in counts.items()}
-    record_count = sum(tc.n for tcs in counts.values() for tc in tcs)
+    run_id = hashlib.sha256(_render_body(counts).encode("utf-8")).hexdigest()
+    return _implied_manifest(counts, run_id, source_digests, verdict_source)
+
+
+def _implied_manifest(
+    counts: Mapping[str, Sequence[TaskCounts]], run_id: str, source_digests: Mapping[str, str], verdict_source: str
+) -> RunManifest:
+    """The manifest that `counts`, whose body hashes to `run_id`, imply: the
+    one derivation of record_count, models, tasks and trials."""
     return RunManifest(
-        run_id=hashlib.sha256(body.encode("utf-8")).hexdigest(),
+        run_id=run_id,
         source_digests=dict(source_digests),
-        record_count=record_count,
-        models=models,
-        tasks=tasks,
-        trials=trials,
+        record_count=sum(tc.n for tcs in counts.values() for tc in tcs),
+        models=tuple(sorted(counts)),
+        tasks=tuple(sorted({tc.task for tcs in counts.values() for tc in tcs})),
+        trials={m: {tc.task: tc.n for tc in tcs} for m, tcs in counts.items()},
         verdict_source=verdict_source,
     )
 
 
 def _render_body(counts: Mapping[str, Sequence[TaskCounts]]) -> str:
-    lines = []
+    """Canonical aggregated lines sorted by model and task; each model's
+    lines share one prebuilt prefix, so only c, n and the task vary."""
+    parts: list[str] = []
     for model in sorted(counts):
-        for tc in sorted(counts[model], key=lambda t: t.task):
-            obj = {"c": tc.c, "model": model, "n": tc.n, "task": tc.task}
-            lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
-
-
-def _check_consistent(manifest: RunManifest, counts: Mapping[str, Sequence[TaskCounts]]) -> None:
-    record_count = sum(tc.n for tcs in counts.values() for tc in tcs)
-    if manifest.record_count != record_count:
-        raise ValueError(
-            f"manifest record_count={manifest.record_count} does not match counts total {record_count}"
-        )
-    if tuple(sorted(counts)) != manifest.models:
-        raise ValueError("manifest model list does not match counts")
-    tasks = tuple(sorted({tc.task for tcs in counts.values() for tc in tcs}))
-    if tasks != manifest.tasks:
-        raise ValueError("manifest task list does not match counts")
-    trials = {m: {tc.task: tc.n for tc in tcs} for m, tcs in counts.items()}
-    if trials != manifest.trials:
-        raise ValueError("manifest per-(model, task) trial counts do not match counts")
+        head = f',"model":{json.dumps(model)},"n":'
+        parts += [
+            f'{{"c":{tc.c}{head}{tc.n},"task":{json.dumps(tc.task)}}}\n'
+            for tc in sorted(counts[model], key=lambda t: t.task)
+        ]
+    return "".join(parts)
 
 
 def persist_run(
@@ -470,17 +459,22 @@ def persist_run(
     """Write a self-contained aggregated run file (manifest line + body).
 
     The write is atomic (temp file + rename) and canonical, so a fixed
-    input always produces identical bytes.  The body must hash to the
-    manifest's run_id, or `load_run` would reject the file it wrote.
+    input always produces identical bytes.  The manifest must be the one
+    the counts imply, its run_id the sha256 of their body, or `load_run`
+    would reject the file it wrote.
     """
-    _check_consistent(manifest, counts)
+    implied = _implied_manifest(counts, manifest.run_id, manifest.source_digests, manifest.verdict_source)
+    if manifest != implied:
+        raise ValueError("manifest record_count, models, tasks or trials does not match the counts")
+    # the implied manifest's own values: a given record_count of True equals 1 but would be written as true
+    header = json.dumps(implied.to_json_obj(), sort_keys=True, separators=(",", ":"))
+    del implied  # peak memory: the body is rendered without the trials map alive
     body = _render_body(counts)
     if hashlib.sha256(body.encode("utf-8")).hexdigest() != manifest.run_id:
         raise ValueError(
             f"manifest run_id={manifest.run_id} does not match the sha256 of the counts' canonical body"
         )
     path = Path(path)
-    header = json.dumps(manifest.to_json_obj(), sort_keys=True, separators=(",", ":"))
     write_atomic(path, header + "\n" + body)
     return path
 
@@ -508,75 +502,51 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
 
     The body (every byte after the manifest line) must hash to the
     manifest's run_id, so a run file edited after it was written is
-    rejected rather than loaded under a stale id.
+    rejected rather than loaded under a stale id; then the manifest's
+    derived fields must equal, type for type, the ones the body implies.
     """
     path = Path(path)
+    source = str(path)
     data = path.read_bytes()
     if not data:
         raise ParseError(f"{path}: empty run file")
     cut = data.find(b"\n") + 1 or len(data)
-    head = _parse_json_line(_decode_utf8(data[:cut], str(path), 1), 1, str(path))
+    head = _parse_json_line(_decode_utf8(data[:cut], source, 1), 1, source)
     if head.get("kind") != "manifest":
         raise ParseError(f"{path}:1: missing manifest header; is this a raw log?")
     if head.get("format") != FORMAT_NAME:
         raise ParseError(f"{path}:1: unsupported run format {head.get('format')!r}")
-    manifest = _manifest_from_obj(head, str(path))
-    if hashlib.sha256(memoryview(data)[cut:]).hexdigest() != manifest.run_id:
+    run_id = _require_str(head, "run_id", 1, source)
+    verdict_source = _require_str(head, "verdict_source", 1, source)
+    digests = {} if head.get("source_digests") is None else head["source_digests"]
+    if not (isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):
+        raise ParseError(f"{path}:1: field 'source_digests' must be a map of file names to digests")
+    if hashlib.sha256(memoryview(data)[cut:]).hexdigest() != run_id:
         raise ParseError(
             f"{path}:1: run_id does not match the sha256 of the lines after the manifest; "
             "the run file was changed after it was written"
         )
-    body = _decode_utf8(memoryview(data)[cut:], str(path), 2)
+    body = _decode_utf8(memoryview(data)[cut:], source, 2)
     del data  # peak memory: the decoded body and its lines, not the raw bytes too
-    counts: dict[str, dict[str, TaskCounts]] = {}
+    per_model: dict[str, dict[str, TaskCounts]] = {}
     for lineno, line in enumerate(body.splitlines(), start=2):
-        if not line.strip():
-            continue
-        obj = _parse_json_line(line, lineno, str(path))
-        _add_aggregated(counts, obj, lineno, str(path))
-    counts_lists = {m: [tc for _, tc in sorted(t.items())] for m, t in sorted(counts.items())}
-    if not counts_lists:
+        if line.strip():
+            _add_aggregated(per_model, _parse_json_line(line, lineno, source), lineno, source)
+    if not per_model:
         raise ParseError(f"{path}: run file has no aggregated lines")
-    _check_consistent(manifest, counts_lists)
-    return manifest, counts_lists
-
-
-def _manifest_from_obj(head: dict, source: str) -> RunManifest:
-    """RunManifest from a parsed manifest line; a missing key or a value of
-    the wrong type is a ParseError on line 1."""
-
-    def checked(key: str, valid, want: str):
-        value = head.get(key)
-        if not valid(value):
-            raise ParseError(f"{source}:1: field {key!r} must be {want}")
-        return value
-
-    def str_list(v) -> bool:
-        return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
-    def str_map(v, valid) -> bool:
-        return isinstance(v, dict) and all(valid(x) for x in v.values())
-
-    def int_value(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    digests = checked(
-        "source_digests", lambda v: v is None or str_map(v, lambda d: isinstance(d, str)),
-        "a map of file names to digests",
-    )
-    trials = checked(
-        "trials", lambda v: str_map(v, lambda ts: str_map(ts, int_value)),
-        "a map of model to task trial counts",
-    )
-    return RunManifest(
-        run_id=_require_str(head, "run_id", 1, source),
-        source_digests=digests or {},
-        record_count=_require_int(head, "record_count", 1, source),
-        models=tuple(checked("models", str_list, "a list of strings")),
-        tasks=tuple(checked("tasks", str_list, "a list of strings")),
-        trials=trials,
-        verdict_source=_require_str(head, "verdict_source", 1, source),
-    )
+    counts = _sorted_counts(per_model)
+    manifest = _implied_manifest(counts, run_id, digests, verdict_source)
+    record_count, trials = head.get("record_count"), head.get("trials")
+    # == takes JSON true and 1.0 for the integer 1, so the numbers' types are checked too
+    for key, same in (
+        ("record_count", record_count == manifest.record_count and type(record_count) is int),
+        ("models", head.get("models") == list(manifest.models)),
+        ("tasks", head.get("tasks") == list(manifest.tasks)),
+        ("trials", trials == manifest.trials and all(type(n) is int for t in trials.values() for n in t.values())),
+    ):
+        if not same:
+            raise ParseError(f"{path}:1: field {key!r} must be what the lines after the manifest imply")
+    return manifest, counts
 
 
 def digest_file(path: str | Path) -> str:

@@ -103,6 +103,9 @@ class TaskCounts:
     def __post_init__(self) -> None:
         if not self.task:
             raise ValueError("task identifier must be nonempty")
+        if type(self.n) is not int or type(self.c) is not int:  # True or 2.0 would persist as true or 2.0
+            name, value = ("n", self.n) if type(self.n) is not int else ("c", self.c)
+            raise ValueError(f"{name} must be an integer for task {self.task!r}, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1 for task {self.task!r}, got {self.n}")
         if not 0 <= self.c <= self.n:

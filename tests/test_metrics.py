@@ -97,6 +97,14 @@ class TestEstimateSuccess:
         with pytest.raises(ValueError, match="n must be >= 1"):
             TaskCounts(task="t", n=0, c=0)
 
+    @pytest.mark.parametrize(
+        "n, c, name", [(2.0, 1, "n"), (2, 1.0, "c"), (True, 1, "n"), (2, True, "c"), ("2", 1, "n")]
+    )
+    def test_non_integer_counts_rejected_at_type(self, n, c, name):
+        # a float or bool would render as 2.0 or True in a run file that load_run rejects
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer for task 't', got "):
+            TaskCounts(task="t", n=n, c=c)
+
 
 class TestPassAtKExact:
     def test_half_half_k1(self):

@@ -318,6 +318,20 @@ class TestCli:
             assert "http://" not in text.replace("http://www.w3.org/2000/svg", "")
             assert "https://" not in text
 
+    def test_curves_rejects_models_sharing_a_file_stem(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        lines = [json.dumps({"model": m, "task": "t", "n": 4, "c": c}) for m, c in (("m/1", 1), ("m_1", 3))]
+        log.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["curves", "--input", str(log), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: models 'm/1' and 'm_1' would both write cover_curve_m_1.csv")
+        assert not out.exists()
+        assert main(["curves", "--input", str(log), "--model", "m_1", "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cover_curve_m_1.csv", "cover_curves.svg", "pass_curve_m_1.csv", "pass_curves.svg",
+        ]
+
     def test_missing_input_surfaces_cause(self, tmp_path, capsys):
         assert main(["compute", "--input", str(tmp_path / "absent.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
