@@ -162,19 +162,16 @@ def _report(args: argparse.Namespace, **options):
     """The report bundle of `args.input` under the shared input flags plus
     a command's own `build_report` options."""
     counts, provenance = _load_counts(args.input, args.gold)
-    return build_report(
-        counts,
-        taus=_parse_taus(args.tau),
-        ks=_parse_ks(args.k),
-        model_filter=args.model,
-        seed=args.seed,
-        provenance=provenance,
-        **options,
-    )
+    return build_report(counts, ks=_parse_ks(args.k), model_filter=args.model, provenance=provenance, **options)
+
+
+def _table_options(args: argparse.Namespace) -> dict[str, object]:
+    """The `build_report` options of the commands that write a metric table."""
+    return {"taus": _parse_taus(args.tau), "seed": args.seed, "bootstrap_resamples": args.bootstrap}
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    bundle = _report(args, group_delimiter=args.group_delimiter, bootstrap_resamples=args.bootstrap)
+    bundle = _report(args, group_delimiter=args.group_delimiter, **_table_options(args))
     sys.stdout.write(render_metrics_table(bundle))
     if args.out_dir:
         out = Path(args.out_dir)
@@ -207,7 +204,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
-    bundle = _report(args, bootstrap_resamples=args.bootstrap)
+    bundle = _report(args, **_table_options(args))
     if bundle.dominance is None:
         raise ValueError("dominance needs at least 2 models in the run")
     sys.stdout.write(render_dominance_text(bundle))
@@ -219,14 +216,15 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_input_args(sub: argparse.ArgumentParser, with_bootstrap: bool = False) -> None:
+def _add_input_args(sub: argparse.ArgumentParser, with_table: bool = False) -> None:
     sub.add_argument("--input", required=True, help="raw log (per-completion or aggregated) or persisted run")
     sub.add_argument("--gold", help="gold-answer file for grading raw logs without verdicts")
     sub.add_argument("--model", action="append", help="restrict to this model (repeatable)")
-    sub.add_argument("--tau", action="append", help="reliability threshold, exact decimal or num/den (repeatable; default 0.2 0.8)")
     sub.add_argument("--k", help="comma-separated ascending k grid (default powers of two 1..8192)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for bootstrap resampling")
-    if with_bootstrap:
+    if with_table:
+        sub.add_argument("--tau", action="append",
+                         help="reliability threshold, exact decimal or num/den (repeatable; default 0.2 0.8)")
+        sub.add_argument("--seed", type=int, default=0, help="seed for bootstrap resampling")
         sub.add_argument("--bootstrap", type=int, default=0, help="bootstrap resample count (0 = off)")
 
 
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     ing.set_defaults(func=_cmd_ingest)
 
     comp = sub.add_parser("compute", help="per-model metric table")
-    _add_input_args(comp, with_bootstrap=True)
+    _add_input_args(comp, with_table=True)
     comp.add_argument("--group-delimiter", help="average metrics per task group split on this delimiter")
     comp.add_argument("--out-dir", help="also write bundle.json and metrics.csv here")
     comp.set_defaults(func=_cmd_compute)
@@ -271,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     cur.set_defaults(func=_cmd_curves)
 
     dom = sub.add_parser("dominance", help="pairwise excess-AUC report")
-    _add_input_args(dom, with_bootstrap=True)
+    _add_input_args(dom, with_table=True)
     dom.add_argument("--out-dir", help="also write dominance.json here")
     dom.set_defaults(func=_cmd_dominance)
     return parser

@@ -10,9 +10,10 @@ only when a caller asks for them.
 
 Every plug-in p is c/n, so over L = lcm of the trial counts each p is the
 integer c * (L / n) and a cover curve is a vector of integer task counts.
-Reports feed `scaled_cover_curve` and `complement_pass_curve` straight from
-the counts; `build_cover_curve` and `pass_curve` convert a profile's
-Fractions (`scale_to_lcm`, `complements`) and call the same kernels.
+Reports read cover curves off their task tally's count
+(`dominance.TaskTally.cover_curve`) and pass curves off the counts
+(`complement_pass_curve`); `build_cover_curve` and `pass_curve` convert a
+profile's Fractions (`scale_to_lcm`, `complements`) and call the same code.
 
 Key identities (realized exactly or in closed form):
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -102,31 +102,14 @@ def scale_to_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], i
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def scaled_cover_curve(model: str, scaled: Sequence[int], scale: int) -> CoverCurve:
-    """Cover curve of tasks whose p values are scaled[i] / scale: breakpoints
-    are the distinct p values plus the endpoints 0 and 1, and the number of
-    tasks at each is an integer tally."""
-    tally = Counter(scaled)
-    t = len(scaled)
-    bps = [ZERO]
-    values = [ONE]
-    at_least = t  # tasks with p >= the current point
-    for point in sorted(tally):
-        if point:
-            bps.append(Fraction(point, scale))
-            values.append(Fraction(at_least, t))
-        at_least -= tally[point]
-    if bps[-1] != ONE:
-        bps.append(ONE)
-        values.append(ZERO)
-    return CoverCurve(model=model, breakpoints=tuple(bps), values=tuple(values), num_tasks=t)
-
-
 def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
     """Cover curve of a profile, its p values scaled to integers over the
-    lcm of their denominators."""
+    lcm of their denominators and counted on a one-model task tally."""
+    from .dominance import TaskTally  # late import: dominance imports this module
+
     (scaled,), scale = scale_to_lcm([profile.probabilities])
-    return scaled_cover_curve(profile.model, scaled, scale)
+    tally = TaskTally([profile.model], [scaled], scale, ())
+    return tally.cover_curve(0, tally.count(range(len(scaled))))
 
 
 def complement_pass_curve(model: str, qs: Sequence[float], ks: Sequence[int]) -> PassCurve:

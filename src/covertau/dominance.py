@@ -20,11 +20,11 @@ divided by V*L once, as a Fraction.
 
 Reports start from counts: p = c/n is the integer c * (L/n) over L = lcm
 of the trial counts.  A `TaskTally` places each task once on the grid of
-those integers, and every report number is read off it for some multiset of
-task columns: the pooled table and auc+ matrix take all columns, a task
-group's table its own, and a bootstrap resample a draw with replacement.
-p >= tau is always scaled p >= ceil(tau * L), one threshold rule for point
-values and bands alike.
+those integers.  Every report number is read off one count of it over a
+multiset of task columns (all of them for the pooled table, cover curves
+and auc+ matrix, a group's own, a bootstrap draw with replacement), by
+one formula per metric in `TaskTally.table`.  p >= tau is always scaled
+p >= ceil(tau * L), one threshold rule for point values and bands alike.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ from .records import RationalLike, SuccessProfile, as_unit_rational, format_tau
 
 #: quantiles of the resampled values that bound a bootstrap band (a 95% interval)
 BAND_LEVELS = (0.025, 0.975)
+
+#: (t, at_least, totals): a `TaskTally.count` of t task columns
+Count = tuple[int, np.ndarray, list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -121,31 +124,60 @@ class TaskTally:
     """Tasks whose p values are scaled[i][t] / scale (rows over one task set,
     one row per model), placed once on the grid of their distinct values
     plus 0 and scale, with each tau's grid position and the grid widths.
-    `count` reads any multiset of task columns off it."""
+    `count` counts any multiset of task columns on it; `table` and
+    `cover_curve` read every report number off such a count."""
 
     def __init__(self, models: Sequence[str], scaled: Sequence[Sequence[int]], scale: int,
                  taus: Sequence[Fraction]) -> None:
         self.models = tuple(models)
-        self.taus = tuple(taus)
         self.scale = scale
-        grid, self.cells = _task_grid(scaled, scale)
-        self.size = len(grid)
+        self.grid, self.cells = _task_grid(scaled, scale)
         # p >= tau is scaled p >= ceil(tau * scale): the first grid point at or above it
-        self.tau_at = [bisect_left(grid, math.ceil(tau * scale)) for tau in self.taus]
-        # every multiset counted has at most T tasks, so T * scale bounds its sums
-        self.widths = np.diff(np.array(grid, dtype=_grid_dtype(self.cells.shape[1] * scale)))
+        self.tau_at = [bisect_left(self.grid, math.ceil(tau * scale)) for tau in taus]
+        # every multiset counted has at most T tasks, so T * scale bounds its
+        # sums; counts (at most T) times widths take the widths' dtype
+        self.widths = np.diff(np.array(self.grid, dtype=_grid_dtype(self.cells.shape[1] * scale)))
+        self.metric_names = ("pass@1", *(f"cov@{format_tau(tau)}" for tau in taus))
+        if len(self.models) >= 2:
+            self.metric_names += ("avg_auc_plus",)
 
-    def count(self, columns: Sequence[int] | np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-        """(covered, totals) of the tasks at `columns`, repeats counted: for
-        model i, covered[i, j] tasks have p >= taus[j], and auc+ of model i
-        over model j is totals[i][j] / (len(columns) * scale)."""
-        m = len(self.models)
-        tally = np.bincount(self.cells[:, columns].ravel(), minlength=m * self.size).reshape(m, self.size)
-        # at_least[i, g]: tasks of model i with p >= grid[g], so on
-        # (grid[g-1], grid[g]] its cover curve is at_least[i, g] / len(columns)
-        at_least = tally[:, ::-1].cumsum(axis=1)[:, ::-1]
-        heights = at_least[:, 1:].astype(self.widths.dtype, copy=False)
-        return at_least[:, self.tau_at], _excess_totals(heights, self.widths)
+    def count(self, columns: Sequence[int] | np.ndarray) -> Count:
+        """(t, at_least, totals) of the t tasks at `columns`, repeats counted:
+        at_least[i, g] tasks of model i have p >= grid[g], so on (grid[g-1],
+        grid[g]] its cover curve is at_least[i, g] / t, and auc+ of model i
+        over model j is totals[i][j] / (t * scale)."""
+        size = len(self.grid)
+        # take gathers the columns in about half the time of cells[:, columns]
+        tally = np.bincount(self.cells.take(columns, axis=1).ravel(), minlength=len(self.models) * size)
+        at_least = tally.reshape(-1, size)[:, ::-1].cumsum(axis=1)[:, ::-1]
+        return len(columns), at_least, _excess_totals(at_least[:, 1:], self.widths)
+
+    def table(self, count: Count) -> dict[str, tuple[list[int], int]]:
+        """{metric: (numerators, denominator)} of a count, one numerator per
+        model, for each of `metric_names`."""
+        t, at_least, totals = count
+        # pass@1 is the area under the cover curve
+        rows = [((at_least[:, 1:] @ self.widths).tolist(), t * self.scale)]
+        rows += [(at_least[:, g].tolist(), t) for g in self.tau_at]
+        if len(self.models) >= 2:
+            rows.append(_avg_excess(totals, t * self.scale))
+        return dict(zip(self.metric_names, rows))
+
+    def cover_curve(self, i: int, count: Count) -> CoverCurve:
+        """Cover curve of model i over a count: breakpoints at 0, at each grid
+        point where model i has tasks, and at 1."""
+        t, at_least, _ = count
+        row = at_least[i]
+        # model i has tasks at grid[g] where at_least drops after g
+        points = [0, *(np.flatnonzero(row[1:-1] > row[2:]) + 1).tolist(), len(self.grid) - 1]
+        breakpoints = tuple(Fraction(self.grid[g], self.scale) for g in points)
+        return CoverCurve(self.models[i], breakpoints, tuple(Fraction(k, t) for k in row[points].tolist()), t)
+
+
+def _avg_excess(totals: Sequence[Sequence[int]], scale: int) -> tuple[list[int], int]:
+    """AvgAUC+ of the auc+ matrix totals / scale as (numerators, denominator):
+    each row's excess over the m - 1 other models."""
+    return [sum(row) for row in totals], scale * (len(totals) - 1)
 
 
 def _check_model_set(names: Sequence[str]) -> None:
@@ -229,8 +261,8 @@ def rank_models(values: Mapping[str, float | Fraction]) -> list[tuple[str, float
 
 def _dominance(models: Sequence[str], totals: Sequence[Sequence[int]], scale: int) -> DominanceReport:
     """The auc+ matrix whose entry (i, j) is totals[i][j] / scale."""
-    # AvgAUC+: each row's excess over the m - 1 other models
-    avg_vector = tuple(Fraction(sum(row), scale * (len(totals) - 1)) for row in totals)
+    sums, divisor = _avg_excess(totals, scale)
+    avg_vector = tuple(Fraction(total, divisor) for total in sums)
     return DominanceReport(
         models=tuple(models),
         auc_plus=tuple(tuple(Fraction(total, scale) for total in row) for row in totals),
@@ -256,9 +288,9 @@ def scaled_bootstrap_bands(
 
     Resample r uses task indices idx[r], row r of one (resamples, T) integer
     draw from Philox keyed on (seed mod 2**64, 0x626F6F74).  Each resampled
-    multiset is counted exactly on the tally, as the point estimates are,
-    and its cov@tau and AvgAUC+ rounded to a float once; bands are the
-    BAND_LEVELS quantiles of those samples.
+    multiset is counted exactly on the tally and its `table` read, as the
+    point estimates are, each cov@tau and AvgAUC+ rounded to a float once;
+    bands are the BAND_LEVELS quantiles of those samples.
     Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
     """
     if resamples < 1:
@@ -266,26 +298,15 @@ def scaled_bootstrap_bands(
     m, t_count = tally.cells.shape
     rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)))
     idx = rng.integers(0, t_count, size=(resamples, t_count))
-    divisor = t_count * tally.scale * (m - 1)
 
-    cover_samples = np.empty((m, len(tally.taus), resamples))
-    avg_samples = np.empty((m, resamples)) if m >= 2 else None
-    for r in range(resamples):
-        covered, totals = tally.count(idx[r])
-        cover_samples[:, :, r] = covered / t_count
-        if avg_samples is not None:
-            avg_samples[:, r] = [sum(row) / divisor for row in totals]
-
-    def band(samples: np.ndarray) -> tuple[float, float]:
-        lo, hi = np.quantile(samples, BAND_LEVELS)
-        return float(lo), float(hi)
-
-    out: dict[str, dict[str, tuple[float, float]]] = {}
-    for i, model in enumerate(tally.models):
-        out[model] = {f"cov@{format_tau(tau)}": band(cover_samples[i, j]) for j, tau in enumerate(tally.taus)}
-        if avg_samples is not None:
-            out[model]["avg_auc_plus"] = band(avg_samples[i])
-    return out
+    samples = {name: np.empty((resamples, m)) for name in tally.metric_names if name != "pass@1"}  # not banded
+    for r, columns in enumerate(idx):
+        table = tally.table(tally.count(columns))
+        for name, values in samples.items():
+            nums, den = table[name]
+            values[r] = [num / den for num in nums]  # int true division: correctly rounded
+    bands = {name: np.quantile(values, BAND_LEVELS, axis=0).tolist() for name, values in samples.items()}
+    return {model: {name: (lo[i], hi[i]) for name, (lo, hi) in bands.items()} for i, model in enumerate(tally.models)}
 
 
 def bootstrap_bands(

@@ -531,7 +531,9 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
     per_model: dict[str, dict[str, TaskCounts]] = {}
     for lineno, line in enumerate(body.splitlines(), start=2):
         if line.strip():
-            _add_aggregated(per_model, _parse_json_line(line, lineno, source), lineno, source)
+            obj = _parse_json_line(line, lineno, source)
+            _line_kind(obj, "aggregated", lineno, source)  # the raw-log schema checks, as a run body line
+            _add_aggregated(per_model, obj, lineno, source)
     if not per_model:
         raise ParseError(f"{path}: run file has no aggregated lines")
     counts = _sorted_counts(per_model)

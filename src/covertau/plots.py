@@ -8,9 +8,9 @@ formatted with a fixed precision, and series are drawn in model-name order.
 
 from __future__ import annotations
 
+import html
 import math
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .curves import CoverCurve, PassCurve
 
@@ -27,6 +27,11 @@ PALETTE = (
     "#bbbbbb",
     "#222222",
 )
+
+
+def escape(text: str) -> str:
+    """&, < and > as entities, for SVG text content."""
+    return html.escape(text, quote=False)
 
 
 def _fmt(x: float) -> str:

@@ -6,12 +6,13 @@ raw [0, 1] values, with exact rationals rendered as "num/den" strings.
 
 `build_report` scales each task's c/n by L, the lcm of the aligned trial
 counts, straight from the counts, and places every task once on a
-`TaskTally`.  Point, per-group and bootstrap values are then the same
-integer count over different multisets of task columns (all of them, one
-group's, a resample), with one threshold rule: p >= tau is scaled p >=
-ceil(tau * L).  A pooled table is the table of one group holding every
-task.  Cover curves read the same integers, pass curves read (n - c) / n,
-and a Fraction is formed only for a value that is written out.
+`TaskTally`.  It counts all task columns once and reads the pooled table,
+the cover curves and the auc+ matrix off that count; a grouped report
+adds one count per task group, and the bootstrap one per resample.  Every
+table row comes from `TaskTally.table`, with one threshold rule: p >= tau
+is scaled p >= ceil(tau * L).  A pooled table is the table of one group
+holding every task.  Pass curves read (n - c) / n, and a Fraction is
+formed only for a value that is written out.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import __version__
-from .curves import CoverCurve, PassCurve, complement_pass_curve, scaled_cover_curve
+from .curves import CoverCurve, PassCurve, complement_pass_curve
 from .curves import build_cover_curve, pass_curve  # noqa: F401  (perfbench/spans.py wraps them)
 from .dominance import (CrossoverResult, DominanceReport, TaskTally, _dominance, find_crossover, rank_models,
                         scaled_bootstrap_bands)
 from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
-from .records import RationalLike, TaskCounts, as_unit_rational, format_tau
+from .records import RationalLike, TaskCounts, as_unit_rational
+from .records import format_tau  # re-exported: callers import it from covertau.report
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
 DEFAULT_K_GRID = tuple(2**i for i in range(14))  # 1 .. 2^13
@@ -53,7 +55,7 @@ class ReportBundle:
     k_grid: tuple[int, ...]
     aggregation: str
     metric_names: tuple[str, ...]
-    metrics: dict[str, dict[str, Fraction | float | None]]
+    metrics: dict[str, dict[str, Fraction]]
     rankings: dict[str, list[tuple[str, float, int]]]
     cover_curves: dict[str, CoverCurve]
     pass_curves: dict[str, PassCurve]
@@ -97,22 +99,6 @@ def align_profiles(
     return aligned, dropped
 
 
-def _metric_table(
-    tally: TaskTally, scaled: Mapping[str, list[int]], columns: Sequence[int]
-) -> dict[str, dict[str, Fraction]]:
-    """Metric table of the tasks at `columns`, read off the tally."""
-    covered, totals = tally.count(columns)
-    t, scale, m = len(columns), tally.scale, len(tally.models)
-    table: dict[str, dict[str, Fraction]] = {}
-    for i, (model, row) in enumerate(scaled.items()):
-        table[model] = {"pass@1": Fraction(sum(row[c] for c in columns), t * scale)}
-        for tau, k in zip(tally.taus, covered[i].tolist()):
-            table[model][f"cov@{format_tau(tau)}"] = Fraction(k, t)
-        if m >= 2:
-            table[model]["avg_auc_plus"] = Fraction(sum(totals[i]), t * scale * (m - 1))
-    return table
-
-
 def build_report(
     counts: Mapping[str, Sequence[TaskCounts]],
     taus: Sequence[RationalLike] = DEFAULT_TAUS,
@@ -140,7 +126,7 @@ def build_report(
     aligned, dropped = align_profiles({m: counts[m] for m in selected})
     tasks = [tc.task for tc in aligned[selected[0]]]
     scale = math.lcm(*{tc.n for row in aligned.values() for tc in row})
-    scaled = {m: [tc.c * (scale // tc.n) for tc in row] for m, row in aligned.items()}
+    scaled = [[tc.c * (scale // tc.n) for tc in row] for row in aligned.values()]
 
     notes: list[str] = []
     for model in selected:
@@ -156,30 +142,32 @@ def build_report(
             + ", ".join(extra)
         )
 
-    tally = TaskTally(selected, list(scaled.values()), scale, tau_fracs)
-    everything = range(len(tasks))
-    aggregation, groups = "pooled", [everything]
+    tally = TaskTally(selected, scaled, scale, tau_fracs)
+    pooled = tally.count(range(len(tasks)))
+    aggregation, counts_per_group = "pooled", [pooled]
     if group_delimiter is not None:
         members: dict[str, list[int]] = {}
         for t, task in enumerate(tasks):
             members.setdefault(task.split(group_delimiter, 1)[0], []).append(t)
-        aggregation, groups = "per-group-averaged", [cols for _, cols in sorted(members.items())]
+        aggregation = "per-group-averaged"
+        counts_per_group = [tally.count(cols) for _, cols in sorted(members.items())]
         notes.append(
             f"metric table averages per task group (split on {group_delimiter!r}); "
             "curves and dominance remain pooled"
         )
     # the published table is the mean of the group tables; pooled is one group
-    per_group = [_metric_table(tally, scaled, columns) for columns in groups]
+    tables = [tally.table(count) for count in counts_per_group]
     metrics = {
         model: {
-            name: sum((grp[model][name] for grp in per_group), Fraction(0)) / len(per_group) for name in row
+            name: sum((Fraction(table[name][0][i], table[name][1]) for table in tables), Fraction(0)) / len(tables)
+            for name in tally.metric_names
         }
-        for model, row in per_group[0].items()
+        for i, model in enumerate(selected)
     }
-    cover_curves = {model: scaled_cover_curve(model, row, scale) for model, row in scaled.items()}
+    cover_curves = {model: tally.cover_curve(i, pooled) for i, model in enumerate(selected)}
     dominance = None
     if len(selected) >= 2:
-        dominance = _dominance(selected, tally.count(everything)[1], len(tasks) * scale)
+        dominance = _dominance(selected, pooled[2], len(tasks) * scale)
     else:
         notes.append("avg_auc_plus column absent: needs at least 2 models")
 
@@ -193,10 +181,7 @@ def build_report(
     if bootstrap_resamples > 0:
         bands = scaled_bootstrap_bands(tally, resamples=bootstrap_resamples, seed=seed)
 
-    metric_names = ["pass@1"] + [f"cov@{format_tau(t)}" for t in tau_fracs]
-    if dominance is not None:
-        metric_names.append("avg_auc_plus")
-    rankings = {metric: rank_models({m: metrics[m][metric] for m in metrics}) for metric in metric_names}
+    rankings = {metric: rank_models({m: metrics[m][metric] for m in metrics}) for metric in tally.metric_names}
 
     prov: dict[str, object] = {
         "tool_version": __version__,
@@ -211,7 +196,7 @@ def build_report(
         taus=tau_fracs,
         k_grid=tuple(ks),
         aggregation=aggregation,
-        metric_names=tuple(metric_names),
+        metric_names=tally.metric_names,
         metrics=metrics,
         rankings=rankings,
         cover_curves=cover_curves,
@@ -231,27 +216,20 @@ def build_report(
 def _rank_marks(bundle: ReportBundle, metric: str) -> dict[str, str]:
     if len(bundle.models) < 2:
         return {}
-    marks: dict[str, str] = {}
-    for model, _value, rank in bundle.rankings.get(metric, []):
-        if rank <= 3:
-            marks[model] = f"({rank})"
-    return marks
+    return {model: f"({rank})" for model, _value, rank in bundle.rankings[metric] if rank <= 3}
 
 
 def render_metrics_table(bundle: ReportBundle) -> str:
     """Fixed-width text table, x100 scaling, top-3 markers per column."""
     headers = ["model"] + [f"{m} x100" for m in bundle.metric_names]
-    rows: list[list[str]] = []
-    for model in bundle.models:
-        row = [model]
-        for metric in bundle.metric_names:
-            value = bundle.metrics[model].get(metric)
-            if value is None:
-                row.append("-")
-                continue
-            mark = _rank_marks(bundle, metric).get(model, "")
-            row.append(f"{float(value) * 100:.2f}{mark}")
-        rows.append(row)
+    marks = [_rank_marks(bundle, metric) for metric in bundle.metric_names]
+    rows = [
+        [model] + [
+            f"{float(bundle.metrics[model][metric]) * 100:.2f}{mark.get(model, '')}"
+            for metric, mark in zip(bundle.metric_names, marks)
+        ]
+        for model in bundle.models
+    ]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = [
         "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
@@ -316,11 +294,8 @@ def metrics_csv(bundle: ReportBundle) -> str:
     writer.writerow(["model", "metric", "value", "value_exact"])
     for model in bundle.models:
         for metric in bundle.metric_names:
-            value = bundle.metrics[model].get(metric)
-            if value is None:
-                continue
-            exact = format_exact(value) if isinstance(value, Fraction) else ""
-            writer.writerow([model, metric, repr(float(value)), exact])
+            value = bundle.metrics[model][metric]
+            writer.writerow([model, metric, repr(float(value)), format_exact(value)])
     return buf.getvalue()
 
 
@@ -355,8 +330,7 @@ def bundle_json(bundle: ReportBundle) -> str:
         "aggregation": bundle.aggregation,
         "metrics": {
             model: {
-                metric: (_fraction_json(v) if isinstance(v, Fraction) else v)
-                for metric, v in sorted(bundle.metrics[model].items())
+                metric: _fraction_json(v) for metric, v in sorted(bundle.metrics[model].items())
             }
             for model in bundle.models
         },

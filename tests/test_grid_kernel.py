@@ -21,7 +21,7 @@ from covertau import (
     pass_at_k_exact,
     pass_curve,
 )
-from covertau.dominance import _cover_grid
+from covertau.dominance import BAND_LEVELS, _cover_grid
 from covertau.report import format_tau
 
 F = Fraction
@@ -115,26 +115,41 @@ def test_hand_built_curves_with_values_off_the_task_grid():
     assert_matches_oracle([a, b])
 
 
-def resampled(profiles, seed):
-    """The task multiset of bootstrap resample 0 (resamples=1), tasks renamed apart."""
+def resample_sets(profiles, seed, resamples):
+    """The task multisets of every bootstrap resample, tasks renamed apart."""
     t = profiles[0].num_tasks
     key = np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)
-    (idx,) = np.random.Generator(np.random.Philox(key=key)).integers(0, t, size=(1, t))
+    draws = np.random.Generator(np.random.Philox(key=key)).integers(0, t, size=(resamples, t))
     return [
-        SuccessProfile.from_pairs(p.model, ((f"r{k:02d}", p.probabilities[i]) for k, i in enumerate(idx)))
-        for p in profiles
+        [
+            SuccessProfile.from_pairs(p.model, ((f"r{k:02d}", p.probabilities[i]) for k, i in enumerate(idx)))
+            for p in profiles
+        ]
+        for idx in draws
     ]
+
+
+def resampled(profiles, seed):
+    """The task multiset of bootstrap resample 0 (resamples=1), tasks renamed apart."""
+    return resample_sets(profiles, seed, 1)[0]
+
+
+def exact_samples(sample, taus):
+    """{model: {metric: float}} of one resampled task multiset, from
+    `cover_at_tau` and the Fraction oracle's AvgAUC+, each rounded once."""
+    averages = oracle.avg_auc_plus([oracle.build_cover_curve(p) for p in sample]) if len(sample) > 1 else {}
+    out = {}
+    for prof in sample:
+        out[prof.model] = {f"cov@{format_tau(tau)}": float(cover_at_tau(prof, tau)) for tau in taus}
+        if averages:
+            out[prof.model]["avg_auc_plus"] = float(averages[prof.model])
+    return out
 
 
 def assert_band_is_the_exact_sample(profiles, taus, seed):
     bands = bootstrap_bands(profiles, taus, resamples=1, seed=seed)
-    sample = resampled(profiles, seed)
-    averages = oracle.avg_auc_plus([oracle.build_cover_curve(p) for p in sample]) if len(sample) > 1 else {}
-    for prof in sample:
-        expected = {f"cov@{format_tau(tau)}": float(cover_at_tau(prof, tau)) for tau in taus}
-        if averages:
-            expected["avg_auc_plus"] = float(averages[prof.model])
-        assert bands[prof.model] == {name: (value, value) for name, value in expected.items()}
+    for model, expected in exact_samples(resampled(profiles, seed), taus).items():
+        assert bands[model] == {name: (value, value) for name, value in expected.items()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,3 +174,20 @@ def test_single_resample_band_on_python_ints(d):
     ]
     for seed in range(3):
         assert_band_is_the_exact_sample(profiles, [F(1, d), F(1, 2), F(1)], seed)
+
+
+@pytest.mark.parametrize("resamples", [2, 7])
+@settings(max_examples=60, deadline=None)
+@given(
+    profile_sets(min_models=1),
+    st.lists(st.one_of(plug_in, st.sampled_from([F(0), F(1)]), from_float), min_size=1, max_size=3),
+    st.integers(-(2**64), 2**64),
+)
+def test_band_is_the_quantile_of_the_exact_samples(resamples, profiles, taus, seed):
+    bands = bootstrap_bands(profiles, taus, resamples=resamples, seed=seed)
+    samples = [exact_samples(sample, taus) for sample in resample_sets(profiles, seed, resamples)]
+    for model, band in bands.items():
+        assert band.keys() == samples[0][model].keys()
+        for name, (lo, hi) in band.items():
+            expected = np.quantile([sample[model][name] for sample in samples], BAND_LEVELS)
+            assert (lo, hi) == tuple(expected.tolist())

@@ -1,11 +1,16 @@
 """Report assembly and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import covertau
 from covertau import SampleRecord, TaskCounts, cover_at_tau, estimate_success
 from covertau.cli import main
 from covertau.report import (
@@ -318,6 +323,23 @@ class TestCli:
             assert "http://" not in text.replace("http://www.w3.org/2000/svg", "")
             assert "https://" not in text
 
+    def test_svg_text_is_escaped(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps({"model": "a<b&c>", "task": "t", "n": 4, "c": 1}) + "\n", encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["curves", "--input", str(log), "--out-dir", str(out)]) == 0
+        text = (out / "cover_curves.svg").read_text(encoding="utf-8")
+        assert ">a&lt;b&amp;c&gt;</text>" in text and "a<b" not in text
+
+    @pytest.mark.parametrize("flag", [["--tau", "0.5"], ["--seed", "3"]])
+    def test_curves_takes_no_table_flags(self, tmp_path, capsys, flag):
+        # curves writes no metric table and runs no bootstrap
+        log = write_toy_logs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["curves", "--input", str(log), "--out-dir", str(tmp_path / "plots"), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_curves_rejects_models_sharing_a_file_stem(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         lines = [json.dumps({"model": m, "task": "t", "n": 4, "c": c}) for m, c in (("m/1", 1), ("m_1", 3))]
@@ -350,3 +372,12 @@ class TestCli:
         loaded = run.read_text(encoding="utf-8").splitlines()
         assert json.loads(loaded[0])["verdict_source"] == "flags+gold"
         assert json.loads(loaded[1]) == {"c": 2, "model": "m", "n": 4, "task": "t"}
+
+
+def test_cli_import_leaves_out_the_network_stack():
+    # SVG text escaping must not pull in what xml.sax.saxutils imports
+    heavy = ["urllib.request", "http.client", "email", "ssl"]
+    code = f"import sys, covertau.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(covertau.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

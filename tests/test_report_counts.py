@@ -167,6 +167,14 @@ def test_report_builds_no_profile_and_no_fraction_round_trip(monkeypatch):
 
     monkeypatch.setattr(covertau.dominance, "_task_grid", counting_task_grid)
     monkeypatch.setattr(covertau.curves.CoverCurve, "__post_init__", counting_curve)
+    # every table row, cover curve and bootstrap sample is read off one count
+    tally_count = covertau.dominance.TaskTally.count
+
+    def counting_count(self, columns):
+        built.append("count")
+        return tally_count(self, columns)
+
+    monkeypatch.setattr(covertau.dominance.TaskTally, "count", counting_count)
 
     counts = {
         m: [TaskCounts(task=f"g{j % 3}/t{j}", n=n, c=(j * (i + 1)) % (n + 1)) for j, n in enumerate([4, 7, 9, 16, 5, 1])]
@@ -176,6 +184,11 @@ def test_report_builds_no_profile_and_no_fraction_round_trip(monkeypatch):
     assert bundle.bootstrap is not None and bundle.aggregation == "per-group-averaged"
     assert calls == []
     assert built.count("_task_grid") == 1 and built.count("CoverCurve") == 3
+    # 3 groups and the pooled count, plus one per resample
+    assert built.count("count") == 3 + 1 + 5
+    built.clear()
+    build_report(counts)
+    assert built.count("count") == 1
 
     # the patches do see the profile path
     bootstrap_bands([covertau.metrics.estimate_success(counts[m], m) for m in "AB"], [F(1, 2)], resamples=1)

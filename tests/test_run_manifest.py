@@ -2,6 +2,7 @@
 checks on save and on load."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -136,3 +137,37 @@ def test_save_writes_the_implied_manifest_values(tmp_path):
     assert path.read_bytes() == persist_run(built, ONE_RECORD, tmp_path / "built.jsonl").read_bytes()
     assert '"record_count":1,' in path.read_text(encoding="utf-8")
     assert load_run(path) == (built, ONE_RECORD)
+
+
+def _with_body(tmp_path, counts, body):
+    """A run file for `counts` whose body is replaced by `body`, its run_id
+    rehashed, so that only the body's own schema can be at fault."""
+    path = _write(tmp_path, counts)
+    head = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])
+    head["run_id"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(head) + "\n" + body, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "body, lineno, error",
+    [
+        ('{"c":1,"model":"m","n":2,"sample_index":0,"task":"t"}\n{"c":0,"model":"m","n":1,"task":"u"}\n',
+         1, "line mixes per-completion and aggregated fields"),
+        ('{"c":1,"model":"m","n":2,"task":"t"}\n{"c":0,"kind":"manifest","model":"m","n":1,"task":"u"}\n',
+         2, "found a run manifest"),
+        ('{"c":1,"model":"m","n":2,"task":"t"}\n{"model":"m","task":"u","sample_index":0,"correct":false}\n',
+         2, "mixed schemas in one file"),
+    ],
+)
+def test_run_body_gets_the_raw_log_schema_checks(tmp_path, capsys, body, lineno, error):
+    log = tmp_path / "log.jsonl"
+    log.write_text(body, encoding="utf-8")
+    assert main(["compute", "--input", str(log)]) == 2
+    assert f"log.jsonl:{lineno}: {error}" in capsys.readouterr().err
+    # as a run body the same lines sit one line lower, under the manifest
+    path = _with_body(tmp_path, {"m": [TaskCounts("t", 2, 1), TaskCounts("u", 1, 0)]}, body)
+    with pytest.raises(ParseError, match=rf"run\.jsonl:{lineno + 1}: {error}"):
+        load_run(path)
+    assert main(["compute", "--input", str(path)]) == 2
+    assert f"run.jsonl:{lineno + 1}: {error}" in capsys.readouterr().err
