@@ -97,6 +97,9 @@ def _counts_from_raw_log(input_path: str, gold_path: str | None):
 def _load_counts(input_path: str, gold_path: str | None):
     """Counts from either a persisted run or a raw log, plus provenance."""
     if is_run_file(input_path):
+        if gold_path:
+            raise ValueError(f"--gold applies to raw logs; {input_path} is a persisted run "
+                             "whose verdicts are already resolved")
         manifest, counts = load_run(input_path)
         return counts, {"run_id": manifest.run_id, "verdict_source": manifest.verdict_source}
     counts, verdict_source = _counts_from_raw_log(input_path, gold_path)
@@ -152,8 +155,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         digests[Path(args.gold).name] = digest_file(args.gold)
     manifest = build_manifest(counts, digests, verdict_source)
     persist_run(manifest, counts, args.out)
-    print(f"run {manifest.run_id[:12]}: {len(manifest.models)} model(s), "
-          f"{len(manifest.tasks)} task(s), {manifest.record_count} records")
+    print(f"run {manifest.run_id[:12]}: {len(counts)} model(s), "
+          f"{len({tc.task for tcs in counts.values() for tc in tcs})} task(s), {manifest.record_count} records")
     print(f"wrote {args.out}")
     return 0
 

@@ -287,21 +287,21 @@ def scaled_bootstrap_bands(
     """Percentile bands from resampling the tally's tasks with replacement.
 
     Resample r uses task indices idx[r], row r of one (resamples, T) integer
-    draw from Philox keyed on (seed mod 2**64, 0x626F6F74).  Each resampled
-    multiset is counted exactly on the tally and its `table` read, as the
-    point estimates are, each cov@tau and AvgAUC+ rounded to a float once;
-    bands are the BAND_LEVELS quantiles of those samples.
+    draw from Philox keyed on (seed mod 2**64, 0x626F6F74), drawn row by row
+    as each is counted.  Each resampled multiset is counted exactly on the
+    tally and its `table` read, as for the point estimates, each cov@tau and
+    AvgAUC+ rounded to a float once; bands are their BAND_LEVELS quantiles.
     Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
     """
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
     m, t_count = tally.cells.shape
     rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)))
-    idx = rng.integers(0, t_count, size=(resamples, t_count))
-
     samples = {name: np.empty((resamples, m)) for name in tally.metric_names if name != "pass@1"}  # not banded
-    for r, columns in enumerate(idx):
-        table = tally.table(tally.count(columns))
+    for r in range(resamples):
+        # row r of the one-shot draw: Philox keeps its buffered half-word in
+        # the bit generator, not in the call, so row-by-row draws continue it
+        table = tally.table(tally.count(rng.integers(0, t_count, size=t_count)))
         for name, values in samples.items():
             nums, den = table[name]
             values[r] = [num / den for num in nums]  # int true division: correctly rounded

@@ -7,12 +7,12 @@ File formats (all JSON Lines, UTF-8, "\n" line endings):
   aggregated log       {"model": str, "task": str, "n": int, "c": int}
   gold answers         {"task": str, "answer": str}
   persisted run        manifest object on line 1 ({"kind": "manifest", ...}),
-                       aggregated lines after
+                       then an aggregated log
 
 A file holds either per-completion lines or aggregated lines, never both.
 Persisted runs are canonical JSON (sorted keys, no spaces), so re-saving
-unchanged data is byte-identical.  A run's manifest must equal the one its
-body implies, which one function derives to build, save and load a run.
+unchanged data is byte-identical.  A run stores its counts once, in its
+body; the manifest adds provenance, the body's sha256 and its record_count.
 
 A per-completion log is folded line by line into one `SampleTally` per
 (model, task): flagged lines add to its n and c at once, unflagged lines
@@ -40,7 +40,8 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 from .metrics import aggregate  # noqa: F401  (perfbench/spans.py wraps it here)
 from .records import GoldAnswer, SampleRecord, TaskCounts
 
-FORMAT_NAME = "covertau-run-v1"
+FORMAT_NAME = "covertau-run-v2"
+_MANIFEST_KEYS = frozenset({"kind", "format", "run_id", "source_digests", "record_count", "verdict_source"})
 
 # optional sign, digits with optional fraction part (or bare ".5"), optional
 # exponent; no fraction bars, no thousands separators
@@ -89,9 +90,6 @@ class RunManifest:
     run_id: str
     source_digests: dict[str, str]
     record_count: int
-    models: tuple[str, ...]
-    tasks: tuple[str, ...]
-    trials: dict[str, dict[str, int]]
     verdict_source: str
 
     def to_json_obj(self) -> dict:
@@ -101,9 +99,6 @@ class RunManifest:
             "run_id": self.run_id,
             "source_digests": dict(sorted(self.source_digests.items())),
             "record_count": self.record_count,
-            "models": list(self.models),
-            "tasks": list(self.tasks),
-            "trials": {m: dict(sorted(t.items())) for m, t in sorted(self.trials.items())},
             "verdict_source": self.verdict_source,
         }
 
@@ -274,10 +269,11 @@ def parse_gold(lines: Iterable[str], source: str = "<gold>") -> dict[str, str]:
         if not line:
             continue
         obj = _parse_json_line(line, lineno, source)
-        entry = GoldAnswer(
-            task=_require_str(obj, "task", lineno, source),
-            answer=_require_str(obj, "answer", lineno, source),
-        )
+        task, answer = _require_str(obj, "task", lineno, source), _require_str(obj, "answer", lineno, source)
+        try:  # GoldAnswer rejects an answer of whitespace only
+            entry = GoldAnswer(task=task, answer=answer)
+        except ValueError as exc:
+            raise ParseError(f"{source}:{lineno}: {exc}") from exc
         if entry.task in gold:
             raise ParseError(f"{source}:{lineno}: duplicate gold answer for task {entry.task!r}")
         gold[entry.task] = entry.answer
@@ -428,14 +424,11 @@ def _implied_manifest(
     counts: Mapping[str, Sequence[TaskCounts]], run_id: str, source_digests: Mapping[str, str], verdict_source: str
 ) -> RunManifest:
     """The manifest that `counts`, whose body hashes to `run_id`, imply: the
-    one derivation of record_count, models, tasks and trials."""
+    one derivation of record_count."""
     return RunManifest(
         run_id=run_id,
         source_digests=dict(source_digests),
         record_count=sum(tc.n for tcs in counts.values() for tc in tcs),
-        models=tuple(sorted(counts)),
-        tasks=tuple(sorted({tc.task for tcs in counts.values() for tc in tcs})),
-        trials={m: {tc.task: tc.n for tc in tcs} for m, tcs in counts.items()},
         verdict_source=verdict_source,
     )
 
@@ -459,16 +452,15 @@ def persist_run(
     """Write a self-contained aggregated run file (manifest line + body).
 
     The write is atomic (temp file + rename) and canonical, so a fixed
-    input always produces identical bytes.  The manifest must be the one
-    the counts imply, its run_id the sha256 of their body, or `load_run`
-    would reject the file it wrote.
+    input always produces identical bytes.  The manifest's record_count
+    must be the counts' total n, and its run_id the sha256 of their body,
+    or `load_run` would reject the file it wrote.
     """
     implied = _implied_manifest(counts, manifest.run_id, manifest.source_digests, manifest.verdict_source)
     if manifest != implied:
-        raise ValueError("manifest record_count, models, tasks or trials does not match the counts")
+        raise ValueError("manifest record_count does not match the counts")
     # the implied manifest's own values: a given record_count of True equals 1 but would be written as true
     header = json.dumps(implied.to_json_obj(), sort_keys=True, separators=(",", ":"))
-    del implied  # peak memory: the body is rendered without the trials map alive
     body = _render_body(counts)
     if hashlib.sha256(body.encode("utf-8")).hexdigest() != manifest.run_id:
         raise ValueError(
@@ -498,12 +490,13 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
 
 
 def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]]:
-    """Load a persisted run, validating the manifest against the body.
+    """Load a persisted run: a covertau-run-v2 header, then an aggregated log.
 
     The body (every byte after the manifest line) must hash to the
     manifest's run_id, so a run file edited after it was written is
-    rejected rather than loaded under a stale id; then the manifest's
-    derived fields must equal, type for type, the ones the body implies.
+    rejected rather than loaded under a stale id.  `parse_records` then
+    reads the body as an aggregated log whose lines are numbered from 2,
+    and their total n must be the manifest's record_count.
     """
     path = Path(path)
     source = str(path)
@@ -515,7 +508,10 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
     if head.get("kind") != "manifest":
         raise ParseError(f"{path}:1: missing manifest header; is this a raw log?")
     if head.get("format") != FORMAT_NAME:
-        raise ParseError(f"{path}:1: unsupported run format {head.get('format')!r}")
+        raise ParseError(f"{path}:1: unsupported run format {head.get('format')!r}; "
+                         "re-run covertau ingest on its source log")
+    if extra := sorted(head.keys() - _MANIFEST_KEYS):
+        raise ParseError(f"{path}:1: field {extra[0]!r} must be absent from a {FORMAT_NAME} manifest")
     run_id = _require_str(head, "run_id", 1, source)
     verdict_source = _require_str(head, "verdict_source", 1, source)
     digests = {} if head.get("source_digests") is None else head["source_digests"]
@@ -526,28 +522,19 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
             f"{path}:1: run_id does not match the sha256 of the lines after the manifest; "
             "the run file was changed after it was written"
         )
-    body = _decode_utf8(memoryview(data)[cut:], source, 2)
-    del data  # peak memory: the decoded body and its lines, not the raw bytes too
-    per_model: dict[str, dict[str, TaskCounts]] = {}
-    for lineno, line in enumerate(body.splitlines(), start=2):
-        if line.strip():
-            obj = _parse_json_line(line, lineno, source)
-            _line_kind(obj, "aggregated", lineno, source)  # the raw-log schema checks, as a run body line
-            _add_aggregated(per_model, obj, lineno, source)
-    if not per_model:
-        raise ParseError(f"{path}: run file has no aggregated lines")
-    counts = _sorted_counts(per_model)
+    # split at "\n" alone, as a raw log is; the blank line in front stands in
+    # for the manifest, so parse_records skips it and numbers the body from 2
+    lines = ["", *_decode_utf8(memoryview(data)[cut:], source, 2).split("\n")]
+    del data  # peak memory: the body's lines, not the raw bytes too
+    counts = parse_records(lines, source).counts
+    if counts is None:
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.strip())
+        raise ParseError(f"{path}:{lineno}: per-completion line; a run body holds aggregated (n, c) lines")
     manifest = _implied_manifest(counts, run_id, digests, verdict_source)
-    record_count, trials = head.get("record_count"), head.get("trials")
-    # == takes JSON true and 1.0 for the integer 1, so the numbers' types are checked too
-    for key, same in (
-        ("record_count", record_count == manifest.record_count and type(record_count) is int),
-        ("models", head.get("models") == list(manifest.models)),
-        ("tasks", head.get("tasks") == list(manifest.tasks)),
-        ("trials", trials == manifest.trials and all(type(n) is int for t in trials.values() for n in t.values())),
-    ):
-        if not same:
-            raise ParseError(f"{path}:1: field {key!r} must be what the lines after the manifest imply")
+    record_count = head.get("record_count")
+    # == takes JSON true and 1.0 for the integer 1, so the type is checked too
+    if not (record_count == manifest.record_count and type(record_count) is int):
+        raise ParseError(f"{path}:1: field 'record_count' must be what the lines after the manifest imply")
     return manifest, counts
 
 

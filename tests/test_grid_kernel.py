@@ -1,5 +1,6 @@
 """The integer-grid cover-curve kernel against the plain Fraction oracle."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from covertau import (
     pass_at_k_exact,
     pass_curve,
 )
-from covertau.dominance import BAND_LEVELS, _cover_grid
+from covertau.dominance import BAND_LEVELS, TaskTally, _cover_grid, scaled_bootstrap_bands
 from covertau.report import format_tau
 
 F = Fraction
@@ -106,6 +107,21 @@ def test_wide_denominators_match_oracle_on_python_ints():
     heights, _, scale = _cover_grid(curves)
     assert scale >= 2**62 and heights.dtype == object
     assert_matches_oracle(curves)
+
+
+def test_bootstrap_draws_one_resample_row_at_a_time():
+    # 1000 resamples of 3000 tasks: the whole (resamples, T) int64 index draw
+    # alone would be 22.9 MiB
+    models, tasks, scale = 6, 3000, 240
+    scaled = np.random.default_rng(5).integers(0, scale + 1, size=(models, tasks)).tolist()
+    tally = TaskTally([f"m{i}" for i in range(models)], scaled, scale, [F(1, 5), F(4, 5)])
+    tracemalloc.start()
+    try:
+        scaled_bootstrap_bands(tally, resamples=1000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_hand_built_curves_with_values_off_the_task_grid():

@@ -268,6 +268,21 @@ class TestRawFiles:
         assert main(args) == 2
         assert "gold.jsonl:2: invalid UTF-8" in capsys.readouterr().err
 
+    def test_blank_gold_answer_names_the_line(self, tmp_path, capsys):
+        log, gold = tmp_path / "log.jsonl", tmp_path / "g.jsonl"
+        log.write_text(sample_line("m", "t2", 0, answer="42") + "\n", encoding="utf-8")
+        gold.write_text('{"task":"t1","answer":"1"}\n{"task":"t2","answer":"   "}\n', encoding="utf-8")
+        args = ["ingest", "--input", str(log), "--gold", str(gold), "--out", str(tmp_path / "run.jsonl")]
+        assert main(args) == 2
+        assert "g.jsonl:2: gold answer for task 't2' is empty" in capsys.readouterr().err
+
+    def test_gold_with_a_persisted_run_is_rejected(self, tmp_path, capsys):
+        counts = {"m": [TaskCounts(task="t", n=2, c=1)]}
+        run = persist_run(build_manifest(counts, {}, "aggregated"), counts, tmp_path / "run.jsonl")
+        assert main(["compute", "--input", str(run), "--gold", str(tmp_path / "nonexistent.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"--gold applies to raw logs; {run} is a persisted run whose verdicts are already resolved" in err
+
     def test_undecodable_first_line_is_not_a_run_file(self, tmp_path, capsys):
         path = tmp_path / "log.jsonl"
         path.write_bytes(b'{"kind":"manifest","x":"\xff"}\n')
@@ -415,9 +430,9 @@ class TestRunFileIntegrity:
         [
             ("run_id", None),
             ("record_count", None),
-            ("models", None),
-            ("tasks", None),
-            ("trials", None),
+            ("created", "2026-10-18"),
+            ("verdict_source", 7),
+            ("source_digests", ["log"]),
             ("verdict_source", None),
             ("run_id", 7),
             ("record_count", "4004"),

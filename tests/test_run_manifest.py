@@ -4,6 +4,7 @@ checks on save and on load."""
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from covertau import ParseError, TaskCounts, build_manifest, load_run, persist_run
 from covertau import ingest
 from covertau.cli import main
+from covertau.ingest import read_log
 
 
 def json_dumps_body(counts):
@@ -88,10 +90,11 @@ def _set(key, value):
 @pytest.mark.parametrize(
     "counts, key, edit",
     [
-        (TWO_MODELS, "models", lambda obj: obj["models"].reverse()),
-        (TWO_MODELS, "trials", lambda obj: obj["trials"]["m2"].__setitem__("t1", 5)),
-        (TWO_MODELS, "tasks", lambda obj: obj["tasks"].remove("t2")),
-        (TWO_MODELS, "trials", lambda obj: obj["trials"]["m1"].pop("t2")),
+        # a v1 copy of the body is rejected even where it agrees with the body
+        (TWO_MODELS, "models", _set("models", ["m1", "m2"])),
+        (TWO_MODELS, "trials", _set("trials", {"m1": {"t1": 4, "t2": 5}, "m2": {"t1": 6, "t2": 7}})),
+        (TWO_MODELS, "tasks", _set("tasks", ["t1", "t2"])),
+        (TWO_MODELS, "trials", _set("trials", {"m1": {"t1": 4}})),
         (TWO_MODELS, "record_count", _set("record_count", 23)),
         (TWO_MODELS, "record_count", _set("record_count", 22.0)),
         (ONE_RECORD, "record_count", _set("record_count", True)),
@@ -111,7 +114,7 @@ def test_manifest_unlike_its_body_is_a_line_one_error(tmp_path, capsys, counts, 
 
 def test_edited_body_is_reported_before_a_malformed_manifest(tmp_path):
     path = _write(tmp_path, TWO_MODELS)
-    _rewrite_manifest(path, lambda obj: obj.pop("models"))
+    _rewrite_manifest(path, lambda obj: obj.pop("record_count"))
     path.write_text(path.read_text(encoding="utf-8").replace('"c":1,', '"c":2,'), encoding="utf-8")
     with pytest.raises(ParseError, match=r":1: run_id does not match"):
         load_run(path)
@@ -119,7 +122,7 @@ def test_edited_body_is_reported_before_a_malformed_manifest(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("record_count", 2), ("trials", {"m": {"t": 2}}), ("models", ("m", "m")), ("tasks", ())],
+    [("record_count", 2)],
 )
 def test_manifest_unlike_its_counts_rejected_on_save(tmp_path, field, value):
     manifest = dataclasses.replace(build_manifest(ONE_RECORD, {}, "flags"), **{field: value})
@@ -132,7 +135,7 @@ def test_save_writes_the_implied_manifest_values(tmp_path):
     # True == 1 in Python, so this manifest equals the implied one; written as
     # given it would read `true`, which load_run rejects
     built = build_manifest(ONE_RECORD, {}, "flags")
-    manifest = dataclasses.replace(built, record_count=True, trials={"m": {"t": True}})
+    manifest = dataclasses.replace(built, record_count=True)
     path = persist_run(manifest, ONE_RECORD, tmp_path / "run.jsonl")
     assert path.read_bytes() == persist_run(built, ONE_RECORD, tmp_path / "built.jsonl").read_bytes()
     assert '"record_count":1,' in path.read_text(encoding="utf-8")
@@ -147,6 +150,53 @@ def _with_body(tmp_path, counts, body):
     head["run_id"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
     path.write_text(json.dumps(head) + "\n" + body, encoding="utf-8")
     return path
+
+
+def test_v1_run_file_asks_for_a_re_ingest(tmp_path, capsys):
+    path = _write(tmp_path, ONE_RECORD)
+    _rewrite_manifest(path, lambda obj: obj.update(
+        format="covertau-run-v1", models=["m"], tasks=["t"], trials={"m": {"t": 1}}
+    ))
+    message = "run.jsonl:1: unsupported run format 'covertau-run-v1'; re-run covertau ingest on its source log"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_run(path)
+    assert main(["compute", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_manifest_holds_six_keys_and_no_other(tmp_path):
+    path = _write(tmp_path, TWO_MODELS)
+    head = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])
+    assert sorted(head) == ["format", "kind", "record_count", "run_id", "source_digests", "verdict_source"]
+    assert head["format"] == "covertau-run-v2" and head["record_count"] == 22
+    _rewrite_manifest(path, _set("trials", {"m1": {"t1": 4, "t2": 5}, "m2": {"t1": 6, "t2": 7}}))
+    message = "run.jsonl:1: field 'trials' must be absent from a covertau-run-v2 manifest"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_run(path)
+
+
+def test_per_completion_run_body_is_named_at_its_first_line(tmp_path, capsys):
+    # a blank line, then per-completion lines that parse as a raw log
+    lines = ['{"correct":true,"model":"m","sample_index":0,"task":"t"}',
+             '{"answer":"4","model":"m","sample_index":1,"task":"t"}']
+    body = "\n" + "".join(line + "\n" for line in lines)
+    path = _with_body(tmp_path, {"m": [TaskCounts("t", 2, 1)]}, body)
+    message = "run.jsonl:3: per-completion line; a run body holds aggregated (n, c) lines"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_run(path)
+    assert main(["compute", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_body_is_split_at_newlines_only(tmp_path):
+    # raw U+2028 and U+0085 end a line for str.splitlines, not in a log
+    lines = ['{"c":1,"model":"m","n":2,"task":"a\u2028b"}', '{"c":0,"model":"m","n":1,"task":"c\x85d"}']
+    body = "".join(line + "\n" for line in lines)
+    log = tmp_path / "log.jsonl"
+    log.write_text(body, encoding="utf-8")
+    raw = read_log(log).counts
+    assert raw == {"m": [TaskCounts("a\u2028b", 2, 1), TaskCounts("c\x85d", 1, 0)]}
+    assert load_run(_with_body(tmp_path, raw, body))[1] == raw
 
 
 @pytest.mark.parametrize(
