@@ -33,18 +33,21 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .curves import CoverCurve, PassCurve, scale_to_lcm
 from .records import RationalLike, SuccessProfile, as_unit_rational, format_tau
+
+# numpy is imported inside the functions that compute with it, so that
+# commands which never do (`--version`, `ingest`) start without loading it
+if TYPE_CHECKING:
+    import numpy as np
 
 #: quantiles of the resampled values that bound a bootstrap band (a 95% interval)
 BAND_LEVELS = (0.025, 0.975)
 
 #: (t, at_least, totals): a `TaskTally.count` of t task columns
-Count = tuple[int, np.ndarray, list[list[int]]]
+Count = tuple[int, "np.ndarray", list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class DominanceReport:
 
 
 def _grid_dtype(scale: int) -> type:
+    import numpy as np
+
     # int64 cannot wrap below 2**62; past it, the same code runs on Python ints
     return np.int64 if scale < 2**62 else object
 
@@ -84,6 +89,8 @@ def _cover_grid(curves: Sequence[CoverCurve]) -> tuple[np.ndarray, np.ndarray, i
     heights lie in [0, V] and the widths sum to L, so no product, and no sum
     of clipped differences times widths, exceeds scale.
     """
+    import numpy as np
+
     first = curves[0]
     for curve in curves[1:]:
         if curve.num_tasks != first.num_tasks:
@@ -107,6 +114,8 @@ def _cover_grid(curves: Sequence[CoverCurve]) -> tuple[np.ndarray, np.ndarray, i
 
 def _excess_totals(heights: np.ndarray, widths: np.ndarray) -> list[list[int]]:
     """totals[i][j] = sum over the grid of max(heights[i] - heights[j], 0) * widths."""
+    import numpy as np
+
     return [(np.maximum(row - heights, 0) * widths).sum(axis=1).tolist() for row in heights]
 
 
@@ -114,6 +123,8 @@ def _task_grid(scaled: Sequence[Sequence[int]], scale: int) -> tuple[list[int], 
     """Tasks whose p values are scaled[i][t] / scale, on the grid of their
     distinct values plus 0 and scale.  Returns (grid, cells): model i's task t
     at grid position g is cell i * len(grid) + g of one flat tally."""
+    import numpy as np
+
     grid = sorted(set().union(*scaled, (0, scale)))
     position = {point: g for g, point in enumerate(grid)}
     size = len(grid)
@@ -129,6 +140,8 @@ class TaskTally:
 
     def __init__(self, models: Sequence[str], scaled: Sequence[Sequence[int]], scale: int,
                  taus: Sequence[Fraction]) -> None:
+        import numpy as np
+
         self.models = tuple(models)
         self.scale = scale
         self.grid, self.cells = _task_grid(scaled, scale)
@@ -146,6 +159,8 @@ class TaskTally:
         at_least[i, g] tasks of model i have p >= grid[g], so on (grid[g-1],
         grid[g]] its cover curve is at_least[i, g] / t, and auc+ of model i
         over model j is totals[i][j] / (t * scale)."""
+        import numpy as np
+
         size = len(self.grid)
         # take gathers the columns in about half the time of cells[:, columns]
         tally = np.bincount(self.cells.take(columns, axis=1).ravel(), minlength=len(self.models) * size)
@@ -166,6 +181,8 @@ class TaskTally:
     def cover_curve(self, i: int, count: Count) -> CoverCurve:
         """Cover curve of model i over a count: breakpoints at 0, at each grid
         point where model i has tasks, and at 1."""
+        import numpy as np
+
         t, at_least, _ = count
         row = at_least[i]
         # model i has tasks at grid[g] where at_least drops after g
@@ -293,6 +310,8 @@ def scaled_bootstrap_bands(
     AvgAUC+ rounded to a float once; bands are their BAND_LEVELS quantiles.
     Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
     """
+    import numpy as np
+
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
     m, t_count = tally.cells.shape

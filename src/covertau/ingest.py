@@ -116,11 +116,11 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
     counts: dict[str, dict[str, TaskCounts]] = {}
     kind: str | None = None
     last_key: tuple[str, str] | None = None
-    loads, decode_error = json.loads, json.JSONDecodeError
+    loads = json.loads
     for lineno, raw in enumerate(lines, start=1):
         try:
             obj = loads(raw)
-        except decode_error:
+        except (ValueError, RecursionError):
             # JSON whitespace is a subset of str.strip's: blank lines and
             # bad JSON both land here, and bad JSON is reported as before
             line = raw.strip()
@@ -181,6 +181,10 @@ def _parse_json_line(line: str, lineno: int, source: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}:{lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise ParseError(f"{source}:{lineno}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ParseError(f"{source}:{lineno}: invalid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise ParseError(f"{source}:{lineno}: expected an object, got {type(obj).__name__}")
     return obj
@@ -584,5 +588,5 @@ def is_run_file(path: str | Path) -> bool:
         with Path(path).open("rb") as fh:
             first = fh.readline().decode("utf-8").strip()
         return bool(first) and json.loads(first).get("kind") == "manifest"
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, AttributeError):
+    except (OSError, ValueError, RecursionError, AttributeError):  # ValueError: bad UTF-8 or JSON
         return False

@@ -32,11 +32,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .records import RationalLike, SampleRecord, SuccessProfile, as_unit_rational
+
+# numpy is imported inside the functions that compute with it, so that
+# commands which never do (`--version`, `ingest`) start without loading it
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -141,6 +144,8 @@ def toy_model_b(tasks: int = 100, model: str = "B") -> SuccessProfile:
 
 
 def _task_rng(seed: int, task_index: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed & _MASK64, task_index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

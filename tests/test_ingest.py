@@ -290,6 +290,39 @@ class TestRawFiles:
         assert main(["compute", "--input", str(path)]) == 2
         assert "log.jsonl:1: invalid UTF-8" in capsys.readouterr().err
 
+    def test_deeply_nested_log_line_names_the_line(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text(sample_line("m", "t", 0, correct=True) + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+        assert main(["compute", "--input", str(log)]) == 2
+        assert "log.jsonl:2: invalid JSON (nested too deeply)" in capsys.readouterr().err
+
+    def test_deeply_nested_gold_line_names_the_line(self, tmp_path, capsys):
+        log, gold = tmp_path / "log.jsonl", tmp_path / "gold.jsonl"
+        log.write_text(sample_line("m", "t", 0, answer="42") + "\n", encoding="utf-8")
+        gold.write_text('{"task":"t","answer":"42"}\n' + "[" * 100_000 + "\n", encoding="utf-8")
+        args = ["ingest", "--input", str(log), "--gold", str(gold), "--out", str(tmp_path / "run.jsonl")]
+        assert main(args) == 2
+        assert "gold.jsonl:2: invalid JSON (nested too deeply)" in capsys.readouterr().err
+
+    def test_deeply_nested_manifest_line_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"kind":"manifest","x":' + "[" * 100_000 + "]" * 100_000 + "}\n", encoding="utf-8")
+        assert is_run_file(path) is False
+        with pytest.raises(ParseError, match=r"run\.jsonl:1: invalid JSON \(nested too deeply\)"):
+            load_run(path)
+        assert main(["compute", "--input", str(path)]) == 2
+        assert "run.jsonl:1: invalid JSON (nested too deeply)" in capsys.readouterr().err
+
+    def test_integer_too_long_to_convert_names_the_line(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        line = '{"c":0,"model":"m","n":' + "9" * 5000 + ',"task":"t"}'
+        log.write_text('{"c":1,"model":"m","n":2,"task":"s"}\n' + line + "\n", encoding="utf-8")
+        assert main(["compute", "--input", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert "log.jsonl:2: invalid JSON (" in err and "5000 digits" in err
+        log.write_text(line + "\n", encoding="utf-8")
+        assert is_run_file(log) is False
+
     def test_answer_only_log_without_gold_names_model_task_and_line(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         log.write_text("".join(line + "\n" for line in [

@@ -381,3 +381,31 @@ def test_cli_import_leaves_out_the_network_stack():
     env = {**os.environ, "PYTHONPATH": str(Path(covertau.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_version_and_ingest_start_without_numpy(tmp_path):
+    # only commands that compute (compute, curves, dominance, simulate) load numpy
+    log, gold, run = tmp_path / "log.jsonl", tmp_path / "gold.jsonl", tmp_path / "run.jsonl"
+    log.write_text(json.dumps({"model": "m", "task": "t", "sample_index": 0, "answer": "42"}) + "\n",
+                   encoding="utf-8")
+    gold.write_text(json.dumps({"task": "t", "answer": "42"}) + "\n", encoding="utf-8")
+    code = f"""
+import contextlib, io, sys
+import covertau, covertau.cli
+seen = ["numpy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        covertau.cli.main(["--version"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+    seen.append("numpy" in sys.modules)
+    assert covertau.cli.main(["ingest", "--input", {str(log)!r}, "--gold", {str(gold)!r}, "--out", {str(run)!r}]) == 0
+    seen.append("numpy" in sys.modules)
+    assert covertau.cli.main(["compute", "--input", {str(run)!r}]) == 0
+    seen.append("numpy" in sys.modules)
+print(seen)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(covertau.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    # imports, --version, ingest, then compute, which does load it
+    assert result.stdout.strip() == "[False, False, False, True]"
