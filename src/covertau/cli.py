@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -81,6 +82,10 @@ def _parse_ks(raw: str | None) -> tuple[int, ...]:
         raise ValueError(f"--k values must be >= 1, got {list(ks)}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError(f"--k values must be strictly ascending, got {list(ks)}")
+    try:
+        float(ks[-1])
+    except OverflowError:
+        raise ValueError(f"--k values must convert to a float; one has {len(str(ks[-1]))} digits") from None
     return ks
 
 
@@ -103,7 +108,10 @@ def _load_counts(input_path: str, gold_path: str | None):
         manifest, counts = load_run(input_path)
         return counts, {"run_id": manifest.run_id, "verdict_source": manifest.verdict_source}
     counts, verdict_source = _counts_from_raw_log(input_path, gold_path)
-    return counts, {"source_digest": digest_file(input_path), "verdict_source": verdict_source}
+    provenance = {"source_digest": digest_file(input_path), "verdict_source": verdict_source}
+    if gold_path:
+        provenance["gold_digest"] = digest_file(gold_path)
+    return counts, provenance
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -281,6 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # numpy is not loaded yet, and covertau makes no BLAS call: one OpenBLAS
+    # thread saves the CPU an idle pool burns.  A caller's own setting stays.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
     except (ValueError, ParseError, OSError) as exc:

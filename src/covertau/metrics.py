@@ -14,6 +14,7 @@ pass@k is a floating-point quantity evaluated from exact per-task rationals.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -73,12 +74,11 @@ def pass_at_k_exact(profile: SuccessProfile, k: int) -> float:
 
 def _pass_from_complements(qs: Sequence[float], k: int) -> float:
     """pass@k from per-task complements float(1 - p), so a k grid can
-    reuse one `complements` call."""
+    reuse one `complements` call.  `fsum` rounds the sum once, so the value
+    does not depend on task order: a model and a permutation of its counts
+    get equal pass@k, and no crossover between them."""
     _check_k(k)
-    total = 0.0
-    for q in qs:
-        total += 1.0 - q**k
-    return total / len(qs)
+    return math.fsum(1.0 - q**k for q in qs) / len(qs)
 
 
 def complements(profile: SuccessProfile) -> list[float]:

@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .curves import CoverCurve, PassCurve, complement_pass_curve
@@ -122,6 +122,9 @@ def build_report(
     if group_delimiter == "":
         raise ValueError("group delimiter must be a nonempty string, got ''")
     tau_fracs = tuple(as_unit_rational(t, "tau") for t in taus)
+    for i, tau in enumerate(tau_fracs):
+        if tau in tau_fracs[:i]:
+            raise ValueError(f"threshold {format_tau(tau)} is given more than once")
 
     aligned, dropped = align_profiles({m: counts[m] for m in selected})
     tasks = [tc.task for tc in aligned[selected[0]]]
@@ -213,33 +216,35 @@ def build_report(
 # ---------------------------------------------------------------- rendering
 
 
-def _rank_marks(bundle: ReportBundle, metric: str) -> dict[str, str]:
-    if len(bundle.models) < 2:
-        return {}
-    return {model: f"({rank})" for model, _value, rank in bundle.rankings[metric] if rank <= 3}
+def _columns(rows: Sequence[Sequence[str]], rule: bool = False) -> list[str]:
+    """Text lines of `rows` (the first is the header), columns left-aligned
+    two spaces apart and trailing spaces cut; `rule` adds a dash rule under
+    the header."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    if rule:
+        lines.insert(1, "  ".join("-" * w for w in widths))
+    return lines
 
 
 def render_metrics_table(bundle: ReportBundle) -> str:
     """Fixed-width text table, x100 scaling, top-3 markers per column."""
-    headers = ["model"] + [f"{m} x100" for m in bundle.metric_names]
-    marks = [_rank_marks(bundle, metric) for metric in bundle.metric_names]
-    rows = [
+    marks = [
+        {m: f"({rank})" for m, _v, rank in bundle.rankings[metric] if rank <= 3 and len(bundle.models) > 1}
+        for metric in bundle.metric_names
+    ]
+    rows = [["model"] + [f"{m} x100" for m in bundle.metric_names]] + [
         [model] + [
             f"{float(bundle.metrics[model][metric]) * 100:.2f}{mark.get(model, '')}"
             for metric, mark in zip(bundle.metric_names, marks)
         ]
         for model in bundle.models
     ]
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
+    lines = _columns(rows, rule=True) + [
+        "",
+        "markers: (1)=best (2)=second (3)=third per column; ties share a rank",
+        f"aggregation: {bundle.aggregation}",
     ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    lines.append("")
-    lines.append("markers: (1)=best (2)=second (3)=third per column; ties share a rank")
-    lines.append(f"aggregation: {bundle.aggregation}")
     if "avg_auc_plus" in bundle.metric_names:
         raw = ", ".join(
             f"{m}={format_exact(bundle.metrics[m]['avg_auc_plus'])}"
@@ -247,8 +252,7 @@ def render_metrics_table(bundle: ReportBundle) -> str:
             for m in bundle.models
         )
         lines.append(f"avg_auc_plus raw [0,1]: {raw}")
-    for note in bundle.notes:
-        lines.append(f"note: {note}")
+    lines += [f"note: {note}" for note in bundle.notes]
     return "\n".join(lines) + "\n"
 
 
@@ -257,64 +261,48 @@ def render_dominance_text(bundle: ReportBundle) -> str:
     if bundle.dominance is None:
         raise ValueError("dominance requires at least 2 models")
     dom = bundle.dominance
-    headers = ["auc_plus(A,B)"] + list(dom.models)
-    rows = []
-    for i, a in enumerate(dom.models):
-        rows.append([a] + [f"{float(v):.6f}" for v in dom.auc_plus[i]])
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    lines.append("")
-    lines.append("avg_auc_plus (raw / x100):")
+    rows = [["auc_plus(A,B)"] + list(dom.models)] + [
+        [a] + [f"{float(v):.6f}" for v in row] for a, row in zip(dom.models, dom.auc_plus)
+    ]
+    lines = _columns(rows) + ["", "avg_auc_plus (raw / x100):"]
     for model, value in zip(dom.models, dom.avg_auc_plus):
         lines.append(f"  {model}: {format_exact(value)} = {float(value):.6f} / {float(value) * 100:.2f}")
-    lines.append("")
-    lines.append("rankings:")
+    lines += ["", "rankings:"]
     for metric in sorted(bundle.rankings):
-        ordered = ", ".join(f"{m}({rank})" for m, _v, rank in bundle.rankings[metric])
-        lines.append(f"  {metric}: {ordered}")
-    lines.append("")
-    lines.append("crossovers (pass@k ordering flips on the evaluated grid):")
+        lines.append(f"  {metric}: " + ", ".join(f"{m}({rank})" for m, _v, rank in bundle.rankings[metric]))
+    lines += ["", "crossovers (pass@k ordering flips on the evaluated grid):"]
     if not bundle.crossovers:
         lines.append("  none evaluated")
     for cross in bundle.crossovers:
-        a, b = cross.pair
-        if cross.crossed:
-            lines.append(f"  {a} vs {b}: k*={cross.k_star} ({cross.direction})")
-        else:
-            lines.append(f"  {a} vs {b}: no crossover")
+        verdict = f"k*={cross.k_star} ({cross.direction})" if cross.crossed else "no crossover"
+        lines.append(f"  {cross.pair[0]} vs {cross.pair[1]}: {verdict}")
     return "\n".join(lines) + "\n"
+
+
+def _csv(rows: Iterable[Sequence[object]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def metrics_csv(bundle: ReportBundle) -> str:
     """Raw-value CSV: one row per (model, metric), exact and float columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "metric", "value", "value_exact"])
-    for model in bundle.models:
-        for metric in bundle.metric_names:
-            value = bundle.metrics[model][metric]
-            writer.writerow([model, metric, repr(float(value)), format_exact(value)])
-    return buf.getvalue()
+    return _csv([["model", "metric", "value", "value_exact"]] + [
+        [model, metric, repr(float(bundle.metrics[model][metric])), format_exact(bundle.metrics[model][metric])]
+        for model in bundle.models
+        for metric in bundle.metric_names
+    ])
 
 
 def cover_curve_csv(curve: CoverCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tau", "tau_float", "cover", "cover_float"])
-    for tau, value in zip(curve.breakpoints, curve.values):
-        writer.writerow([format_exact(tau), repr(float(tau)), format_exact(value), repr(float(value))])
-    return buf.getvalue()
+    return _csv([["tau", "tau_float", "cover", "cover_float"]] + [
+        [format_exact(tau), repr(float(tau)), format_exact(value), repr(float(value))]
+        for tau, value in zip(curve.breakpoints, curve.values)
+    ])
 
 
 def pass_curve_csv(curve: PassCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "pass"])
-    for k, value in zip(curve.ks, curve.values):
-        writer.writerow([k, repr(value)])
-    return buf.getvalue()
+    return _csv([["k", "pass"]] + [[k, repr(value)] for k, value in zip(curve.ks, curve.values)])
 
 
 def _fraction_json(value: Fraction) -> dict[str, object]:
@@ -322,21 +310,20 @@ def _fraction_json(value: Fraction) -> dict[str, object]:
 
 
 def bundle_json(bundle: ReportBundle) -> str:
-    """Canonical JSON for the whole bundle (raw [0,1] values)."""
+    """Canonical JSON for the whole bundle (raw [0,1] values); `sort_keys`
+    orders every key."""
     obj: dict[str, object] = {
         "models": list(bundle.models),
         "taus": [format_exact(t) for t in bundle.taus],
         "k_grid": list(bundle.k_grid),
         "aggregation": bundle.aggregation,
         "metrics": {
-            model: {
-                metric: _fraction_json(v) for metric, v in sorted(bundle.metrics[model].items())
-            }
+            model: {metric: _fraction_json(v) for metric, v in bundle.metrics[model].items()}
             for model in bundle.models
         },
         "rankings": {
             metric: [{"model": m, "value": v, "rank": r} for m, v, r in ranks]
-            for metric, ranks in sorted(bundle.rankings.items())
+            for metric, ranks in bundle.rankings.items()
         },
         "cover_curves": {
             model: {
@@ -344,15 +331,15 @@ def bundle_json(bundle: ReportBundle) -> str:
                 "values": [format_exact(v) for v in curve.values],
                 "num_tasks": curve.num_tasks,
             }
-            for model, curve in sorted(bundle.cover_curves.items())
+            for model, curve in bundle.cover_curves.items()
         },
         "pass_curves": {
             model: {"ks": list(curve.ks), "values": list(curve.values)}
-            for model, curve in sorted(bundle.pass_curves.items())
+            for model, curve in bundle.pass_curves.items()
         },
-        "dropped_tasks": {m: list(ts) for m, ts in sorted(bundle.dropped_tasks.items())},
+        "dropped_tasks": {m: list(ts) for m, ts in bundle.dropped_tasks.items()},
         "notes": list(bundle.notes),
-        "provenance": dict(sorted(bundle.provenance.items(), key=lambda kv: kv[0])),
+        "provenance": bundle.provenance,
     }
     if bundle.dominance is not None:
         dom = bundle.dominance
@@ -362,17 +349,13 @@ def bundle_json(bundle: ReportBundle) -> str:
             "avg_auc_plus": {m: _fraction_json(v) for m, v in zip(dom.models, dom.avg_auc_plus)},
         }
         obj["crossovers"] = [
-            {
-                "pair": list(cross.pair),
-                "k_star": cross.k_star,
-                "direction": cross.direction,
-            }
+            {"pair": list(cross.pair), "k_star": cross.k_star, "direction": cross.direction}
             for cross in bundle.crossovers
         ]
     if bundle.bootstrap is not None:
         obj["bootstrap"] = {
-            model: {metric: list(band) for metric, band in sorted(bands.items())}
-            for model, bands in sorted(bundle.bootstrap.items())
+            model: {metric: list(band) for metric, band in bands.items()}
+            for model, bands in bundle.bootstrap.items()
         }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 

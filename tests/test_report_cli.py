@@ -1,5 +1,6 @@
 """Report assembly and the command-line surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -249,6 +250,31 @@ class TestCli:
         assert main(["compute", "--input", str(log), "--k", "4,2"]) == 2
         assert "ascending" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compute", "curves", "dominance"])
+    def test_k_past_float_range_rejected(self, tmp_path, capsys, command):
+        log = write_toy_logs(tmp_path)
+        argv = [command, "--input", str(log), "--k", f"1,{2**1024}", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "error: --k values must convert to a float" in capsys.readouterr().err
+
+    def test_repeated_tau_rejected(self, tmp_path, capsys):
+        log = write_toy_logs(tmp_path)
+        out = tmp_path / "out"
+        argv = ["compute", "--input", str(log), "--tau", "0.2", "--tau", "1/5", "--tau", "0.2", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "error: threshold 0.2 is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_equal_models_report_no_crossover(self, tmp_path, capsys):
+        # every metric of A and B is equal; only the task order of their counts differs
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(
+            json.dumps({"model": m, "task": f"t{i}", "n": 3, "c": c}) + "\n"
+            for m, cs in (("A", (1, 2, 2)), ("B", (2, 2, 1))) for i, c in enumerate(cs)
+        ), encoding="utf-8")
+        assert main(["dominance", "--input", str(log)]) == 0
+        assert "  A vs B: no crossover\n" in capsys.readouterr().out
+
     def test_float_imprecise_tau_rejected(self, tmp_path, capsys):
         log = write_toy_logs(tmp_path)
         assert main(["compute", "--input", str(log), "--tau", "nope"]) == 2
@@ -373,6 +399,17 @@ class TestCli:
         assert json.loads(loaded[0])["verdict_source"] == "flags+gold"
         assert json.loads(loaded[1]) == {"c": 2, "model": "m", "n": 4, "task": "t"}
 
+    def test_report_on_a_graded_log_records_the_gold_digest(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps({"model": "m", "task": "t", "sample_index": 0, "answer": "42"}) + "\n",
+                       encoding="utf-8")
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"task": "t", "answer": "42"}) + "\n", encoding="utf-8")
+        assert main(["compute", "--input", str(log), "--gold", str(gold), "--out-dir", str(tmp_path / "out")]) == 0
+        provenance = json.loads((tmp_path / "out" / "bundle.json").read_text(encoding="utf-8"))["provenance"]
+        assert provenance["gold_digest"] == hashlib.sha256(gold.read_bytes()).hexdigest()
+        assert provenance["source_digest"] == hashlib.sha256(log.read_bytes()).hexdigest()
+
 
 def test_cli_import_leaves_out_the_network_stack():
     # SVG text escaping must not pull in what xml.sax.saxutils imports
@@ -409,3 +446,29 @@ print(seen)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     # imports, --version, ingest, then compute, which does load it
     assert result.stdout.strip() == "[False, False, False, True]"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc to count threads")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_main_runs_openblas_on_one_thread(tmp_path, preset):
+    # covertau makes no BLAS call, so numpy's import should start no OpenBLAS pool
+    log = tmp_path / "log.jsonl"
+    log.write_text(json.dumps({"model": "m", "task": "t", "n": 4, "c": 1}) + "\n", encoding="utf-8")
+    code = f"""
+import contextlib, io, os, sys
+import covertau.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert covertau.cli.main(["compute", "--input", {str(log)!r}]) == 0
+assert "numpy" in sys.modules
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(covertau.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    threads, setting = result.stdout.split()
+    if preset is None:
+        assert (threads, setting) == ("1", "1")
+    else:
+        assert setting == preset

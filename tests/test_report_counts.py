@@ -201,3 +201,18 @@ def test_negative_bootstrap_count_rejected(resamples):
     counts = {m: [TaskCounts(task="t", n=2, c=1)] for m in "AB"}
     with pytest.raises(ValueError, match=f"bootstrap resample count must be >= 0, got {resamples}"):
         build_report(counts, bootstrap_resamples=resamples)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_model_and_a_permutation_of_its_counts_never_cross(data):
+    # pass@k is a sum over tasks, so task order must not move it by an ulp
+    ns = st.sampled_from([3, 7, 10, 13, 100])
+    pairs = data.draw(st.lists(ns.flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))), min_size=3, max_size=40))
+    permuted = data.draw(st.permutations(pairs))
+    tasks = [f"t{i:02d}" for i in range(len(pairs))]
+    counts = {model: [TaskCounts(task=t, n=n, c=c) for t, (n, c) in zip(tasks, row)]
+              for model, row in (("A", pairs), ("B", permuted))}
+    bundle = build_report(counts)
+    assert bundle.pass_curves["A"].values == bundle.pass_curves["B"].values
+    assert not bundle.crossovers[0].crossed
