@@ -22,6 +22,20 @@ distinct answers rather than with lines.  `counts_from_log` grades each
 distinct (task, answer) once against gold.  `apply_grading` and
 `metrics.aggregate` do the same job record by record for in-memory
 `SampleRecord` lists.
+
+Lines that repeat are read from templates.  Once a file's kind is
+per-completion, each line is split at its first `"sample_index":`, at most
+one space and a JSON integer of at most 18 digits with no leading zero;
+the text around the digits is the line's template.  A template becomes
+trusted after two lines of it with different digits were each parsed by
+`json.loads` to the same line apart from sample_index, and each had its
+own digits as sample_index.  A later line of a trusted template takes the
+template's model, task, correct and answer and `int(digits)` without
+`json.loads`, then the same fold as every other line.  Every other line is
+parsed and checked one by one, so each error and its line are unchanged.
+At most `_PENDING_TEMPLATES` templates wait for their second witness; when
+that table is full, it is dropped and the rest of the file is parsed line
+by line, which bounds the cost on a log whose lines never repeat.
 """
 
 from __future__ import annotations
@@ -46,7 +60,16 @@ _MANIFEST_KEYS = frozenset({"kind", "format", "run_id", "source_digests", "recor
 # optional sign, digits with optional fraction part (or bare ".5"), optional
 # exponent; no fraction bars, no thousands separators
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+# an integer literal: sign, then ASCII digits after any leading zeros
+_INTEGER_RE = re.compile(r"([+-]?)0*([0-9]+)")
 _WS_RE = re.compile(r"\s+")
+# splits a per-completion line at its first "sample_index": key, at most one
+# space and a JSON integer of at most 18 digits: [text before the key, the
+# space or "", the digits, the rest of the line]
+_TEMPLATE_RE = re.compile(r'"sample_index":( ?)(0|[1-9][0-9]{0,17})(?![0-9])')
+# templates seen once and waiting for a second witness; past this many the
+# rest of the file is parsed line by line
+_PENDING_TEMPLATES = 4096
 _DIGEST_CHUNK = 1 << 20
 
 
@@ -110,6 +133,7 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
     mixing the two in one file is rejected.  Blank lines are ignored.
     Per-completion lines are folded into per-(model, task) tallies as they
     are read; a repeated sample_index within a key is rejected on its line.
+    Lines of a trusted template (see the module docstring) skip json.loads.
     Every failure names the 1-based line number.
     """
     tallies: dict[tuple[str, str], SampleTally] = {}
@@ -117,34 +141,54 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
     kind: str | None = None
     last_key: tuple[str, str] | None = None
     loads = json.loads
+    # a template is a line's text around its sample_index digits; it maps to
+    # the line's (model, task, correct, answer) once trusted, and to its first
+    # witness, (digits, the line parsed without sample_index), while pending
+    trusted: dict[tuple[str, str, str], tuple[str, str, bool | None, str | None]] = {}
+    pending: dict[tuple[str, str, str], tuple[str, dict]] | None = {}
+    split = None  # _TEMPLATE_RE.split once the file's kind is "samples"
     for lineno, raw in enumerate(lines, start=1):
-        try:
-            obj = loads(raw)
-        except (ValueError, RecursionError):
-            # JSON whitespace is a subset of str.strip's: blank lines and
-            # bad JSON both land here, and bad JSON is reported as before
-            line = raw.strip()
-            if not line:
-                continue
-            obj = _parse_json_line(line, lineno, source)
-        # Fast path: a well-formed per-completion line in a per-completion
-        # log.  Anything else takes the checked path, which classifies the
-        # line and raises the error that names it.
-        ok = False
-        if (kind == "samples" and type(obj) is dict and "sample_index" in obj
-                and not ("n" in obj or "c" in obj or "kind" in obj)):
-            model, task, index = obj.get("model"), obj.get("task"), obj["sample_index"]
-            correct, answer = obj.get("correct"), obj.get("answer")
-            ok = (type(model) is str and model and type(task) is str and task
-                  and type(index) is int and index >= 0
-                  and (answer is None or type(answer) is str)
-                  and (correct is True or correct is False or answer is not None and correct is None))
-        if not ok:
-            kind = _line_kind(obj, kind, lineno, source)
-            if kind == "aggregated":
-                _add_aggregated(counts, obj, lineno, source)
-                continue
-            model, task, index, correct, answer = _sample_fields(obj, lineno, source)
+        hit = template = None
+        if split is not None and len(parts := split(raw, 1)) == 4:
+            head, space, digits, tail = parts
+            template = (head, space, tail)
+            hit = trusted.get(template)
+        if hit is not None:
+            model, task, correct, answer = hit
+            index = int(digits)
+        else:
+            try:
+                obj = loads(raw)
+            except (ValueError, RecursionError):
+                # JSON whitespace is a subset of str.strip's: blank lines and
+                # bad JSON both land here, and bad JSON is reported as before
+                line = raw.strip()
+                if not line:
+                    continue
+                obj = _parse_json_line(line, lineno, source)
+            # Fast path: a well-formed per-completion line in a per-completion
+            # log.  Anything else takes the checked path, which classifies the
+            # line and raises the error that names it.
+            ok = False
+            if (kind == "samples" and type(obj) is dict and "sample_index" in obj
+                    and not ("n" in obj or "c" in obj or "kind" in obj)):
+                model, task, index = obj.get("model"), obj.get("task"), obj["sample_index"]
+                correct, answer = obj.get("correct"), obj.get("answer")
+                ok = (type(model) is str and model and type(task) is str and task
+                      and type(index) is int and index >= 0
+                      and (answer is None or type(answer) is str)
+                      and (correct is True or correct is False or answer is not None and correct is None))
+            if not ok:
+                kind = _line_kind(obj, kind, lineno, source)
+                if kind == "aggregated":
+                    _add_aggregated(counts, obj, lineno, source)
+                    continue
+                model, task, index, correct, answer = _sample_fields(obj, lineno, source)
+                if pending is not None:
+                    split = _TEMPLATE_RE.split
+            if template is not None and not _witness(pending, trusted, template, digits, obj, index,
+                                                     (model, task, correct, answer)):
+                pending = split = None  # too many distinct lines: parse the rest one by one
         key = (model, task)
         if key != last_key:
             tally = tallies.get(key)
@@ -169,6 +213,38 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
     if kind == "samples":
         return ParsedLog(records=tallies, counts=None, source=source)
     return ParsedLog(records=None, counts=_sorted_counts(counts), source=source)
+
+
+def _witness(
+    pending: dict[tuple[str, str, str], tuple[str, dict]],
+    trusted: dict[tuple[str, str, str], tuple[str, str, bool | None, str | None]],
+    template: tuple[str, str, str],
+    digits: str,
+    obj: dict,
+    index: int,
+    fields: tuple[str, str, bool | None, str | None],
+) -> bool:
+    """Count `obj`, a per-completion line parsed with json.loads, as a witness
+    of its template, the line's text around its sample_index `digits`.
+
+    The line is a witness only if its sample_index is its own digits.  The
+    first witness waits in `pending`; a second one with other digits and
+    the same line apart from sample_index makes the template trusted, with
+    `fields` as every line of it parses to.  Returns False, and records
+    nothing, when `pending` is full.
+    """
+    if index != int(digits):
+        return True
+    del obj["sample_index"]
+    first = pending.get(template)
+    if first is None:
+        if len(pending) >= _PENDING_TEMPLATES:
+            return False
+        pending[template] = (digits, obj)
+    elif first[0] != digits and first[1] == obj:
+        del pending[template]
+        trusted[template] = fields
+    return True
 
 
 def _sorted_counts(per_model: Mapping[str, Mapping[str, TaskCounts]]) -> dict[str, list[TaskCounts]]:
@@ -311,13 +387,23 @@ def canonical_answer(text: str) -> str:
     return repr(num) if num is not None else norm
 
 
+def _integer_literal(text: str) -> tuple[bool, str] | None:
+    """(negative, digits without leading zeros) of an integer literal, -0
+    being 0, or None for any other text."""
+    m = _INTEGER_RE.fullmatch(text)
+    return None if m is None else (m[1] == "-" and m[2] != "0", m[2])
+
+
 def grade(answer: str, gold: str) -> bool:
     """Normalized equality of an answer against gold.
 
-    Both sides are trimmed, casefolded, and whitespace-collapsed; if both
-    parse under the number grammar they compare numerically with relative
-    tolerance 1e-9 (absolute 1e-12 near zero).  Empty gold is rejected; an
-    empty answer is simply wrong.
+    Both sides are trimmed, casefolded, and whitespace-collapsed.  Two
+    integer literals (sign and ASCII digits, no fraction part, no exponent)
+    are equal only if their digits are, after leading zeros, with -0 equal
+    to 0; no float or int is built from them.  Other pairs that both parse
+    under the number grammar compare numerically with relative tolerance
+    1e-9 (absolute 1e-12 near zero).  Empty gold is rejected; an empty
+    answer is simply wrong.
     """
     gold_norm = normalize_answer(gold)
     if not gold_norm:
@@ -325,6 +411,9 @@ def grade(answer: str, gold: str) -> bool:
     answer_norm = normalize_answer(answer)
     if not answer_norm:
         return False
+    a_int, g_int = _integer_literal(answer_norm), _integer_literal(gold_norm)
+    if a_int is not None and g_int is not None:
+        return a_int == g_int
     a_num = parse_number(answer_norm)
     g_num = parse_number(gold_norm)
     if a_num is not None and g_num is not None:

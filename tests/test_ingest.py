@@ -175,6 +175,26 @@ class TestGrade:
         assert grade("1e3", "1000")
         assert grade("-2.5E-1", "-0.25")
 
+    def test_integers_compare_exactly(self):
+        assert not grade("1000000001", "1000000000")
+        assert not grade("12345678901234567890", "12345678901234567891")
+        assert not grade("-5", "5")
+        assert grade("+007", "7")
+        assert grade("-0", "0")
+        assert grade("-000", "+0")
+
+    def test_long_integers_compare_exactly_without_overflow(self):
+        digits = "7" * 5000
+        assert grade(digits, digits)
+        assert grade(f" -{digits} ", f"-00{digits}")
+        assert not grade(digits[:-1] + "8", digits)
+        assert not grade(digits, "1.5")
+
+    def test_an_integer_against_a_decimal_keeps_the_tolerance(self):
+        assert grade("7", "7.0000000000001")
+        assert grade("1000", "1e3")
+        assert not grade("7", "7.1")
+
     def test_empty_gold_rejected(self):
         with pytest.raises(ValueError, match="gold answer is empty"):
             grade("42", "   ")

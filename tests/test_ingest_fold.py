@@ -84,15 +84,18 @@ def test_fold_matches_record_path(log):
         assert folded == expected
 
 
-def log_lines(models=2, tasks=5, trials=5000):
-    """50,000 per-completion lines: flags, answers, and both."""
+def log_lines(models=2, tasks=5, trials=5000, distinct=False):
+    """50,000 per-completion lines: flags, answers, and both; with
+    `distinct`, every line has an answer of its own."""
     for m in range(models):
         for t in range(tasks):
             for j in range(trials):
                 obj = {"model": f"model-{m}", "task": f"task-{t:03d}", "sample_index": j}
                 if j % 3:
                     obj["correct"] = j % 7 == 0
-                if j % 3 == 0 or j % 2:
+                if distinct:
+                    obj["answer"] = f"{m}-{t}-{j}"
+                elif j % 3 == 0 or j % 2:
                     obj["answer"] = str(j % 11)
                 yield json.dumps(obj) + "\n"
 
@@ -100,15 +103,18 @@ def log_lines(models=2, tasks=5, trials=5000):
 def test_parse_memory_stays_per_key():
     # A record per line (frozen SampleRecord in a tuple) peaked at about
     # 370 bytes per line here; the fold keeps only each key's set of seen
-    # sample_index values (about 130 bytes per line, the set and its ints).
-    tracemalloc.start()
-    try:
-        parsed = parse_records(log_lines())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 50_000 * 180, f"parse peaked at {peak / 50_000:.0f} bytes per line"
-    assert len(parsed.records) == 10
+    # sample_index values (about 130 bytes per line, the set and its ints),
+    # and its answers.  Lines that are all distinct fill the capped table of
+    # pending templates, which is then dropped.
+    for distinct in (False, True):
+        tracemalloc.start()
+        try:
+            parsed = parse_records(log_lines(distinct=distinct))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000 * 180, f"parse peaked at {peak / 50_000:.0f} bytes per line ({distinct=})"
+        assert len(parsed.records) == 10
 
 
 @pytest.mark.parametrize("gold", [None, {"task-000": "3"}, {"task-000": "3", "task-001": "4.0"}])
