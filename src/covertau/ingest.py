@@ -36,6 +36,19 @@ parsed and checked one by one, so each error and its line are unchanged.
 At most `_PENDING_TEMPLATES` templates wait for their second witness; when
 that table is full, it is dropped and the rest of the file is parsed line
 by line, which bounds the cost on a log whose lines never repeat.
+
+`read_log` and `load_run` read an aggregated file in blocks.  The first
+line's layout (the order of its four keys, ":" or ": ", "," or ", ") gives
+one anchored pattern whose values are nonempty strings without quotes,
+backslashes or control characters, and integers of at most 18 digits
+without a leading zero, so a match reads as `json.loads` would.  A block
+of about `_AGG_BLOCK` characters, cut at a line end, is one findall; when
+every line matches, the rows fold straight into the counts, checked for
+n >= 1, 0 <= c <= n and a repeated task.  Any other block, and the rest of
+a block from a row that fails a check, is parsed line by line as
+`parse_records` does, with its true line numbers, so each error and its
+line are unchanged.  A file whose first line has no such layout, every
+per-completion log among them, goes to `parse_records` whole.
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
@@ -57,9 +71,10 @@ from .records import GoldAnswer, SampleRecord, TaskCounts
 FORMAT_NAME = "covertau-run-v2"
 _MANIFEST_KEYS = frozenset({"kind", "format", "run_id", "source_digests", "record_count", "verdict_source"})
 
-# optional sign, digits with optional fraction part (or bare ".5"), optional
-# exponent; no fraction bars, no thousands separators
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+# optional sign, ASCII digits with optional fraction part (or bare ".5"),
+# optional exponent; no fraction bars, no thousands separators, no other
+# script's digits
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 # an integer literal: sign, then ASCII digits after any leading zeros
 _INTEGER_RE = re.compile(r"([+-]?)0*([0-9]+)")
 _WS_RE = re.compile(r"\s+")
@@ -71,6 +86,18 @@ _TEMPLATE_RE = re.compile(r'"sample_index":( ?)(0|[1-9][0-9]{0,17})(?![0-9])')
 # rest of the file is parsed line by line
 _PENDING_TEMPLATES = 4096
 _DIGEST_CHUNK = 1 << 20
+# an aggregated line's string text (nonempty, no quote, backslash or control
+# character, so the text is the value) and integer, the values that the
+# layout path reads without json.loads, and each key's value captured
+_AGG_TEXT = r'[^"\\\x00-\x1f]+'
+_AGG_INT = r"0|[1-9][0-9]{0,17}"
+_AGG_FIELDS = {"model": f'"({_AGG_TEXT})"', "task": f'"({_AGG_TEXT})"', "n": f"({_AGG_INT})", "c": f"({_AGG_INT})"}
+_AGG_VALUE = f'(?:"{_AGG_TEXT}"|{_AGG_INT})'
+# the order of a line's four keys and its separators: ": " or ":", ", " or ","
+_LAYOUT_RE = re.compile(
+    rf'\{{"(\w+)"(: ?){_AGG_VALUE}(, ?)"(\w+)"\2{_AGG_VALUE}\3"(\w+)"\2{_AGG_VALUE}\3"(\w+)"\2{_AGG_VALUE}\}}'
+)
+_AGG_BLOCK = 1 << 16  # characters of an aggregated file folded per findall
 
 
 class ParseError(ValueError):
@@ -370,9 +397,9 @@ def normalize_answer(text: str) -> str:
 def parse_number(text: str) -> float | None:
     """Parse under the documented number grammar, else None.
 
-    Grammar: optional sign, decimal digits, optional fraction part, optional
-    exponent.  No fraction bars ("1/3") and no thousands separators; those
-    compare as plain text.
+    Grammar: optional sign, ASCII decimal digits, optional fraction part,
+    optional exponent.  No fraction bars ("1/3"), no thousands separators
+    and no digits of other scripts ("\u0663"); those compare as plain text.
     """
     if _NUMBER_RE.fullmatch(text):
         return float(text)
@@ -615,14 +642,19 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
             f"{path}:1: run_id does not match the sha256 of the lines after the manifest; "
             "the run file was changed after it was written"
         )
-    # split at "\n" alone, as a raw log is; the blank line in front stands in
-    # for the manifest, so parse_records skips it and numbers the body from 2
-    lines = ["", *_decode_utf8(memoryview(data)[cut:], source, 2).split("\n")]
-    del data  # peak memory: the body's lines, not the raw bytes too
-    counts = parse_records(lines, source).counts
-    if counts is None:
-        lineno = next(i for i, line in enumerate(lines, start=1) if line.strip())
-        raise ParseError(f"{path}:{lineno}: per-completion line; a run body holds aggregated (n, c) lines")
+    body = _decode_utf8(memoryview(data)[cut:], source, 2)
+    del data  # peak memory: the body's text, not the raw bytes too
+    layout = _layout(body)
+    if layout is not None:
+        counts = _read_aggregated(_text_blocks(body), layout, source, 2)
+    else:
+        # split at "\n" alone, as a raw log is; the blank line in front stands
+        # in for the manifest, so parse_records skips it and numbers the body from 2
+        lines = ["", *body.split("\n")]
+        counts = parse_records(lines, source).counts
+        if counts is None:
+            lineno = next(i for i, line in enumerate(lines, start=1) if line.strip())
+            raise ParseError(f"{path}:{lineno}: per-completion line; a run body holds aggregated (n, c) lines")
     manifest = _implied_manifest(counts, run_id, digests, verdict_source)
     record_count = head.get("record_count")
     # == takes JSON true and 1.0 for the integer 1, so the type is checked too
@@ -665,10 +697,112 @@ def decode_lines(fh: BinaryIO, source: str) -> Iterator[str]:
 
 
 def read_log(path: str | Path) -> ParsedLog:
-    """Parse a raw log from disk (per-completion or aggregated form)."""
+    """Parse a raw log from disk (per-completion or aggregated form).
+
+    A file whose first line has an aggregated layout is read in blocks by
+    `_read_aggregated`; any other file line by line by `parse_records`.
+    """
     path = Path(path)
+    source = str(path)
     with path.open("rb") as fh:
-        return parse_records(decode_lines(fh, str(path)), source=str(path))
+        layout = _layout(fh.readline().decode("utf-8", "replace"))
+        fh.seek(0)
+        if layout is None:
+            return parse_records(decode_lines(fh, source), source=source)
+        return ParsedLog(records=None, counts=_read_aggregated(_file_blocks(fh), layout, source, 1), source=source)
+
+
+def _layout(text: str) -> tuple[re.Pattern[str], itemgetter] | None:
+    """The layout of the aggregated line that starts `text`, or None: one
+    anchored MULTILINE pattern whose match is a line of that key order and
+    those separators with values that `json.loads` would read as the same
+    strings and ints, and a getter that puts a match's groups in
+    (model, task, n, c) order."""
+    m = _LAYOUT_RE.match(text)
+    if m is None or sorted(keys := m.group(1, 4, 5, 6)) != sorted(_AGG_FIELDS):
+        return None
+    colon, comma = m[2], m[3]
+    line = comma.join(f'"{key}"{colon}{_AGG_FIELDS[key]}' for key in keys)
+    return re.compile(rf"^\{{{line}\}}$", re.MULTILINE), itemgetter(*map(keys.index, _AGG_FIELDS))
+
+
+def _file_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """A binary stream in blocks of about `_AGG_BLOCK` bytes, each cut after a "\n"."""
+    while block := fh.read(_AGG_BLOCK):
+        yield block if block.endswith(b"\n") else block + fh.readline()
+
+
+def _text_blocks(text: str) -> Iterator[str]:
+    """`text` in blocks of about `_AGG_BLOCK` characters, each cut after a "\n"."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _AGG_BLOCK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _read_aggregated(
+    blocks: Iterable[str | bytes], layout: tuple[re.Pattern[str], itemgetter], source: str, lineno: int
+) -> dict[str, list[TaskCounts]]:
+    """Counts of an aggregated log given as blocks of whole lines, the first
+    line being line `lineno` of `source`.
+
+    A block whose lines all match the `layout` pattern, one findall, is
+    folded row by row; any other block, and the rest of a block from a row
+    that fails a check, goes through the checked per-line path, so every
+    error names the line and says what `parse_records` says.  A bytes block
+    that is not UTF-8 is decoded line by line on that path.
+    """
+    pattern, fields = layout
+    counts: dict[str, dict[str, TaskCounts]] = {}
+    for block in blocks:
+        if isinstance(block, bytes):
+            try:
+                block = str(block, "utf-8")
+            except UnicodeDecodeError:
+                # decoded line by line, the checked path raises at the first
+                # undecodable line or at an error on a line before it
+                decoded = (_decode_utf8(raw, source, i) for i, raw in enumerate(block.split(b"\n"), start=lineno))
+                _fold_checked(counts, decoded, lineno, source)
+                raise
+        breaks = block.count("\n")
+        lines = breaks + (not block.endswith("\n"))
+        rows = pattern.findall(block)
+        done = _fold_rows(counts, map(fields, rows)) if len(rows) == lines else 0
+        if done < lines:
+            _fold_checked(counts, block.split("\n")[done:], lineno + done, source)
+        lineno += breaks
+    return _sorted_counts(counts)
+
+
+def _fold_rows(counts: dict[str, dict[str, TaskCounts]], rows: Iterable[tuple[str, str, str, str]]) -> int:
+    """Fold (model, task, n, c) rows read by a layout pattern into `counts`
+    until one fails a check of `_add_aggregated`; the number folded.  The
+    checked path then reads the failing row's line and raises its error."""
+    model = per_model = None
+    done = 0
+    for name, task, n, c in rows:
+        if name != model:
+            model, per_model = name, counts.setdefault(name, {})
+        n, c = int(n), int(c)
+        if n < 1 or c > n or task in per_model:
+            break
+        per_model[task] = TaskCounts(task, n, c)
+        done += 1
+    return done
+
+
+def _fold_checked(
+    counts: dict[str, dict[str, TaskCounts]], lines: Iterable[str], lineno: int, source: str
+) -> None:
+    """Fold the lines of an aggregated file, the first being line `lineno`,
+    through `json.loads` and the checks of `parse_records`."""
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if line:
+            obj = _parse_json_line(line, lineno, source)
+            _line_kind(obj, "aggregated", lineno, source)
+            _add_aggregated(counts, obj, lineno, source)
 
 
 def is_run_file(path: str | Path) -> bool:

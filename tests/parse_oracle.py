@@ -2,11 +2,12 @@
 the checked path.
 
 This is the per-line fold that `covertau.ingest.parse_records` ran before it
-read repeated per-completion lines from trusted templates.  Each nonblank
-line is parsed, classified by `_line_kind` and read by `_sample_fields` (or
-`_add_aggregated`), then folded into its key's tally.  It is slow but has no
-shortcut, and the property tests require `parse_records` to agree with it on
-every tally and every error message.
+read repeated per-completion lines from trusted templates, and that
+`read_log` and `load_run` ran before they read aggregated lines in blocks.
+Each nonblank line is parsed, classified by `_line_kind` and read by
+`_sample_fields` (or `_add_aggregated`), then folded into its key's tally.
+It is slow but has no shortcut, and the property tests require all three
+readers to agree with it on every tally and every error message.
 """
 
 from __future__ import annotations

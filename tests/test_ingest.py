@@ -28,7 +28,7 @@ from covertau import (
 )
 from covertau import ingest
 from covertau.cli import main
-from covertau.ingest import SampleTally, digest_file, is_run_file, read_log, write_atomic
+from covertau.ingest import SampleTally, digest_file, is_run_file, parse_number, read_log, write_atomic
 
 F = Fraction
 
@@ -189,6 +189,17 @@ class TestGrade:
         assert grade(f" -{digits} ", f"-00{digits}")
         assert not grade(digits[:-1] + "8", digits)
         assert not grade(digits, "1.5")
+
+    def test_only_ascii_digits_are_numbers(self):
+        # Arabic-Indic, fullwidth and Devanagari digits are text, compared as text
+        assert not grade("\u0663", "3")
+        assert not grade("\u0663\u0663", "33")
+        assert not grade("\uff11.5", "1.5")
+        assert not grade("1e\u0969", "1000")
+        assert grade("\u0663", " \u0663 ")
+        assert parse_number("\u0663") is None
+        assert canonical_answer("\u0663") == "\u0663"
+        assert canonical_answer("\u0663\u0663") != canonical_answer("33")
 
     def test_an_integer_against_a_decimal_keeps_the_tolerance(self):
         assert grade("7", "7.0000000000001")
