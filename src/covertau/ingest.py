@@ -23,38 +23,29 @@ distinct (task, answer) once against gold.  `apply_grading` and
 `metrics.aggregate` do the same job record by record for in-memory
 `SampleRecord` lists.
 
-Lines that repeat are read from templates.  Once a file's kind is
-per-completion, each line is split at its first `"sample_index":`, at most
-one space and a JSON integer of at most 18 digits with no leading zero;
-the text around the digits is the line's template.  A template becomes
-trusted after two lines of it with different digits were each parsed by
-`json.loads` to the same line apart from sample_index, and each had its
-own digits as sample_index.  A later line of a trusted template takes the
-template's model, task, correct and answer and `int(digits)` without
-`json.loads`, then the same fold as every other line.  Every other line is
-parsed and checked one by one, so each error and its line are unchanged.
-At most `_PENDING_TEMPLATES` templates wait for their second witness; when
-that table is full, it is dropped and the rest of the file is parsed line
-by line, which bounds the cost on a log whose lines never repeat.
-
-`read_log` and `load_run` read an aggregated file in blocks.  The first
-line's layout (the order of its four keys, ":" or ": ", "," or ", ") gives
-one anchored pattern whose values are nonempty strings without quotes,
-backslashes or control characters, and integers of at most 18 digits
-without a leading zero, so a match reads as `json.loads` would.  A block
-of about `_AGG_BLOCK` characters, cut at a line end, is one findall; when
-every line matches, the rows fold straight into the counts, checked for
-n >= 1, 0 <= c <= n and a repeated task.  Any other block, and the rest of
-a block from a row that fails a check, is parsed line by line as
-`parse_records` does, with its true line numbers, so each error and its
-line are unchanged.  A file whose first line has no such layout, every
-per-completion log among them, goes to `parse_records` whole.
+`read_log` and `load_run` read a file, of either schema, in blocks of about
+`_BLOCK` bytes, each cut after a "\n".  A block's first line gives its
+layout: the order of its keys and its separators (":" or ": ", "," or
+", ").  The aggregated keys, and model, task and sample_index with correct,
+answer or both, each give one anchored pattern, cached per layout, whose
+values are names without quotes, backslashes or control characters
+(nonempty, but an answer may be empty), true or false, and integers of at
+most 18 digits without a leading zero, so a match reads as `json.loads`
+would.  When every line of the block matches, one findall gives its rows,
+which fold straight into the tallies or counts with the checks that the
+pattern cannot make: a repeated sample_index within a key, n >= 1, c <= n
+and a repeated task.  Any other block, and the rest of a block from
+a row that fails such a check, goes through the checked per-line fold of
+`parse_records`, with its true line numbers, so each error and its line
+are unchanged.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -78,26 +69,24 @@ _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]
 # an integer literal: sign, then ASCII digits after any leading zeros
 _INTEGER_RE = re.compile(r"([+-]?)0*([0-9]+)")
 _WS_RE = re.compile(r"\s+")
-# splits a per-completion line at its first "sample_index": key, at most one
-# space and a JSON integer of at most 18 digits: [text before the key, the
-# space or "", the digits, the rest of the line]
-_TEMPLATE_RE = re.compile(r'"sample_index":( ?)(0|[1-9][0-9]{0,17})(?![0-9])')
-# templates seen once and waiting for a second witness; past this many the
-# rest of the file is parsed line by line
-_PENDING_TEMPLATES = 4096
 _DIGEST_CHUNK = 1 << 20
-# an aggregated line's string text (nonempty, no quote, backslash or control
-# character, so the text is the value) and integer, the values that the
-# layout path reads without json.loads, and each key's value captured
-_AGG_TEXT = r'[^"\\\x00-\x1f]+'
-_AGG_INT = r"0|[1-9][0-9]{0,17}"
-_AGG_FIELDS = {"model": f'"({_AGG_TEXT})"', "task": f'"({_AGG_TEXT})"', "n": f"({_AGG_INT})", "c": f"({_AGG_INT})"}
-_AGG_VALUE = f'(?:"{_AGG_TEXT}"|{_AGG_INT})'
-# the order of a line's four keys and its separators: ": " or ":", ", " or ","
+# a name (nonempty; no quote, backslash or control character, so the text is
+# the value) and an integer, as the layout patterns read them without
+# json.loads, and each key's value captured; an answer may be empty
+_TEXT = r'[^"\\\x00-\x1f]'
+_INT = r"0|[1-9][0-9]{0,17}"
+_FIELDS = {"model": f'"({_TEXT}+)"', "task": f'"({_TEXT}+)"', "sample_index": f"({_INT})",
+           "correct": "(true|false)", "answer": f'"({_TEXT}*)"', "n": f"({_INT})", "c": f"({_INT})"}
+# the fields of a row, in the order the folds take them
+_SAMPLE_KEYS = ("model", "task", "sample_index", "correct", "answer")
+_AGG_KEYS = ("model", "task", "n", "c")
+_VALUE = f'(?:"{_TEXT}*"|{_INT}|true|false)'
+# the order of a line's four or five keys and its separators: ": " or ":", ", " or ","
 _LAYOUT_RE = re.compile(
-    rf'\{{"(\w+)"(: ?){_AGG_VALUE}(, ?)"(\w+)"\2{_AGG_VALUE}\3"(\w+)"\2{_AGG_VALUE}\3"(\w+)"\2{_AGG_VALUE}\}}'
+    rf'\{{"(\w+)"(: ?){_VALUE}(, ?)"(\w+)"\2{_VALUE}\3"(\w+)"\2{_VALUE}\3"(\w+)"\2{_VALUE}'
+    rf'(?:\3"(\w+)"\2{_VALUE})?\}}'
 )
-_AGG_BLOCK = 1 << 16  # characters of an aggregated file folded per findall
+_BLOCK = 1 << 16  # bytes of a file folded per findall
 
 
 class ParseError(ValueError):
@@ -160,62 +149,49 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
     mixing the two in one file is rejected.  Blank lines are ignored.
     Per-completion lines are folded into per-(model, task) tallies as they
     are read; a repeated sample_index within a key is rejected on its line.
-    Lines of a trusted template (see the module docstring) skip json.loads.
     Every failure names the 1-based line number.
     """
     tallies: dict[tuple[str, str], SampleTally] = {}
     counts: dict[str, dict[str, TaskCounts]] = {}
-    kind: str | None = None
+    return _parsed(_fold_lines(tallies, counts, lines, 1, None, source), tallies, counts, source)
+
+
+def _fold_lines(tallies: dict[tuple[str, str], SampleTally], counts: dict[str, dict[str, TaskCounts]],
+                lines: Iterable[str], lineno: int, kind: str | None, source: str) -> str | None:
+    """Fold `lines`, the first being line `lineno` of `source` and `kind`
+    the schema of the lines before them, into the `tallies` of a
+    per-completion log or the `counts` of an aggregated one, each line
+    through `json.loads` and the checks; the schema after them."""
     last_key: tuple[str, str] | None = None
     loads = json.loads
-    # a template is a line's text around its sample_index digits; it maps to
-    # the line's (model, task, correct, answer) once trusted, and to its first
-    # witness, (digits, the line parsed without sample_index), while pending
-    trusted: dict[tuple[str, str, str], tuple[str, str, bool | None, str | None]] = {}
-    pending: dict[tuple[str, str, str], tuple[str, dict]] | None = {}
-    split = None  # _TEMPLATE_RE.split once the file's kind is "samples"
-    for lineno, raw in enumerate(lines, start=1):
-        hit = template = None
-        if split is not None and len(parts := split(raw, 1)) == 4:
-            head, space, digits, tail = parts
-            template = (head, space, tail)
-            hit = trusted.get(template)
-        if hit is not None:
-            model, task, correct, answer = hit
-            index = int(digits)
-        else:
-            try:
-                obj = loads(raw)
-            except (ValueError, RecursionError):
-                # JSON whitespace is a subset of str.strip's: blank lines and
-                # bad JSON both land here, and bad JSON is reported as before
-                line = raw.strip()
-                if not line:
-                    continue
-                obj = _parse_json_line(line, lineno, source)
-            # Fast path: a well-formed per-completion line in a per-completion
-            # log.  Anything else takes the checked path, which classifies the
-            # line and raises the error that names it.
-            ok = False
-            if (kind == "samples" and type(obj) is dict and "sample_index" in obj
-                    and not ("n" in obj or "c" in obj or "kind" in obj)):
-                model, task, index = obj.get("model"), obj.get("task"), obj["sample_index"]
-                correct, answer = obj.get("correct"), obj.get("answer")
-                ok = (type(model) is str and model and type(task) is str and task
-                      and type(index) is int and index >= 0
-                      and (answer is None or type(answer) is str)
-                      and (correct is True or correct is False or answer is not None and correct is None))
-            if not ok:
-                kind = _line_kind(obj, kind, lineno, source)
-                if kind == "aggregated":
-                    _add_aggregated(counts, obj, lineno, source)
-                    continue
-                model, task, index, correct, answer = _sample_fields(obj, lineno, source)
-                if pending is not None:
-                    split = _TEMPLATE_RE.split
-            if template is not None and not _witness(pending, trusted, template, digits, obj, index,
-                                                     (model, task, correct, answer)):
-                pending = split = None  # too many distinct lines: parse the rest one by one
+    for lineno, raw in enumerate(lines, start=lineno):
+        try:
+            obj = loads(raw)
+        except (ValueError, RecursionError):
+            # JSON whitespace is a subset of str.strip's: blank lines and
+            # bad JSON both land here, and bad JSON is reported as before
+            line = raw.strip()
+            if not line:
+                continue
+            obj = _parse_json_line(line, lineno, source)
+        # Fast path: a well-formed per-completion line in a per-completion
+        # log.  Anything else takes the checked path, which classifies the
+        # line and raises the error that names it.
+        ok = False
+        if (kind == "samples" and type(obj) is dict and "sample_index" in obj
+                and not ("n" in obj or "c" in obj or "kind" in obj)):
+            model, task, index = obj.get("model"), obj.get("task"), obj["sample_index"]
+            correct, answer = obj.get("correct"), obj.get("answer")
+            ok = (type(model) is str and model and type(task) is str and task
+                  and type(index) is int and index >= 0
+                  and (answer is None or type(answer) is str)
+                  and (correct is True or correct is False or answer is not None and correct is None))
+        if not ok:
+            kind = _line_kind(obj, kind, lineno, source)
+            if kind == "aggregated":
+                _add_aggregated(counts, obj, lineno, source)
+                continue
+            model, task, index, correct, answer = _sample_fields(obj, lineno, source)
         key = (model, task)
         if key != last_key:
             tally = tallies.get(key)
@@ -235,43 +211,17 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
         else:
             tally.n += 1
             tally.c += correct
+    return kind
+
+
+def _parsed(kind: str | None, tallies: dict[tuple[str, str], SampleTally],
+            counts: dict[str, dict[str, TaskCounts]], source: str) -> ParsedLog:
+    """The ParsedLog of a file of schema `kind` folded into `tallies` or `counts`."""
     if kind is None:
         raise ParseError(f"{source}: no records found")
     if kind == "samples":
         return ParsedLog(records=tallies, counts=None, source=source)
     return ParsedLog(records=None, counts=_sorted_counts(counts), source=source)
-
-
-def _witness(
-    pending: dict[tuple[str, str, str], tuple[str, dict]],
-    trusted: dict[tuple[str, str, str], tuple[str, str, bool | None, str | None]],
-    template: tuple[str, str, str],
-    digits: str,
-    obj: dict,
-    index: int,
-    fields: tuple[str, str, bool | None, str | None],
-) -> bool:
-    """Count `obj`, a per-completion line parsed with json.loads, as a witness
-    of its template, the line's text around its sample_index `digits`.
-
-    The line is a witness only if its sample_index is its own digits.  The
-    first witness waits in `pending`; a second one with other digits and
-    the same line apart from sample_index makes the template trusted, with
-    `fields` as every line of it parses to.  Returns False, and records
-    nothing, when `pending` is full.
-    """
-    if index != int(digits):
-        return True
-    del obj["sample_index"]
-    first = pending.get(template)
-    if first is None:
-        if len(pending) >= _PENDING_TEMPLATES:
-            return False
-        pending[template] = (digits, obj)
-    elif first[0] != digits and first[1] == obj:
-        del pending[template]
-        trusted[template] = fields
-    return True
 
 
 def _sorted_counts(per_model: Mapping[str, Mapping[str, TaskCounts]]) -> dict[str, list[TaskCounts]]:
@@ -614,9 +564,9 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
 
     The body (every byte after the manifest line) must hash to the
     manifest's run_id, so a run file edited after it was written is
-    rejected rather than loaded under a stale id.  `parse_records` then
-    reads the body as an aggregated log whose lines are numbered from 2,
-    and their total n must be the manifest's record_count.
+    rejected rather than loaded under a stale id.  The body is then read as
+    `read_log` reads a raw log, its lines numbered from 2, and their total
+    n must be the manifest's record_count.
     """
     path = Path(path)
     source = str(path)
@@ -642,19 +592,14 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]
             f"{path}:1: run_id does not match the sha256 of the lines after the manifest; "
             "the run file was changed after it was written"
         )
-    body = _decode_utf8(memoryview(data)[cut:], source, 2)
-    del data  # peak memory: the body's text, not the raw bytes too
-    layout = _layout(body)
-    if layout is not None:
-        counts = _read_aggregated(_text_blocks(body), layout, source, 2)
-    else:
-        # split at "\n" alone, as a raw log is; the blank line in front stands
-        # in for the manifest, so parse_records skips it and numbers the body from 2
-        lines = ["", *body.split("\n")]
-        counts = parse_records(lines, source).counts
-        if counts is None:
-            lineno = next(i for i, line in enumerate(lines, start=1) if line.strip())
-            raise ParseError(f"{path}:{lineno}: per-completion line; a run body holds aggregated (n, c) lines")
+    body = io.BytesIO(data)
+    body.seek(cut)
+    counts = _read_blocks(body, source, 2).counts
+    if counts is None:
+        # every line decoded, and the first nonblank one is per-completion
+        body.seek(cut)
+        lineno = next(i for i, line in enumerate(body, start=2) if line.decode("utf-8").strip())
+        raise ParseError(f"{path}:{lineno}: per-completion line; a run body holds aggregated (n, c) lines")
     manifest = _implied_manifest(counts, run_id, digests, verdict_source)
     record_count = head.get("record_count")
     # == takes JSON true and 1.0 for the integer 1, so the type is checked too
@@ -697,112 +642,121 @@ def decode_lines(fh: BinaryIO, source: str) -> Iterator[str]:
 
 
 def read_log(path: str | Path) -> ParsedLog:
-    """Parse a raw log from disk (per-completion or aggregated form).
-
-    A file whose first line has an aggregated layout is read in blocks by
-    `_read_aggregated`; any other file line by line by `parse_records`.
-    """
+    """Parse a raw log from disk (per-completion or aggregated form) in
+    blocks, by `_read_blocks`."""
     path = Path(path)
-    source = str(path)
     with path.open("rb") as fh:
-        layout = _layout(fh.readline().decode("utf-8", "replace"))
-        fh.seek(0)
-        if layout is None:
-            return parse_records(decode_lines(fh, source), source=source)
-        return ParsedLog(records=None, counts=_read_aggregated(_file_blocks(fh), layout, source, 1), source=source)
+        return _read_blocks(fh, str(path), 1)
 
 
-def _layout(text: str) -> tuple[re.Pattern[str], itemgetter] | None:
-    """The layout of the aggregated line that starts `text`, or None: one
-    anchored MULTILINE pattern whose match is a line of that key order and
-    those separators with values that `json.loads` would read as the same
-    strings and ints, and a getter that puts a match's groups in
-    (model, task, n, c) order."""
-    m = _LAYOUT_RE.match(text)
-    if m is None or sorted(keys := m.group(1, 4, 5, 6)) != sorted(_AGG_FIELDS):
-        return None
-    colon, comma = m[2], m[3]
-    line = comma.join(f'"{key}"{colon}{_AGG_FIELDS[key]}' for key in keys)
-    return re.compile(rf"^\{{{line}\}}$", re.MULTILINE), itemgetter(*map(keys.index, _AGG_FIELDS))
-
-
-def _file_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """A binary stream in blocks of about `_AGG_BLOCK` bytes, each cut after a "\n"."""
-    while block := fh.read(_AGG_BLOCK):
-        yield block if block.endswith(b"\n") else block + fh.readline()
-
-
-def _text_blocks(text: str) -> Iterator[str]:
-    """`text` in blocks of about `_AGG_BLOCK` characters, each cut after a "\n"."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _AGG_BLOCK) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
-def _read_aggregated(
-    blocks: Iterable[str | bytes], layout: tuple[re.Pattern[str], itemgetter], source: str, lineno: int
-) -> dict[str, list[TaskCounts]]:
-    """Counts of an aggregated log given as blocks of whole lines, the first
-    line being line `lineno` of `source`.
-
-    A block whose lines all match the `layout` pattern, one findall, is
-    folded row by row; any other block, and the rest of a block from a row
-    that fails a check, goes through the checked per-line path, so every
-    error names the line and says what `parse_records` says.  A bytes block
-    that is not UTF-8 is decoded line by line on that path.
-    """
-    pattern, fields = layout
+def _read_blocks(fh: BinaryIO, source: str, lineno: int) -> ParsedLog:
+    """Parse the rest of a binary stream, its first line being line `lineno`
+    of `source`, in blocks of about `_BLOCK` bytes, each cut after a "\n".
+    A block whose lines all match the layout of its first line is folded
+    row by row; any other block, and the rest of a block from a row that
+    fails a check, goes through `_fold_lines`, which also decodes a block
+    that is not UTF-8 line by line."""
+    tallies: dict[tuple[str, str], SampleTally] = {}
     counts: dict[str, dict[str, TaskCounts]] = {}
-    for block in blocks:
-        if isinstance(block, bytes):
-            try:
-                block = str(block, "utf-8")
-            except UnicodeDecodeError:
-                # decoded line by line, the checked path raises at the first
-                # undecodable line or at an error on a line before it
-                decoded = (_decode_utf8(raw, source, i) for i, raw in enumerate(block.split(b"\n"), start=lineno))
-                _fold_checked(counts, decoded, lineno, source)
-                raise
-        breaks = block.count("\n")
-        lines = breaks + (not block.endswith("\n"))
-        rows = pattern.findall(block)
-        done = _fold_rows(counts, map(fields, rows)) if len(rows) == lines else 0
+    kind = None
+    while block := fh.read(_BLOCK):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+        try:
+            text = str(block, "utf-8")
+        except UnicodeDecodeError:
+            # decoded line by line, the checked fold raises at the first
+            # undecodable line or at an error on a line before it
+            decoded = (_decode_utf8(raw, source, i) for i, raw in enumerate(block.split(b"\n"), start=lineno))
+            _fold_lines(tallies, counts, decoded, lineno, kind, source)
+            raise
+        breaks = text.count("\n")
+        lines = breaks + (not text.endswith("\n"))
+        done = 0
+        layout = _layout(text)
+        if layout is not None:
+            pattern, fields, schema = layout
+            if kind in (None, schema) and len(rows := pattern.findall(text)) == lines:
+                kind = schema
+                if schema == "samples":
+                    done = _fold_samples(tallies, rows, fields, lineno)
+                else:
+                    done = _fold_rows(counts, rows, fields)
         if done < lines:
-            _fold_checked(counts, block.split("\n")[done:], lineno + done, source)
+            kind = _fold_lines(tallies, counts, text.split("\n")[done:lines], lineno + done, kind, source)
         lineno += breaks
-    return _sorted_counts(counts)
+    return _parsed(kind, tallies, counts, source)
 
 
-def _fold_rows(counts: dict[str, dict[str, TaskCounts]], rows: Iterable[tuple[str, str, str, str]]) -> int:
-    """Fold (model, task, n, c) rows read by a layout pattern into `counts`
-    until one fails a check of `_add_aggregated`; the number folded.  The
-    checked path then reads the failing row's line and raises its error."""
+def _layout(text: str) -> tuple[re.Pattern[str], itemgetter, str] | None:
+    """The layout of the line that starts `text`, or None."""
+    m = _LAYOUT_RE.match(text)
+    return None if m is None else _compile_layout(m.group(1, 4, 5, 6, 7), m[2], m[3])
+
+
+@functools.lru_cache
+def _compile_layout(
+    keys: tuple[str | None, ...], colon: str, comma: str
+) -> tuple[re.Pattern[str], itemgetter, str] | None:
+    """The layout of lines with `keys` in this order and these separators,
+    or None if they are not a schema's keys: an anchored MULTILINE pattern
+    whose match is such a line with values that `json.loads` reads as the
+    same strings, bools and ints, and an empty group for an absent
+    optional key; a getter of a match's groups in `_SAMPLE_KEYS` or
+    `_AGG_KEYS` order; and the schema."""
+    keys = tuple(key for key in keys if key)
+    fields = _AGG_KEYS if "n" in keys else _SAMPLE_KEYS
+    missing = tuple(key for key in fields if key not in keys)
+    if sorted(keys + missing) != sorted(fields) or missing not in ((), ("correct",), ("answer",)):
+        return None
+    line = comma.join(f'"{key}"{colon}{_FIELDS[key]}' for key in keys)
+    pattern = re.compile(rf"^\{{{line}\}}{'()' * len(missing)}$", re.MULTILINE)
+    getter = itemgetter(*map((keys + missing).index, fields))
+    return pattern, getter, "aggregated" if fields is _AGG_KEYS else "samples"
+
+
+def _fold_samples(tallies: dict[tuple[str, str], SampleTally], rows: list[tuple[str, ...]], fields: itemgetter,
+                  lineno: int) -> int:
+    """Fold the rows a layout pattern read, the first being line `lineno`,
+    into `tallies` until one repeats a sample_index of its key, whose line
+    the checked fold then reads; the number folded.  `fields` gives a row's
+    (model, task, sample_index, correct, answer), correct being "" when the
+    line has none."""
+    last_key = None
+    for done, (model, task, index, correct, answer) in enumerate(map(fields, rows)):
+        key = (model, task)
+        if key != last_key:
+            tally = tallies.get(key)
+            if tally is None:
+                tally = tallies[key] = SampleTally()
+            last_key, seen, answers = key, tally.seen, tally.answers
+        index = int(index)
+        if index in seen:
+            return done
+        seen.add(index)
+        if correct:
+            tally.n += 1
+            tally.c += correct == "true"
+        else:
+            answers[answer] += 1
+            if tally.first_ungraded is None:
+                tally.first_ungraded = (lineno + done, index)
+    return len(rows)
+
+
+def _fold_rows(counts: dict[str, dict[str, TaskCounts]], rows: list[tuple[str, ...]], fields: itemgetter) -> int:
+    """Fold the rows a layout pattern read into `counts` until one fails a
+    check of `_add_aggregated`, whose line the checked fold then reads; the
+    number folded.  `fields` gives a row's (model, task, n, c)."""
     model = per_model = None
-    done = 0
-    for name, task, n, c in rows:
+    for done, (name, task, n, c) in enumerate(map(fields, rows)):
         if name != model:
             model, per_model = name, counts.setdefault(name, {})
         n, c = int(n), int(c)
         if n < 1 or c > n or task in per_model:
-            break
+            return done
         per_model[task] = TaskCounts(task, n, c)
-        done += 1
-    return done
-
-
-def _fold_checked(
-    counts: dict[str, dict[str, TaskCounts]], lines: Iterable[str], lineno: int, source: str
-) -> None:
-    """Fold the lines of an aggregated file, the first being line `lineno`,
-    through `json.loads` and the checks of `parse_records`."""
-    for lineno, raw in enumerate(lines, start=lineno):
-        line = raw.strip()
-        if line:
-            obj = _parse_json_line(line, lineno, source)
-            _line_kind(obj, "aggregated", lineno, source)
-            _add_aggregated(counts, obj, lineno, source)
+    return len(rows)
 
 
 def is_run_file(path: str | Path) -> bool:

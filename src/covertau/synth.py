@@ -15,10 +15,10 @@ Two canned regimes:
     hides opposite breadth/consistency trade-offs.
 
 Logs are written column-wise: `guesser_log` and `completions_log` turn
-each task's draw column straight into canonical JSON lines (one prebuilt
-prefix per possible draw value, then the sample index and a per-task
-suffix) and yield one chunk per task, so a log of any length is streamed
-with one task's column in memory.  `simulate_guesser`,
+each task's draw column straight into canonical JSON lines (one prefix per
+draw value, built when the value is first drawn, then the sample index and
+a per-task suffix) and yield one chunk per task, so a log of any length is
+streamed with one task's column in memory.  `simulate_guesser`,
 `simulate_completions` and `records_to_jsonl` build on the same draws and
 give the same bytes through `SampleRecord`s; they are the record-level API
 and the emitters' test oracle.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .records import RationalLike, SampleRecord, SuccessProfile, as_unit_rational
 
@@ -219,29 +219,32 @@ def records_to_jsonl(records: Sequence[SampleRecord]) -> str:
 
 
 def _jsonl_chunks(
-    model: str, draws: Iterable[tuple[str, np.ndarray]], fields: Sequence[str]
+    model: str, draws: Iterable[tuple[str, np.ndarray]], fields: Callable[[int], str]
 ) -> Iterator[str]:
     """One chunk of canonical-JSON lines per task, the bytes of
-    `records_to_jsonl`.  `fields[v]` holds the fields that sort before
+    `records_to_jsonl`.  `fields(v)` holds the fields that sort before
     "model" for draw value v; the keys sort as answer, correct, model,
-    sample_index, task, so a line is prefix[v] + index + task suffix."""
+    sample_index, task, so a line is prefix[v] + index + task suffix.  A
+    value's prefix is built when it is first drawn."""
     head = f',"model":{json.dumps(model)},"sample_index":'
-    prefixes = ["{" + f + head for f in fields]
+    prefixes: dict[int, str] = {}
     for task, column in draws:
+        values = column.tolist()
+        for v in set(values).difference(prefixes):
+            prefixes[v] = "{" + fields(v) + head
         suffix = f',"task":{json.dumps(task)}}}\n'
-        yield "".join([prefixes[v] + str(j) + suffix for j, v in enumerate(column.tolist())])
+        yield "".join([prefixes[v] + str(j) + suffix for j, v in enumerate(values)])
 
 
 def completions_log(profile: SuccessProfile, trials: int, seed: int) -> Iterator[str]:
     """`records_to_jsonl(simulate_completions(profile, trials, seed))`, one
     chunk per task, with no record objects."""
     return _jsonl_chunks(profile.model, _completion_draws(profile, trials, seed),
-                         ['"correct":false', '"correct":true'])
+                         lambda hit: f'"correct":{json.dumps(hit)}')
 
 
 def guesser_log(spec: GuesserSpec) -> Iterator[str]:
     """`records_to_jsonl(simulate_guesser(spec)[1])`, one chunk per task,
     with no record objects."""
-    fields = [f'"answer":{json.dumps(str(g))},"correct":{json.dumps(g == 0)}'
-              for g in range(spec.support_size)]
-    return _jsonl_chunks(spec.model, _guesser_draws(spec), fields)
+    return _jsonl_chunks(spec.model, _guesser_draws(spec),
+                         lambda g: f'"answer":{json.dumps(str(g))},"correct":{json.dumps(g == 0)}')

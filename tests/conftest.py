@@ -1,3 +1,6 @@
+import json
+from collections import Counter
+
 import pytest
 
 
@@ -12,3 +15,17 @@ def pytest_runtest_makereport(item, call):
     terminal = item.config.pluginmanager.get_plugin("terminalreporter")
     if terminal is not None:
         terminal.write_line(f"[acceptance] {status} {item.name}")
+
+
+@pytest.fixture
+def loads_calls(monkeypatch):
+    """A Counter whose "loads" counts the `json.loads` calls."""
+    calls = Counter()
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        calls["loads"] += 1
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    return calls

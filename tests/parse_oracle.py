@@ -1,29 +1,35 @@
 """Reference parse of a completion log: every line through `json.loads` and
 the checked path.
 
-This is the per-line fold that `covertau.ingest.parse_records` ran before it
-read repeated per-completion lines from trusted templates, and that
-`read_log` and `load_run` ran before they read aggregated lines in blocks.
-Each nonblank line is parsed, classified by `_line_kind` and read by
-`_sample_fields` (or `_add_aggregated`), then folded into its key's tally.
-It is slow but has no shortcut, and the property tests require all three
+`covertau.ingest.read_log` and `load_run` read a file of either schema in
+blocks, and fold a block whose lines all match the layout of its first
+line without `json.loads`.  This module keeps the per-line fold they ran
+before: each nonblank line is parsed, classified by `_line_kind` and read
+by `_sample_fields` (or `_add_aggregated`), then folded into its key's
+tally.  It is slow but has no shortcut, and the property tests require the
 readers to agree with it on every tally and every error message.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
 from typing import Iterable
 
 from covertau.ingest import (
     ParsedLog,
     ParseError,
     SampleTally,
+    TaskCounts,
     _add_aggregated,
     _line_kind,
     _parse_json_line,
     _sample_fields,
     _sorted_counts,
 )
+
+MANIFEST = {"kind": "manifest", "format": "covertau-run-v2", "source_digests": {}, "verdict_source": "aggregated"}
 
 
 def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
@@ -59,3 +65,31 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
     if kind == "samples":
         return ParsedLog(records=tallies, counts=None, source=source)
     return ParsedLog(records=None, counts=_sorted_counts(counts), source=source)
+
+
+def read_log(path: Path) -> ParsedLog:
+    """What `read_log` gives for a file of valid UTF-8: its lines, split at
+    "\\n" only, through `parse_records`."""
+    return parse_records(path.read_bytes().decode("utf-8").split("\n"), str(path))
+
+
+def load_run(path: Path, body: str, record_count: int) -> dict[str, list[TaskCounts]]:
+    """What `load_run` gives for a run file whose body is `body` and whose
+    run_id is right: the body numbered from line 2, then the per-completion
+    and record_count checks."""
+    source = str(path)
+    lines = ["", *body.split("\n")]
+    parsed = parse_records(lines, source)
+    if parsed.counts is None:
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.strip())
+        raise ParseError(f"{source}:{lineno}: per-completion line; a run body holds aggregated (n, c) lines")
+    if record_count != sum(tc.n for tcs in parsed.counts.values() for tc in tcs):
+        raise ParseError(f"{source}:1: field 'record_count' must be what the lines after the manifest imply")
+    return parsed.counts
+
+
+def write_run(path: Path, body: str, record_count: int) -> None:
+    """A run file of `body` under a manifest whose run_id is the body's sha256."""
+    data = body.encode("utf-8")
+    head = dict(MANIFEST, run_id=hashlib.sha256(data).hexdigest(), record_count=record_count)
+    path.write_bytes(json.dumps(head).encode() + b"\n" + data)

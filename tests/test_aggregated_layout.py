@@ -1,18 +1,16 @@
 """`read_log` and `load_run` read aggregated lines in blocks, one layout
-pattern per file.
+pattern per block.
 
-The layout is the first line's key order and separators.  A block whose
-lines all match it is folded without `json.loads`; every other block takes
-the checked per-line path.  These tests hold both readers to the checked
+The layout is the key order and separators of a block's first line.  A
+block whose lines all match it is folded without `json.loads`; every other
+block takes the checked per-line path.  These tests hold both readers to the checked
 per-line parse in `parse_oracle` (counts and error messages alike), cross
 block boundaries with small blocks and with the real size, and count the
 `json.loads` calls.
 """
 
-import hashlib
 import json
 import tempfile
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -40,7 +38,6 @@ OTHER_LINES = ("", " ", "\t", "\r", "\x0c", "[1]", "7", '"s"', "{", '{"model":"m
                '{"model":"m","task":"s","sample_index":0,"correct":true}',
                '{"kind":"manifest","format":"covertau-run-v2"}',
                '{"model":"m","task":"t","n":1,"c":0,"sample_index":0}')
-MANIFEST = {"kind": "manifest", "format": "covertau-run-v2", "source_digests": {}, "verdict_source": "aggregated"}
 
 names = st.sampled_from(NAMES) | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
 
@@ -124,31 +121,6 @@ def outcome(read, *args):
         return str(exc)
 
 
-def oracle_log(path):
-    return parse_oracle.parse_records(path.read_bytes().decode("utf-8").split("\n"), str(path))
-
-
-def oracle_run(path, body, record_count):
-    """What `load_run` gives for a run file whose body is `body`: the body
-    numbered from line 2, then the per-completion and record_count checks."""
-    source = str(path)
-    lines = ["", *body.split("\n")]
-    parsed = parse_oracle.parse_records(lines, source)
-    if parsed.counts is None:
-        lineno = next(i for i, line in enumerate(lines, start=1) if line.strip())
-        raise ParseError(f"{source}:{lineno}: per-completion line; a run body holds aggregated (n, c) lines")
-    if record_count != sum(tc.n for tcs in parsed.counts.values() for tc in tcs):
-        raise ParseError(f"{source}:1: field 'record_count' must be what the lines after the manifest imply")
-    return parsed.counts
-
-
-def write_run(path, body, record_count):
-    """A run file of `body` under a manifest whose run_id is the body's sha256."""
-    data = body.encode("utf-8")
-    head = dict(MANIFEST, run_id=hashlib.sha256(data).hexdigest(), record_count=record_count)
-    path.write_bytes(json.dumps(head).encode() + b"\n" + data)
-
-
 def total_n(result):
     if isinstance(result, str) or result.counts is None:
         return 0
@@ -156,15 +128,15 @@ def total_n(result):
 
 
 @settings(max_examples=300, deadline=None)
-@given(aggregated_texts(), st.sampled_from((1, 40, 300, ingest._AGG_BLOCK)), st.booleans())
+@given(aggregated_texts(), st.sampled_from((1, 40, 300, ingest._BLOCK)), st.booleans())
 def test_read_log_and_load_run_match_the_checked_parse(text, block, wrong_count):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_AGG_BLOCK", block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_BLOCK", block):
         log, run = Path(tmp) / "log.jsonl", Path(tmp) / "run.jsonl"
         log.write_bytes(text.encode("utf-8"))
-        assert outcome(read_log, log) == outcome(oracle_log, log)
-        record_count = total_n(outcome(oracle_log, log)) + wrong_count
-        write_run(run, text, record_count)
-        assert outcome(lambda: load_run(run)[1]) == outcome(oracle_run, run, text, record_count)
+        assert outcome(read_log, log) == outcome(parse_oracle.read_log, log)
+        record_count = total_n(outcome(parse_oracle.read_log, log)) + wrong_count
+        parse_oracle.write_run(run, text, record_count)
+        assert outcome(lambda: load_run(run)[1]) == outcome(parse_oracle.load_run, run, text, record_count)
 
 
 def one_fault_lines():
@@ -184,10 +156,10 @@ def test_one_odd_line_reads_as_the_checked_parse(tmp_path, line):
     text = '{"model":"m","task":"t0","n":4,"c":1}\n' + line + '\n{"model":"m","task":"t2","n":4,"c":3}\n'
     log, run = tmp_path / "log.jsonl", tmp_path / "run.jsonl"
     log.write_text(text, encoding="utf-8")
-    assert outcome(read_log, log) == outcome(oracle_log, log)
-    record_count = total_n(outcome(oracle_log, log))
-    write_run(run, text, record_count)
-    assert outcome(lambda: load_run(run)[1]) == outcome(oracle_run, run, text, record_count)
+    assert outcome(read_log, log) == outcome(parse_oracle.read_log, log)
+    record_count = total_n(outcome(parse_oracle.read_log, log))
+    parse_oracle.write_run(run, text, record_count)
+    assert outcome(lambda: load_run(run)[1]) == outcome(parse_oracle.load_run, run, text, record_count)
 
 
 def matrix_lines(models=4, tasks=1000):
@@ -204,19 +176,19 @@ def matrix_lines(models=4, tasks=1000):
 def test_a_bad_line_across_a_block_boundary_is_named(tmp_path, bad):
     lines = matrix_lines()
     # the line that holds the first block's nominal end; bad is a line of its model
-    at = next(i for i in range(len(lines)) if len("".join(lines[: i + 1])) > ingest._AGG_BLOCK)
+    at = next(i for i in range(len(lines)) if len("".join(lines[: i + 1])) > ingest._BLOCK)
     model = json.loads(lines[at])["model"]
-    assert at % 1000 > 1 and len("".join(lines)) > 2 * ingest._AGG_BLOCK
+    assert at % 1000 > 1 and len("".join(lines)) > 2 * ingest._BLOCK
     bad %= model
     lines[at] = bad + "\n"
     text = "".join(lines)
     log = tmp_path / "log.jsonl"
     log.write_text(text, encoding="utf-8")
-    expected = outcome(oracle_log, log)
+    expected = outcome(parse_oracle.read_log, log)
     assert expected.startswith(f"{log}:{at + 1}: ") and outcome(read_log, log) == expected
     run = tmp_path / "run.jsonl"
-    write_run(run, text, 0)
-    expected = outcome(oracle_run, run, text, 0)
+    parse_oracle.write_run(run, text, 0)
+    expected = outcome(parse_oracle.load_run, run, text, 0)
     assert expected.startswith(f"{run}:{at + 2}: ") and outcome(lambda: load_run(run)[1]) == expected
 
 
@@ -236,21 +208,7 @@ def test_undecodable_line_in_a_later_block_is_named_after_earlier_errors(tmp_pat
 def test_a_large_file_reads_as_the_checked_parse(tmp_path):
     log = tmp_path / "log.jsonl"
     log.write_text("".join(matrix_lines(models=6)), encoding="utf-8")
-    assert read_log(log) == oracle_log(log)
-
-
-@pytest.fixture
-def loads_calls(monkeypatch):
-    """A Counter whose "loads" counts the `json.loads` calls."""
-    calls = Counter()
-    loads = json.loads
-
-    def counting_loads(text, *args, **kwargs):
-        calls["loads"] += 1
-        return loads(text, *args, **kwargs)
-
-    monkeypatch.setattr(json, "loads", counting_loads)
-    return calls
+    assert read_log(log) == parse_oracle.read_log(log)
 
 
 def test_a_canonical_run_body_is_read_without_json_loads(tmp_path, loads_calls):
@@ -269,20 +227,7 @@ def test_a_raw_log_of_one_layout_is_read_without_json_loads(tmp_path, loads_call
     log = tmp_path / "log.jsonl"
     log.write_text("".join(json.dumps({key: row[key] for key in order}, separators=separators) + "\n"
                            for row in rows), encoding="utf-8")
-    expected = oracle_log(log)
+    expected = parse_oracle.read_log(log)
     loads_calls.clear()
     assert read_log(log) == expected
     assert loads_calls["loads"] == 0
-
-
-@pytest.mark.parametrize("templates", [1, 7, 300])
-def test_per_completion_logs_keep_their_json_loads_count(tmp_path, loads_calls, templates):
-    log = tmp_path / "log.jsonl"
-    log.write_text("".join(
-        json.dumps({"model": f"m{j % templates % 3}", "task": f"t{j % templates}", "sample_index": j,
-                    "answer": f"a{j % templates % 5}"}) + "\n"
-        for j in range(10_000)), encoding="utf-8")
-    expected = oracle_log(log)
-    loads_calls.clear()
-    assert read_log(log) == expected
-    assert loads_calls["loads"] <= 2 * templates + 1

@@ -1,11 +1,12 @@
-"""Mutated aggregated logs and run files never give a traceback.
+"""Mutated logs, gold files and run files never give a traceback.
 
-Each example mutates a valid aggregated log, or the body (and sometimes the
-manifest line) of a valid run file whose run_id is then mostly rehashed,
-and runs one of `ingest`, `compute`, `curves` and `dominance` through
-`main` in process.  `main` must return 0 or 2 without raising.  When the
-command's reader rejects the file, stderr must be that error alone, and it
-must name the file and the line.
+Each example mutates a valid aggregated log, a valid per-completion log
+(flagged, or graded against a valid gold file), a valid gold file, or the
+body (and sometimes the manifest line) of a valid run file whose run_id is
+then mostly rehashed, and runs one of `ingest`, `compute`, `curves` and
+`dominance` through `main` in process.  `main` must return 0 or 2 without
+raising.  When the command's readers reject a file, stderr must be that
+error alone, and it must name the file and the line.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import parse_oracle
 from covertau import ParseError, TaskCounts, build_manifest, load_run, persist_run
 from covertau.cli import main
-from covertau.ingest import is_run_file, read_log
+from covertau.ingest import decode_lines, is_run_file, parse_gold, read_log
 
 COUNTS = {
     "m1": [TaskCounts("t1", 4, 1), TaskCounts("t2", 4, 4), TaskCounts("t3", 8, 0)],
@@ -30,6 +31,11 @@ COUNTS = {
 }
 LOG = [json.dumps({"model": m, "task": tc.task, "n": tc.n, "c": tc.c}, separators=(",", ":")).encode()
        for m, tcs in COUNTS.items() for tc in tcs]
+FLAGGED = [json.dumps({"model": m, "task": t, "sample_index": j, "answer": str(j), "correct": j == 1},
+                      separators=(",", ":")).encode() for m in ("m1", "m2") for t in ("t1", "t2") for j in range(3)]
+GRADED = [json.dumps({"model": m, "task": t, "sample_index": j, "answer": ("4", " 4 ", "x")[j]},
+                     separators=(",", ":")).encode() for m in ("m1", "m2") for t in ("t1", "t2") for j in range(3)]
+GOLD = [b'{"task":"t1","answer":"4"}', b'{"task":"t2","answer":"x"}']
 MANIFEST_LINE = b'{"format":"covertau-run-v2","kind":"manifest","record_count":1,"run_id":"0","source_digests":{}}'
 # values that replace a line's n or c: a huge integer, NaN and Infinity,
 # deep nesting, other JSON types and out-of-range counts
@@ -58,8 +64,9 @@ def mutated(draw, lines):
         if mutation == "truncate":
             lines[i] = line[: draw(st.integers(0, max(len(line) - 1, 0)))]
         elif mutation == "value":
-            key = draw(st.sampled_from((b'"n":', b'"c":')))
-            lines[i] = re.sub(re.escape(key) + rb"[0-9]+", lambda m: key + draw(st.sampled_from(VALUES)), line)
+            key = draw(st.sampled_from((b'"n":', b'"c":', b'"sample_index":', b'"correct":', b'"answer":')))
+            lines[i] = re.sub(re.escape(key) + rb'(?:[0-9]+|true|false|"[^"]*")',
+                              lambda m: key + draw(st.sampled_from(VALUES)), line)
         elif mutation == "line":
             lines[i] = draw(st.sampled_from(LINES))
         elif mutation == "insert":
@@ -72,7 +79,7 @@ def mutated(draw, lines):
             j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], line
         elif mutation == "key":  # a duplicate key in front of the others
-            lines[i] = line.replace(b"{", b'{"n":1,', 1)
+            lines[i] = line.replace(b"{", b"{" + draw(st.sampled_from((b'"n":1,', b'"sample_index":1,'))), 1)
         elif mutation == "utf8":
             at = draw(st.integers(0, len(line)))
             lines[i] = line[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80"))) + line[at:]
@@ -103,25 +110,39 @@ def rehashed_run(head, body, fix_count):
     return json.dumps(manifest).encode() + b"\n" + body
 
 
-def run_command(command, path, tmp):
+def run_command(command, path, tmp, gold=None):
     argv = {"ingest": ["--out", str(tmp / "out.jsonl")], "curves": ["--out-dir", str(tmp / "curves")]}
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, "--input", str(path), *argv.get(command, [])])
+        code = main([command, "--input", str(path), *(["--gold", str(gold)] if gold else []),
+                     *argv.get(command, [])])
     return code, err.getvalue()
 
 
-def check(command, path, tmp):
-    code, err = run_command(command, path, tmp)
-    assert code in (0, 2), err
+def rejection(command, path, gold):
+    """The ParseError that the command's readers raise on its input and
+    gold files, read in the command's order, or None."""
     read = load_run if command != "ingest" and is_run_file(path) else read_log
     try:
         read(path)
+        if gold:
+            with gold.open("rb") as fh:
+                parse_gold(decode_lines(fh, str(gold)), str(gold))
     except ParseError as exc:
+        return exc
+    return None
+
+
+def check(command, path, tmp, gold=None):
+    code, err = run_command(command, path, tmp, gold)
+    assert code in (0, 2), err
+    exc = rejection(command, path, gold)
+    if exc is not None:
         assert code == 2 and err == f"error: {exc}\n"
-        assert re.match(rf"{re.escape(str(path))}(:[0-9]+: | no records found$)", str(exc)), str(exc)
+        named = rf"{re.escape(str(tmp))}/\w+\.jsonl(:[0-9]+: |: no (records|gold answers) found$)"
+        assert re.match(named, str(exc)), str(exc)
         return
-    if code == 2:  # a fault of the counts, not of the file's lines
+    if code == 2:  # a fault of the counts or the grading, not of the files' lines
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
@@ -135,6 +156,35 @@ def test_mutated_aggregated_logs_exit_0_or_2_and_name_the_line(data, command):
         path = Path(tmp) / "log.jsonl"
         path.write_bytes(data)
         check(command, path, Path(tmp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(FLAGGED), commands)
+def test_mutated_flagged_logs_exit_0_or_2_and_name_the_line(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_bytes(data)
+        check(command, path, Path(tmp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(GRADED), commands)
+def test_mutated_graded_logs_exit_0_or_2_and_name_the_line(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, gold = Path(tmp) / "log.jsonl", Path(tmp) / "gold.jsonl"
+        path.write_bytes(data)
+        gold.write_bytes(b"\n".join(GOLD))
+        check(command, path, Path(tmp), gold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(GOLD), commands)
+def test_mutated_gold_files_exit_0_or_2_and_name_the_line(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, gold = Path(tmp) / "log.jsonl", Path(tmp) / "gold.jsonl"
+        path.write_bytes(b"\n".join(GRADED))
+        gold.write_bytes(data)
+        check(command, path, Path(tmp), gold)
 
 
 def persisted_run():

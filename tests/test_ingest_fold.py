@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertau import SampleRecord, aggregate, apply_grading, counts_from_log, parse_records
+from covertau.ingest import read_log
 from covertau.synth import records_to_jsonl
 
 MODELS = ("m1", "m2", "m3")
@@ -100,21 +101,23 @@ def log_lines(models=2, tasks=5, trials=5000, distinct=False):
                 yield json.dumps(obj) + "\n"
 
 
-def test_parse_memory_stays_per_key():
+def test_parse_memory_stays_per_key(tmp_path):
     # A record per line (frozen SampleRecord in a tuple) peaked at about
     # 370 bytes per line here; the fold keeps only each key's set of seen
     # sample_index values (about 130 bytes per line, the set and its ints),
-    # and its answers.  Lines that are all distinct fill the capped table of
-    # pending templates, which is then dropped.
+    # and its answers.  read_log, the CLI's path, holds one block at a time.
     for distinct in (False, True):
-        tracemalloc.start()
-        try:
-            parsed = parse_records(log_lines(distinct=distinct))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 50_000 * 180, f"parse peaked at {peak / 50_000:.0f} bytes per line ({distinct=})"
-        assert len(parsed.records) == 10
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(log_lines(distinct=distinct)), encoding="utf-8")
+        for parse in (lambda: parse_records(log_lines(distinct=distinct)), lambda: read_log(log)):
+            tracemalloc.start()
+            try:
+                parsed = parse()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 50_000 * 180, f"parse peaked at {peak / 50_000:.0f} bytes per line ({distinct=})"
+            assert len(parsed.records) == 10
 
 
 @pytest.mark.parametrize("gold", [None, {"task-000": "3"}, {"task-000": "3", "task-001": "4.0"}])

@@ -269,6 +269,20 @@ class TestStreamingEmitters:
             assert sum(1 for _ in fh) == 30 * 8192
 
 
+    def test_guesser_log_builds_a_prefix_per_drawn_label_only(self):
+        # a prefix for each of the 100,000 labels peaked at about 21 MB
+        spec = GuesserSpec(support_size=10**5, tasks=2, trials=3, seed=7)
+        expected = records_to_jsonl(simulate_guesser(spec)[1])  # numpy loads outside the measurement
+        tracemalloc.start()
+        try:
+            chunks = list(guesser_log(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "".join(chunks) == expected
+
+
 def oracle_simulate_stdout(profile, trials, out):
     counts = Counter(profile.probabilities)
     lines = [f"model {profile.model}: {profile.num_tasks} tasks, {trials} trials each",
