@@ -64,6 +64,8 @@ from .synth import (
 )
 from .synth import records_to_jsonl, simulate_guesser  # noqa: F401  (perfbench/spans.py wraps them here)
 
+MAX_BOOTSTRAP = 100_000  # resamples a report may draw; each counts the task tally once
+
 
 def _parse_taus(raw: list[str] | None) -> tuple[Fraction, ...]:
     if not raw:
@@ -178,6 +180,8 @@ def _report(args: argparse.Namespace, **options):
 
 def _table_options(args: argparse.Namespace) -> dict[str, object]:
     """The `build_report` options of the commands that write a metric table."""
+    if args.bootstrap > MAX_BOOTSTRAP:
+        raise ValueError(f"--bootstrap must be at most {MAX_BOOTSTRAP}, got {args.bootstrap}")
     return {"taus": _parse_taus(args.tau), "seed": args.seed, "bootstrap_resamples": args.bootstrap}
 
 
@@ -294,8 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
-    except (ValueError, ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ParseError, OSError, MemoryError) as exc:  # numpy's MemoryError names its array
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -26,18 +26,16 @@ distinct (task, answer) once against gold.  `apply_grading` and
 `read_log` and `load_run` read a file, of either schema, in blocks of about
 `_BLOCK` bytes, each cut after a "\n".  A block's first line gives its
 layout: the order of its keys and its separators (":" or ": ", "," or
-", ").  The aggregated keys, and model, task and sample_index with correct,
-answer or both, each give one anchored pattern, cached per layout, whose
-values are names without quotes, backslashes or control characters
-(nonempty, but an answer may be empty), true or false, and integers of at
-most 18 digits without a leading zero, so a match reads as `json.loads`
-would.  When every line of the block matches, one findall gives its rows,
-which fold straight into the tallies or counts with the checks that the
-pattern cannot make: a repeated sample_index within a key, n >= 1, c <= n
-and a repeated task.  Any other block, and the rest of a block from
-a row that fails such a check, goes through the checked per-line fold of
-`parse_records`, with its true line numbers, so each error and its line
-are unchanged.
+", ").  Each schema's key sets give one anchored pattern per layout, whose
+values are strings without quotes or control characters (nonempty but for
+an answer), true or false, and integers of at most 18 digits without a
+leading zero; a value that holds a backslash is then decoded as JSON string
+text.  A block goes line by line through `json.loads` if a line does not
+match (a blank line, another layout, an escaped key, an escaped quote in a
+value), if a value does not decode, or if it is not UTF-8.  Both paths fold
+their rows with the same two functions, which make the checks no pattern
+can (a repeated sample_index within a key, n >= 1, c <= n and a repeated
+task) and name the line of each error.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .metrics import aggregate  # noqa: F401  (perfbench/spans.py wraps it here)
 from .records import GoldAnswer, SampleRecord, TaskCounts
@@ -70,16 +68,17 @@ _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]
 _INTEGER_RE = re.compile(r"([+-]?)0*([0-9]+)")
 _WS_RE = re.compile(r"\s+")
 _DIGEST_CHUNK = 1 << 20
-# a name (nonempty; no quote, backslash or control character, so the text is
-# the value) and an integer, as the layout patterns read them without
-# json.loads, and each key's value captured; an answer may be empty
-_TEXT = r'[^"\\\x00-\x1f]'
+# a name (nonempty; no quote or control character, and decoded by `_unescape`
+# if it holds a backslash) and an integer, as the layout patterns read them,
+# and each key's value captured; an answer may be empty
+_TEXT = r'[^"\x00-\x1f]'
 _INT = r"0|[1-9][0-9]{0,17}"
 _FIELDS = {"model": f'"({_TEXT}+)"', "task": f'"({_TEXT}+)"', "sample_index": f"({_INT})",
            "correct": "(true|false)", "answer": f'"({_TEXT}*)"', "n": f"({_INT})", "c": f"({_INT})"}
 # the fields of a row, in the order the folds take them
 _SAMPLE_KEYS = ("model", "task", "sample_index", "correct", "answer")
 _AGG_KEYS = ("model", "task", "n", "c")
+_VERDICT = {None: "", False: "false", True: "true"}  # a correct flag as a layout pattern reads it
 _VALUE = f'(?:"{_TEXT}*"|{_INT}|true|false)'
 # the order of a line's four or five keys and its separators: ": " or ":", ", " or ","
 _LAYOUT_RE = re.compile(
@@ -159,14 +158,11 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
 def _fold_lines(tallies: dict[tuple[str, str], SampleTally], counts: dict[str, dict[str, TaskCounts]],
                 lines: Iterable[str], lineno: int, kind: str | None, source: str) -> str | None:
     """Fold `lines`, the first being line `lineno` of `source` and `kind`
-    the schema of the lines before them, into the `tallies` of a
-    per-completion log or the `counts` of an aggregated one, each line
-    through `json.loads` and the checks; the schema after them."""
-    last_key: tuple[str, str] | None = None
-    loads = json.loads
+    the schema of the lines before them, each through `json.loads` and its
+    schema's field checks into its schema's fold; the schema after them."""
     for lineno, raw in enumerate(lines, start=lineno):
         try:
-            obj = loads(raw)
+            obj = json.loads(raw)
         except (ValueError, RecursionError):
             # JSON whitespace is a subset of str.strip's: blank lines and
             # bad JSON both land here, and bad JSON is reported as before
@@ -174,43 +170,12 @@ def _fold_lines(tallies: dict[tuple[str, str], SampleTally], counts: dict[str, d
             if not line:
                 continue
             obj = _parse_json_line(line, lineno, source)
-        # Fast path: a well-formed per-completion line in a per-completion
-        # log.  Anything else takes the checked path, which classifies the
-        # line and raises the error that names it.
-        ok = False
-        if (kind == "samples" and type(obj) is dict and "sample_index" in obj
-                and not ("n" in obj or "c" in obj or "kind" in obj)):
-            model, task, index = obj.get("model"), obj.get("task"), obj["sample_index"]
-            correct, answer = obj.get("correct"), obj.get("answer")
-            ok = (type(model) is str and model and type(task) is str and task
-                  and type(index) is int and index >= 0
-                  and (answer is None or type(answer) is str)
-                  and (correct is True or correct is False or answer is not None and correct is None))
-        if not ok:
-            kind = _line_kind(obj, kind, lineno, source)
-            if kind == "aggregated":
-                _add_aggregated(counts, obj, lineno, source)
-                continue
+        kind = _line_kind(obj, kind, lineno, source)
+        if kind == "samples":
             model, task, index, correct, answer = _sample_fields(obj, lineno, source)
-        key = (model, task)
-        if key != last_key:
-            tally = tallies.get(key)
-            if tally is None:
-                tally = tallies[key] = SampleTally()
-            last_key, seen, answers = key, tally.seen, tally.answers
-        if index in seen:
-            raise ParseError(
-                f"{source}:{lineno}: duplicate record key (model={model!r}, "
-                f"task={task!r}, sample_index={index})"
-            )
-        seen.add(index)
-        if correct is None:
-            answers[answer] += 1
-            if tally.first_ungraded is None:
-                tally.first_ungraded = (lineno, index)
+            _fold_samples(tallies, [(model, task, index, _VERDICT[correct], answer)], tuple, lineno, source)
         else:
-            tally.n += 1
-            tally.c += correct
+            _fold_rows(counts, [_aggregated_fields(obj, lineno, source)], tuple, lineno, source)
     return kind
 
 
@@ -303,19 +268,14 @@ def _sample_fields(
     return model, task, index, correct, answer
 
 
-def _add_aggregated(
-    counts: dict[str, dict[str, TaskCounts]], obj: dict, lineno: int, source: str
-) -> None:
+def _aggregated_fields(obj: dict, lineno: int, source: str) -> tuple[str, str, int, int]:
+    """(model, task, n, c) of an aggregated line."""
     model = _require_str(obj, "model", lineno, source)
     task = _require_str(obj, "task", lineno, source)
-    try:  # TaskCounts rejects an n or c that is missing, a bool or not an integer
-        tc = TaskCounts(task=task, n=obj.get("n"), c=obj.get("c"))
-    except ValueError as exc:
-        raise ParseError(f"{source}:{lineno}: {exc}") from exc
-    per_model = counts.setdefault(model, {})
-    if task in per_model:
-        raise ParseError(f"{source}:{lineno}: duplicate aggregated line for (model={model!r}, task={task!r})")
-    per_model[task] = tc
+    for key in ("n", "c"):
+        if type(obj.get(key)) is not int:  # the fold's int() would take True and 2.0
+            raise ParseError(f"{source}:{lineno}: {key} must be an integer for task {task!r}, got {obj.get(key)!r}")
+    return model, task, obj["n"], obj["c"]
 
 
 def parse_gold(lines: Iterable[str], source: str = "<gold>") -> dict[str, str]:
@@ -651,11 +611,9 @@ def read_log(path: str | Path) -> ParsedLog:
 
 def _read_blocks(fh: BinaryIO, source: str, lineno: int) -> ParsedLog:
     """Parse the rest of a binary stream, its first line being line `lineno`
-    of `source`, in blocks of about `_BLOCK` bytes, each cut after a "\n".
-    A block whose lines all match the layout of its first line is folded
-    row by row; any other block, and the rest of a block from a row that
-    fails a check, goes through `_fold_lines`, which also decodes a block
-    that is not UTF-8 line by line."""
+    of `source`, in blocks of about `_BLOCK` bytes, each cut after a "\n":
+    by `_block_rows` where it can, else through `_fold_lines`, which also
+    decodes a block that is not UTF-8 line by line."""
     tallies: dict[tuple[str, str], SampleTally] = {}
     counts: dict[str, dict[str, TaskCounts]] = {}
     kind = None
@@ -672,26 +630,43 @@ def _read_blocks(fh: BinaryIO, source: str, lineno: int) -> ParsedLog:
             raise
         breaks = text.count("\n")
         lines = breaks + (not text.endswith("\n"))
-        done = 0
-        layout = _layout(text)
-        if layout is not None:
-            pattern, fields, schema = layout
-            if kind in (None, schema) and len(rows := pattern.findall(text)) == lines:
-                kind = schema
-                if schema == "samples":
-                    done = _fold_samples(tallies, rows, fields, lineno)
-                else:
-                    done = _fold_rows(counts, rows, fields)
-        if done < lines:
-            kind = _fold_lines(tallies, counts, text.split("\n")[done:lines], lineno + done, kind, source)
+        if read := _block_rows(text, lines, kind):
+            kind, rows, fields = read
+            if kind == "samples":
+                _fold_samples(tallies, rows, fields, lineno, source)
+            else:
+                _fold_rows(counts, rows, fields, lineno, source)
+        else:
+            kind = _fold_lines(tallies, counts, text.split("\n")[:lines], lineno, kind, source)
         lineno += breaks
     return _parsed(kind, tallies, counts, source)
 
 
-def _layout(text: str) -> tuple[re.Pattern[str], itemgetter, str] | None:
-    """The layout of the line that starts `text`, or None."""
+def _block_rows(text: str, lines: int, kind: str | None) -> tuple[str, list[tuple[str, ...]], itemgetter] | None:
+    """(schema, rows, fields) of a block of `lines` lines after lines of
+    schema `kind`, if all its lines match the layout of its first and each
+    value with a backslash decodes, else None; each value in the rows reads
+    as in `_compile_layout`, its strings decoded."""
     m = _LAYOUT_RE.match(text)
-    return None if m is None else _compile_layout(m.group(1, 4, 5, 6, 7), m[2], m[3])
+    layout = m and _compile_layout(m.group(1, 4, 5, 6, 7), m[2], m[3])
+    if not layout:
+        return None
+    pattern, fields, schema = layout
+    if kind not in (None, schema) or len(rows := pattern.findall(text)) != lines:
+        return None
+    if "\\" in text:
+        try:
+            get = {v: _unescape(v) for v in {v for row in rows for v in row if "\\" in v}}.get
+        except ValueError:  # a bad escape, or a backslash that escapes the closing quote
+            return None
+        rows = [tuple(map(get, row, row)) for row in rows]
+    return schema, rows, fields
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _unescape(value: str) -> str:
+    """The string that `json.loads` reads from `value` between quotes."""
+    return json.loads(f'"{value}"')
 
 
 @functools.lru_cache
@@ -701,9 +676,9 @@ def _compile_layout(
     """The layout of lines with `keys` in this order and these separators,
     or None if they are not a schema's keys: an anchored MULTILINE pattern
     whose match is such a line with values that `json.loads` reads as the
-    same strings, bools and ints, and an empty group for an absent
-    optional key; a getter of a match's groups in `_SAMPLE_KEYS` or
-    `_AGG_KEYS` order; and the schema."""
+    same bools and ints and, once decoded, the same strings, and an empty
+    group for an absent optional key; a getter of a match's groups in
+    `_SAMPLE_KEYS` or `_AGG_KEYS` order; and the schema."""
     keys = tuple(key for key in keys if key)
     fields = _AGG_KEYS if "n" in keys else _SAMPLE_KEYS
     missing = tuple(key for key in fields if key not in keys)
@@ -715,15 +690,14 @@ def _compile_layout(
     return pattern, getter, "aggregated" if fields is _AGG_KEYS else "samples"
 
 
-def _fold_samples(tallies: dict[tuple[str, str], SampleTally], rows: list[tuple[str, ...]], fields: itemgetter,
-                  lineno: int) -> int:
-    """Fold the rows a layout pattern read, the first being line `lineno`,
-    into `tallies` until one repeats a sample_index of its key, whose line
-    the checked fold then reads; the number folded.  `fields` gives a row's
-    (model, task, sample_index, correct, answer), correct being "" when the
-    line has none."""
+def _fold_samples(tallies: dict[tuple[str, str], SampleTally], rows: Iterable[tuple], fields: Callable,
+                  lineno: int, source: str) -> None:
+    """Fold per-completion rows, on lines `lineno`, `lineno` + 1, ... of
+    `source`, into `tallies`, rejecting a repeated sample_index of a key on
+    its line.  `fields` gives a row's (model, task, sample_index, correct,
+    answer), sample_index as an int or digits, correct "true", "false" or ""."""
     last_key = None
-    for done, (model, task, index, correct, answer) in enumerate(map(fields, rows)):
+    for lineno, (model, task, index, correct, answer) in enumerate(map(fields, rows), lineno):
         key = (model, task)
         if key != last_key:
             tally = tallies.get(key)
@@ -732,7 +706,8 @@ def _fold_samples(tallies: dict[tuple[str, str], SampleTally], rows: list[tuple[
             last_key, seen, answers = key, tally.seen, tally.answers
         index = int(index)
         if index in seen:
-            return done
+            raise ParseError(f"{source}:{lineno}: duplicate record key (model={model!r}, task={task!r}, "
+                             f"sample_index={index})")
         seen.add(index)
         if correct:
             tally.n += 1
@@ -740,23 +715,26 @@ def _fold_samples(tallies: dict[tuple[str, str], SampleTally], rows: list[tuple[
         else:
             answers[answer] += 1
             if tally.first_ungraded is None:
-                tally.first_ungraded = (lineno + done, index)
-    return len(rows)
+                tally.first_ungraded = (lineno, index)
 
 
-def _fold_rows(counts: dict[str, dict[str, TaskCounts]], rows: list[tuple[str, ...]], fields: itemgetter) -> int:
-    """Fold the rows a layout pattern read into `counts` until one fails a
-    check of `_add_aggregated`, whose line the checked fold then reads; the
-    number folded.  `fields` gives a row's (model, task, n, c)."""
+def _fold_rows(counts: dict[str, dict[str, TaskCounts]], rows: Iterable[tuple], fields: Callable,
+               lineno: int, source: str) -> None:
+    """Fold aggregated rows, on lines `lineno`, `lineno` + 1, ... of `source`,
+    into `counts`, rejecting an n below 1, a c outside [0, n] or a repeated
+    task on its line.  `fields` gives a row's (model, task, n, c), n and c
+    as ints or digits."""
     model = per_model = None
-    for done, (name, task, n, c) in enumerate(map(fields, rows)):
+    for lineno, (name, task, n, c) in enumerate(map(fields, rows), lineno):
         if name != model:
             model, per_model = name, counts.setdefault(name, {})
-        n, c = int(n), int(c)
-        if n < 1 or c > n or task in per_model:
-            return done
-        per_model[task] = TaskCounts(task, n, c)
-    return len(rows)
+        try:  # TaskCounts rejects n < 1 and c outside [0, n]
+            tc = TaskCounts(task, int(n), int(c))
+        except ValueError as exc:
+            raise ParseError(f"{source}:{lineno}: {exc}") from exc
+        if task in per_model:
+            raise ParseError(f"{source}:{lineno}: duplicate aggregated line for (model={name!r}, task={task!r})")
+        per_model[task] = tc
 
 
 def is_run_file(path: str | Path) -> bool:

@@ -7,6 +7,7 @@ appear where a metric is explicitly defined as a floating-point quantity
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -19,14 +20,19 @@ RationalLike = Union[Fraction, int, str]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# so that no integer `as_rational` builds, or `format_tau` prints, has over 2000 digits
+_MAX_CHARS = _MAX_EXPONENT = 1000  # of a string `as_rational` reads, and of its exponent
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # Fraction's exponent, which int() reads
+
 
 def as_rational(value: RationalLike, name: str = "value") -> Fraction:
     """Coerce to Fraction, rejecting floats.
 
     Strings are parsed exactly ("0.2" -> 1/5, "1/3" -> 1/3); a string that
-    does not parse, or has a zero denominator ("1/0"), is a ValueError that
-    names the field.  Pass a float through `Fraction(f)` yourself if you
-    really mean its binary expansion.
+    does not parse, has a zero denominator ("1/0"), is longer than 1000
+    characters or has an exponent past 1000 in magnitude ("1e-5000") is a
+    ValueError that names the field.  Pass a float through `Fraction(f)`
+    yourself if you really mean its binary expansion.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -35,6 +41,13 @@ def as_rational(value: RationalLike, name: str = "value") -> Fraction:
         )
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        if len(value) > _MAX_CHARS:
+            raise ValueError(f"{name} must be at most {_MAX_CHARS} characters long, got {len(value)}")
+        exponent = _EXPONENT_RE.search(value)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ValueError(f"{name} must have an exponent between -{_MAX_EXPONENT} and {_MAX_EXPONENT}, "
+                             f"got {value!r}")
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)

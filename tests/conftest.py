@@ -19,12 +19,14 @@ def pytest_runtest_makereport(item, call):
 
 @pytest.fixture
 def loads_calls(monkeypatch):
-    """A Counter whose "loads" counts the `json.loads` calls."""
+    """A Counter of the `json.loads` calls: "loads" counts whole lines (text
+    that starts with "{" after whitespace), "decodes" every other call, such
+    as a string value decoded on its own."""
     calls = Counter()
     loads = json.loads
 
     def counting_loads(text, *args, **kwargs):
-        calls["loads"] += 1
+        calls["loads" if text.lstrip()[:1] == "{" else "decodes"] += 1
         return loads(text, *args, **kwargs)
 
     monkeypatch.setattr(json, "loads", counting_loads)

@@ -4,10 +4,11 @@ the checked path.
 `covertau.ingest.read_log` and `load_run` read a file of either schema in
 blocks, and fold a block whose lines all match the layout of its first
 line without `json.loads`.  This module keeps the per-line fold they ran
-before: each nonblank line is parsed, classified by `_line_kind` and read
-by `_sample_fields` (or `_add_aggregated`), then folded into its key's
-tally.  It is slow but has no shortcut, and the property tests require the
-readers to agree with it on every tally and every error message.
+before: each nonblank line is parsed and classified by `_line_kind`, then
+read by `_sample_fields` into its key's tally, or by the oracle's own
+aggregated fold, `add_aggregated`, into its model's counts.  It is slow but
+has no shortcut, and the property tests require the readers to agree with
+it on every tally and every error message.
 """
 
 from __future__ import annotations
@@ -22,14 +23,27 @@ from covertau.ingest import (
     ParseError,
     SampleTally,
     TaskCounts,
-    _add_aggregated,
     _line_kind,
     _parse_json_line,
+    _require_str,
     _sample_fields,
     _sorted_counts,
 )
 
 MANIFEST = {"kind": "manifest", "format": "covertau-run-v2", "source_digests": {}, "verdict_source": "aggregated"}
+
+
+def add_aggregated(counts: dict[str, dict[str, TaskCounts]], obj: dict, lineno: int, source: str) -> None:
+    model = _require_str(obj, "model", lineno, source)
+    task = _require_str(obj, "task", lineno, source)
+    try:  # TaskCounts rejects an n or c that is missing, a bool or not an integer
+        tc = TaskCounts(task=task, n=obj.get("n"), c=obj.get("c"))
+    except ValueError as exc:
+        raise ParseError(f"{source}:{lineno}: {exc}") from exc
+    per_model = counts.setdefault(model, {})
+    if task in per_model:
+        raise ParseError(f"{source}:{lineno}: duplicate aggregated line for (model={model!r}, task={task!r})")
+    per_model[task] = tc
 
 
 def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
@@ -43,7 +57,7 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
         obj = _parse_json_line(line, lineno, source)
         kind = _line_kind(obj, kind, lineno, source)
         if kind == "aggregated":
-            _add_aggregated(counts, obj, lineno, source)
+            add_aggregated(counts, obj, lineno, source)
             continue
         model, task, index, correct, answer = _sample_fields(obj, lineno, source)
         tally = tallies.setdefault((model, task), SampleTally())

@@ -2,8 +2,9 @@
 pattern per block.
 
 The layout is the key order and separators of a block's first line.  A
-block whose lines all match it is folded without `json.loads`; every other
-block takes the checked per-line path.  These tests hold both readers to the checked
+block whose lines all match it is folded without a `json.loads` call per
+line, its escaped values decoded one at a time; every other block takes
+the checked per-line path.  These tests hold both readers to the checked
 per-line parse in `parse_oracle` (counts and error messages alike), cross
 block boundaries with small blocks and with the real size, and count the
 `json.loads` calls.
@@ -218,6 +219,19 @@ def test_a_canonical_run_body_is_read_without_json_loads(tmp_path, loads_calls):
     loads_calls.clear()
     assert load_run(path)[1] == counts
     assert loads_calls["loads"] == 1  # the manifest line
+
+
+def test_a_run_with_non_ascii_names_is_read_without_json_loads_of_its_body(tmp_path, loads_calls):
+    # the run body writes each name with json.dumps defaults, so "è" as \u00e8
+    counts = {f"modèle-{m:02d}": [TaskCounts(f"tâche{t:04d}", 256, (m * t) % 257) for t in range(200)]
+              for m in range(10)}
+    path = persist_run(build_manifest(counts, {}, "aggregated"), counts, tmp_path / "run.jsonl")
+    assert b"\\u00e8" in path.read_bytes()
+    ingest._unescape.cache_clear()
+    loads_calls.clear()
+    assert load_run(path)[1] == counts
+    assert loads_calls["loads"] == 1  # the manifest line
+    assert loads_calls["decodes"] <= 10 + 200  # at most one per distinct name
 
 
 @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": "), (",", ": "), (", ", ":")])

@@ -93,7 +93,7 @@ class TestParseRecords:
         ({"correct": None}, "record has neither"),
     ])
     def test_bad_field_named_on_any_line(self, fields, message):
-        # the first line takes the checked path, later ones the fast path
+        # one per-line path reads every line: the error names the bad line, first or not
         bad = json.dumps({"model": "m", "task": "t", "sample_index": 1, "correct": True, **fields})
         for lineno, lines in ((1, [bad]), (2, [sample_line("m", "t", 0, correct=True), bad])):
             with pytest.raises(ParseError, match=rf"<stream>:{lineno}: {re.escape(message)}"):

@@ -2,11 +2,12 @@
 pattern per block.
 
 The layout is the key order and separators of a block's first line.  A
-block whose lines all match it is folded without `json.loads`; every other
-block, and the rest of a block from a row that repeats a sample_index,
-takes the checked per-line fold.  These tests hold both readers to the
-checked per-line parse in `parse_oracle`, tallies and error messages alike,
-at small block sizes and at the real one, and count the `json.loads` calls.
+block whose lines all match it, and whose escaped values all decode, is
+folded without a `json.loads` call per line; every other block takes the
+checked per-line fold, and both paths fold rows with the same code.
+These tests hold both readers to the checked per-line parse in
+`parse_oracle`, tallies and error messages alike, at small block sizes and
+at the real one, and count the `json.loads` calls.
 """
 
 import json
@@ -151,13 +152,44 @@ def test_lines_without_a_required_key_take_the_checked_path(tmp_path, key, block
         check_readers(tmp_path, "".join(lines))
 
 
-@pytest.mark.parametrize("key", ["model", "task", "answer"])
-@pytest.mark.parametrize("value", ["a\\b", 'a"b', "é", "a\nb", "a\x01b"])
-def test_a_value_that_needs_an_escape_takes_the_checked_path(tmp_path, key, value):
-    # every line has one layout, and the first has no escape; the third's value needs one
+def escaped_rows(key, value):
+    """Five lines of one layout, json.dumps defaults, the third's `key` being `value`."""
     rows = [{"model": "m", "task": "t", "sample_index": j, "answer": "4"} for j in range(5)]
     rows[2][key] = value
-    check_readers(tmp_path, "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
+    return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("key", ["model", "task", "answer"])
+@pytest.mark.parametrize("value", ["a\\b", "é", "a\nb", "a\x01b", "a\\", "\\\\", "\ud800"])
+def test_an_escaped_value_is_read_on_the_block_path(tmp_path, loads_calls, key, value):
+    # a value may end in an escaped backslash, or decode to a lone surrogate
+    check_readers(tmp_path, escaped_rows(key, value))
+    ingest._unescape.cache_clear()
+    loads_calls.clear()
+    read_log(tmp_path / "log.jsonl")
+    assert loads_calls["loads"] == 0
+    assert loads_calls["decodes"] == 1  # the one distinct escaped value
+
+
+@pytest.mark.parametrize("key", ["model", "task", "answer"])
+def test_an_escaped_quote_takes_the_checked_path(tmp_path, loads_calls, key):
+    check_readers(tmp_path, escaped_rows(key, 'a"b'))
+    loads_calls.clear()
+    read_log(tmp_path / "log.jsonl")
+    assert loads_calls["loads"] == 5
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("value", ["a\\x", "\\u12", "\\", "a\\\\\\"])
+def test_a_value_that_does_not_decode_is_named_on_its_line(tmp_path, block, value):
+    # an invalid escape, or an odd run of backslashes that escapes the quote
+    # the layout pattern reads as the model's closing one, so the line matches
+    lines = [f'{{"model":"{"m" if j != 2 else value}","task":"t","sample_index":{j},"answer":"4"}}\n'
+             for j in range(5)]
+    with mock.patch.object(ingest, "_BLOCK", block):
+        check_readers(tmp_path, "".join(lines))
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(tmp_path / 'log.jsonl'))}:3: invalid JSON"):
+        read_log(tmp_path / "log.jsonl")
 
 
 def template_log(templates, separators, lines=10_000):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import covertau
+import covertau.cli
 from covertau import SampleRecord, TaskCounts, cover_at_tau, estimate_success
 from covertau.cli import main
 from covertau.report import (
@@ -329,6 +331,48 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "error: bootstrap resample count must be >= 0, got -5" in captured.err
+
+    def test_bootstrap_past_the_bound_rejected_before_any_allocation(self, tmp_path, capsys):
+        log = write_toy_logs(tmp_path)
+        for command in ("compute", "dominance"):
+            assert main([command, "--input", str(log), "--bootstrap", str(2**62)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: --bootstrap must be at most 100000, got {2**62}" in captured.err
+
+    @pytest.mark.parametrize("message, err", [
+        ("Unable to allocate 7.28 TiB for an array with shape (1000000000000, 1)",
+         "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000, 1)\n"),
+        ("", "error: MemoryError\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_2_with_a_message(self, tmp_path, capsys, monkeypatch, message, err):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(covertau.cli, "build_report", out_of_memory)
+        log = write_toy_logs(tmp_path)
+        assert main(["compute", "--input", str(log), "--bootstrap", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
+    @pytest.mark.parametrize("tau, message", [
+        ("1e-5000", "--tau must have an exponent between -1000 and 1000, got '1e-5000'"),
+        ("0." + "0" * 5000 + "1", "--tau must be at most 1000 characters long, got 5003"),
+    ], ids=["exponent", "length"])
+    def test_tau_past_the_size_bound_names_the_flag(self, tmp_path, capsys, tau, message):
+        log = write_toy_logs(tmp_path)
+        assert main(["compute", "--input", str(log), "--tau", tau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_tau_with_a_huge_exponent_is_rejected_at_once(self, tmp_path, capsys):
+        log = write_toy_logs(tmp_path)
+        start = time.perf_counter()
+        assert main(["compute", "--input", str(log), "--tau", "1e-10000000"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "error: --tau must have an exponent between" in capsys.readouterr().err
 
     def test_gold_out_requires_guesser(self, tmp_path, capsys):
         assert main([
