@@ -40,7 +40,7 @@ from .ingest import (
     write_atomic,
 )
 from .plots import cover_curves_svg, pass_curves_svg
-from .records import as_unit_rational
+from .records import as_unit_rational, format_tau
 from .report import (
     DEFAULT_K_GRID,
     DEFAULT_TAUS,
@@ -70,7 +70,11 @@ MAX_BOOTSTRAP = 100_000  # resamples a report may draw; each counts the task tal
 def _parse_taus(raw: list[str] | None) -> tuple[Fraction, ...]:
     if not raw:
         return DEFAULT_TAUS
-    return tuple(as_unit_rational(t, "--tau") for t in raw)
+    taus = tuple(as_unit_rational(t, "--tau") for t in raw)
+    for i, tau in enumerate(taus):
+        if tau in taus[:i]:
+            raise ValueError(f"--tau gives threshold {format_tau(tau)} more than once")
+    return taus
 
 
 def _parse_ks(raw: str | None) -> tuple[int, ...]:
@@ -175,17 +179,24 @@ def _report(args: argparse.Namespace, **options):
     """The report bundle of `args.input` under the shared input flags plus
     a command's own `build_report` options."""
     counts, provenance = _load_counts(args.input, args.gold)
+    unknown = sorted(set(args.model or ()) - set(counts))
+    if unknown:
+        raise ValueError(f"--model names unknown models {unknown}; known models: {sorted(counts)}")
     return build_report(counts, ks=_parse_ks(args.k), model_filter=args.model, provenance=provenance, **options)
 
 
 def _table_options(args: argparse.Namespace) -> dict[str, object]:
     """The `build_report` options of the commands that write a metric table."""
+    if args.bootstrap < 0:
+        raise ValueError(f"--bootstrap must be >= 0, got {args.bootstrap}")
     if args.bootstrap > MAX_BOOTSTRAP:
         raise ValueError(f"--bootstrap must be at most {MAX_BOOTSTRAP}, got {args.bootstrap}")
     return {"taus": _parse_taus(args.tau), "seed": args.seed, "bootstrap_resamples": args.bootstrap}
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    if args.group_delimiter == "":
+        raise ValueError("--group-delimiter must be a nonempty string, got ''")
     bundle = _report(args, group_delimiter=args.group_delimiter, **_table_options(args))
     sys.stdout.write(render_metrics_table(bundle))
     if args.out_dir:
@@ -219,6 +230,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
+    if args.model and len(set(args.model)) < 2:
+        raise ValueError(f"dominance needs at least 2 models; --model selects only {args.model[0]!r}")
     bundle = _report(args, **_table_options(args))
     if bundle.dominance is None:
         raise ValueError("dominance needs at least 2 models in the run")

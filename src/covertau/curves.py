@@ -12,8 +12,8 @@ Every plug-in p is c/n, so over L = lcm of the trial counts each p is the
 integer c * (L / n) and a cover curve is a vector of integer task counts.
 Reports read cover curves off their task tally's count
 (`dominance.TaskTally.cover_curve`) and pass curves off the counts
-(`complement_pass_curve`); `build_cover_curve` and `pass_curve` convert a
-profile's Fractions (`scale_to_lcm`, `complements`) and call the same code.
+(`metrics.pass_values`); `build_cover_curve` and `pass_curve` convert a
+profile's Fractions and call the same code.
 
 Key identities (realized exactly or in closed form):
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .metrics import _check_k, _pass_from_complements, complements
+from .metrics import _check_k, pass_values
 from .records import ONE, ZERO, RationalLike, SuccessProfile, as_unit_rational
 
 
@@ -112,15 +112,10 @@ def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
     return tally.cover_curve(0, tally.count(range(len(scaled))))
 
 
-def complement_pass_curve(model: str, qs: Sequence[float], ks: Sequence[int]) -> PassCurve:
-    """Pointwise pass@k over an ascending k grid, from per-task complements
-    qs[i] = float(1 - p_i); `PassCurve` checks the grid."""
-    return PassCurve(model=model, ks=tuple(ks), values=tuple(_pass_from_complements(qs, k) for k in ks))
-
-
 def pass_curve(profile: SuccessProfile, ks: Sequence[int]) -> PassCurve:
-    """Pointwise pass@k of a profile over an ascending k grid."""
-    return complement_pass_curve(profile.model, complements(profile), ks)
+    """Pointwise pass@k of a profile over an ascending k grid; `PassCurve`
+    checks the grid."""
+    return PassCurve(profile.model, tuple(ks), pass_values([float(ONE - p) for p in profile.probabilities], ks))
 
 
 def beta_weighted_pass(curve: CoverCurve, k: int) -> float:

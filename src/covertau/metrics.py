@@ -3,7 +3,7 @@
 The estimators:
 
     pass@k (exact)     (1/T) * sum_i 1 - (1 - p_i)^k
-    pass@k (unbiased)  1 - C(n-c, k) / C(n, k), running-product form
+    pass@k (unbiased)  1 - C(n-c, k) / C(n, k), over min(c, k) factors
     cover@tau          (1/T) * sum_i 1{p_i >= tau}
     maj@n              fraction of tasks with a strict majority of correct trials
     cons@n             fraction of tasks whose modal answer matches gold
@@ -63,54 +63,41 @@ def estimate_success(counts: Sequence[TaskCounts], model: str) -> SuccessProfile
 
 
 def pass_at_k_exact(profile: SuccessProfile, k: int) -> float:
-    """pass@k of the exact profile, evaluated in floating point.
-
-    Each per-task complement (1 - p) is formed as a Fraction before the float
-    conversion, so the power base is the correctly rounded complement even
-    for p near 1.
-    """
-    return _pass_from_complements(complements(profile), k)
+    """pass@k of the exact profile in floating point.  Each complement 1 - p
+    is a Fraction before its float conversion, so the power base is
+    correctly rounded even for p near 1."""
+    return pass_values([float(ONE - p) for p in profile.probabilities], [k])[0]
 
 
-def _pass_from_complements(qs: Sequence[float], k: int) -> float:
-    """pass@k from per-task complements float(1 - p), so a k grid can
-    reuse one `complements` call.  `fsum` rounds the sum once, so the value
-    does not depend on task order: a model and a permutation of its counts
-    get equal pass@k, and no crossover between them."""
-    _check_k(k)
-    return math.fsum(1.0 - q**k for q in qs) / len(qs)
-
-
-def complements(profile: SuccessProfile) -> list[float]:
-    """Per-task float(1 - p), in profile (task id) order."""
-    return [float(ONE - p) for p in profile.probabilities]
+def pass_values(qs: Sequence[float], ks: Sequence[int]) -> tuple[float, ...]:
+    """Plug-in pass@k at each k of `ks` from per-task complements qs[i] =
+    float(1 - p_i).  `fsum` rounds each sum once, so a model and a
+    permutation of its counts get equal pass@k and no crossover."""
+    for k in ks:
+        _check_k(k)
+    return tuple(math.fsum(1.0 - q**k for q in qs) / len(qs) for k in ks)
 
 
 def pass_at_k_unbiased(counts: TaskCounts, k: int, exact: bool = False):
     """Unbiased subset estimator 1 - C(n-c, k)/C(n, k) for one task.
 
     Equals the average, over all size-k subsets of the n trials, of the
-    indicator that the subset contains a correct trial.  Computed as a
-    running product (never factorials); `exact=True` switches to Fraction
-    arithmetic for oracle-grade comparisons.
+    indicator that the subset contains a correct trial.  As C(n-c, k)/C(n, k)
+    = perm(n-c, k)/perm(n, k) = perm(n-k, c)/perm(n, c), it takes min(c, k)
+    factors: one exact integer ratio with `exact=True`, else a float product.
 
     Requires 1 <= k <= n: above n the estimator is undefined.
     """
     _check_k(k)
     if k > counts.n:
         raise ValueError(f"k={k} exceeds trial count n={counts.n} for task {counts.task!r}")
-    n, c = counts.n, counts.c
-    if n - c < k:
-        # cannot fill k slots with incorrect trials: some draw always succeeds
-        return Fraction(1) if exact else 1.0
+    n = counts.n
+    short, long = sorted((counts.c, k))
     if exact:
-        prod = Fraction(1)
-        for j in range(k):
-            prod *= Fraction(n - c - j, n - j)
-        return Fraction(1) - prod
+        return 1 - Fraction(math.perm(n - long, short), math.perm(n, short))
     prod = 1.0
-    for j in range(k):
-        prod *= (n - c - j) / (n - j)
+    for j in range(short):
+        prod *= (n - long - j) / (n - j)
     return 1.0 - prod
 
 

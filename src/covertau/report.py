@@ -27,12 +27,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .curves import CoverCurve, PassCurve, complement_pass_curve
+from .curves import CoverCurve, PassCurve
 from .curves import build_cover_curve, pass_curve  # noqa: F401  (perfbench/spans.py wraps them)
 from .dominance import (CrossoverResult, DominanceReport, TaskTally, _dominance, find_crossover, rank_models,
                         scaled_bootstrap_bands)
 from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
+from .metrics import pass_values
 from .records import RationalLike, TaskCounts, as_unit_rational
 from .records import format_tau  # re-exported: callers import it from covertau.report
 
@@ -175,7 +176,8 @@ def build_report(
         notes.append("avg_auc_plus column absent: needs at least 2 models")
 
     # (n - c) / n is correctly rounded, as float(1 - Fraction(c, n)) is
-    pass_curves = {m: complement_pass_curve(m, [(tc.n - tc.c) / tc.n for tc in row], ks) for m, row in aligned.items()}
+    pass_curves = {m: PassCurve(m, tuple(ks), pass_values([(tc.n - tc.c) / tc.n for tc in row], ks))
+                   for m, row in aligned.items()}
     crossovers = [
         find_crossover(pass_curves[a], pass_curves[b]) for i, a in enumerate(selected) for b in selected[i + 1 :]
     ]

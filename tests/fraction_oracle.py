@@ -1,8 +1,11 @@
-"""Reference cover-curve algebra in plain Fraction arithmetic.
+"""Reference cover-curve algebra and unbiased pass@k in plain Fraction
+arithmetic.
 
 These are the sorted-Fraction and bisect implementations that covertau used
-before its integer-grid kernel.  They are slow but obviously exact, and the
-property tests require the kernel to agree with them exactly.
+before its integer-grid kernel, and the k-factor Fraction running product
+that `pass_at_k_unbiased` used before it took the shorter permutation
+product.  They are slow but obviously exact, and the property tests require
+covertau to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -60,3 +63,14 @@ def avg_auc_plus(curves: Sequence[CoverCurve]) -> dict[str, Fraction]:
 def check_cover_dominance(curve_a: CoverCurve, curve_b: CoverCurve) -> bool:
     taus = merged_partition(curve_a, curve_b)
     return all(curve_a.value_at(t) >= curve_b.value_at(t) for t in taus[1:])
+
+
+def pass_at_k_unbiased(n: int, c: int, k: int) -> Fraction:
+    """1 - C(n-c, k)/C(n, k) as a running product of k Fractions."""
+    if n - c < k:
+        # cannot fill k slots with incorrect trials: some draw always succeeds
+        return ONE
+    prod = ONE
+    for j in range(k):
+        prod *= Fraction(n - c - j, n - j)
+    return ONE - prod

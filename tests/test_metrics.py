@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
 
 from covertau import (
     SampleRecord,
@@ -183,6 +188,22 @@ class TestPassAtKUnbiased:
             for c in range(n + 1):
                 got = pass_at_k_unbiased(TaskCounts(task="t", n=n, c=c), n, exact=True)
                 assert got == (1 if c >= 1 else 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(1, n))))
+    def test_shorter_product_equals_the_running_product_oracle(self, nck):
+        n, c, k = nck
+        want = oracle.pass_at_k_unbiased(n, c, k)
+        counts = TaskCounts(task="t", n=n, c=c)
+        assert pass_at_k_unbiased(counts, k, exact=True) == want
+        assert pass_at_k_unbiased(counts, k) == pytest.approx(float(want), rel=0, abs=1e-12)
+
+    def test_exact_mode_takes_the_few_factors_of_a_small_c(self):
+        # the k-factor Fraction product, the oracle, takes 0.08-0.16 s here
+        start = time.perf_counter()
+        got = pass_at_k_unbiased(TaskCounts(task="t", n=65536, c=10), 32768, exact=True)
+        assert time.perf_counter() - start < 0.05
+        assert got == oracle.pass_at_k_unbiased(65536, 10, 32768)
 
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds trial count"):

@@ -238,7 +238,7 @@ class TestCli:
     def test_model_filter_unknown_fails_listing_known(self, tmp_path, capsys):
         log = write_toy_logs(tmp_path)
         assert main(["compute", "--input", str(log), "--model", "Z"]) == 2
-        assert "known models" in capsys.readouterr().err
+        assert "error: --model names unknown models ['Z']; known models: ['A', 'B']" in capsys.readouterr().err
 
     def test_tau_and_k_flags(self, tmp_path, capsys):
         log = write_toy_logs(tmp_path)
@@ -264,7 +264,7 @@ class TestCli:
         out = tmp_path / "out"
         argv = ["compute", "--input", str(log), "--tau", "0.2", "--tau", "1/5", "--tau", "0.2", "--out-dir", str(out)]
         assert main(argv) == 2
-        assert "error: threshold 0.2 is given more than once" in capsys.readouterr().err
+        assert "error: --tau gives threshold 0.2 more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_equal_models_report_no_crossover(self, tmp_path, capsys):
@@ -322,7 +322,7 @@ class TestCli:
         assert main(["compute", "--input", str(log), "--group-delimiter", ""]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: group delimiter must be a nonempty string, got ''" in captured.err
+        assert "error: --group-delimiter must be a nonempty string, got ''" in captured.err
 
     def test_negative_bootstrap_rejected(self, tmp_path, capsys):
         log = write_toy_logs(tmp_path)
@@ -330,7 +330,18 @@ class TestCli:
             assert main([command, "--input", str(log), "--bootstrap", "-5"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "error: bootstrap resample count must be >= 0, got -5" in captured.err
+            assert "error: --bootstrap must be >= 0, got -5" in captured.err
+
+    @pytest.mark.parametrize("argv, err", [
+        (["compute", "--model", ""], "--model names unknown models ['']; known models: ['m0', 'm1', 'm2']"),
+        (["dominance", "--model", "m0"], "dominance needs at least 2 models; --model selects only 'm0'"),
+    ], ids=["empty", "one-for-dominance"])
+    def test_a_rejected_model_selection_names_the_flag(self, tmp_path, capsys, argv, err):
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(json.dumps({"model": f"m{i}", "task": f"t{t}", "n": 4, "c": (i + t) % 5}) + "\n"
+                               for i in range(3) for t in range(4)), encoding="utf-8")
+        assert main([*argv, "--input", str(log)]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_bootstrap_past_the_bound_rejected_before_any_allocation(self, tmp_path, capsys):
         log = write_toy_logs(tmp_path)
