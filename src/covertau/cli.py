@@ -65,6 +65,12 @@ from .synth import (
 from .synth import records_to_jsonl, simulate_guesser  # noqa: F401  (perfbench/spans.py wraps them here)
 
 MAX_BOOTSTRAP = 100_000  # resamples a report may draw; each counts the task tally once
+# `simulate` bounds, checked before any draw: at about 30 us per task and
+# 0.5 us and 85 bytes per record (2-core Xeon), the largest run takes a
+# minute or two and writes at most 8.5 GB
+MAX_TASKS = 10**6
+MAX_RECORDS = 10**8  # tasks x trials
+MAX_DENOMINATOR = 2**63  # p = a/b is drawn as int64 integers in 0..b-1
 
 
 def _parse_taus(raw: list[str] | None) -> tuple[Fraction, ...]:
@@ -108,10 +114,11 @@ def _counts_from_raw_log(input_path: str, gold_path: str | None):
 def _load_counts(input_path: str, gold_path: str | None):
     """Counts from either a persisted run or a raw log, plus provenance."""
     if is_run_file(input_path):
+        # read first, so that a malformed run file is reported by its line
+        manifest, counts = load_run(input_path)
         if gold_path:
             raise ValueError(f"--gold applies to raw logs; {input_path} is a persisted run "
                              "whose verdicts are already resolved")
-        manifest, counts = load_run(input_path)
         return counts, {"run_id": manifest.run_id, "verdict_source": manifest.verdict_source}
     counts, verdict_source = _counts_from_raw_log(input_path, gold_path)
     provenance = {"source_digest": digest_file(input_path), "verdict_source": verdict_source}
@@ -120,8 +127,30 @@ def _load_counts(input_path: str, gold_path: str | None):
     return counts, provenance
 
 
+def _simulate_value(args: argparse.Namespace, name: str) -> Fraction:
+    """`simulate --<name>`, which its `--kind` requires, as an exact value in [0, 1]."""
+    raw = getattr(args, name)
+    if raw is None:
+        raise ValueError(f"--kind {args.kind} needs --{name}")
+    value = as_unit_rational(raw, f"--{name}")
+    if name != "ratio" and value.denominator > MAX_DENOMINATOR:
+        raise ValueError(f"--{name} must have a denominator of at most 2**63, got {value}")
+    return value
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.model == "":
+        raise ValueError("--model must be a nonempty string, got ''")
+    for flag, count in (("--tasks", args.tasks), ("--trials", args.trials)):
+        if count < 1:
+            raise ValueError(f"{flag} must be >= 1, got {count}")
+    if args.tasks > MAX_TASKS:
+        raise ValueError(f"--tasks must be at most {MAX_TASKS}, got {args.tasks}")
+    if args.tasks * args.trials > MAX_RECORDS:
+        raise ValueError(f"--tasks x --trials must be at most {MAX_RECORDS} records, got {args.tasks * args.trials}")
     if args.kind == "guesser":
+        if not 2 <= args.support <= MAX_DENOMINATOR:
+            raise ValueError(f"--support must lie in [2, 2**63], got {args.support}")
         spec = GuesserSpec(
             support_size=args.support,
             tasks=args.tasks,
@@ -137,15 +166,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
             write_atomic(Path(args.gold_out), lines)
     else:
+        names = {"constant-p": ("p",), "two-point": ("low", "high", "ratio")}.get(args.kind, ())
         profile_spec = ProfileSpec(
             kind=args.kind,
             tasks=args.tasks,
             seed=args.seed,
             model=args.model or args.kind,
-            p=args.p,
-            low=args.low,
-            high=args.high,
-            ratio=args.ratio,
+            **{name: _simulate_value(args, name) for name in names},
         )
         profile = make_profile(profile_spec)
         log = completions_log(profile, args.trials, args.seed)

@@ -217,13 +217,14 @@ def avg_auc_plus(curves: Sequence[CoverCurve]) -> dict[str, Fraction]:
 
 
 def check_cover_dominance(curve_a: CoverCurve, curve_b: CoverCurve) -> bool:
-    """True iff G_A >= G_B on every merged-breakpoint interval.
+    """True iff G_A >= G_B on every merged-breakpoint interval, that is iff
+    auc+(B, A) = 0: every interval has a positive width.
 
     When true, pass@k(A) >= pass@k(B) for every k: pass@k is a
     positive-weight integral of the curve difference.
     """
-    heights, _, _ = _cover_grid([curve_a, curve_b])
-    return bool((heights[0] >= heights[1]).all())
+    heights, widths, _ = _cover_grid([curve_a, curve_b])
+    return _excess_totals(heights, widths)[1][0] == 0
 
 
 def _sign(x: float) -> int:

@@ -19,7 +19,7 @@ A per-completion log is folded line by line into one `SampleTally` per
 add their answer text to a counter, and the only per-line state kept is the
 key's set of seen sample_index values, so memory grows with keys and
 distinct answers rather than with lines.  `counts_from_log` grades each
-distinct (task, answer) once against gold.  `apply_grading` and
+distinct answer once per gold text.  `apply_grading` and
 `metrics.aggregate` do the same job record by record for in-memory
 `SampleRecord` lists.
 
@@ -402,7 +402,7 @@ def counts_from_log(
     """Per-model counts of a parsed log plus the verdict source.
 
     Explicit flags win; unflagged answers are graded against gold, each
-    distinct (task, answer) once, and the verdict is weighted by the
+    distinct answer once per gold text, and the verdict is weighted by the
     answer's count.  Gives what `aggregate(apply_grading(records, gold)[0])`
     gives for the log's records, and rejects a key with unflagged lines but
     no gold answer at its first such line.
@@ -411,7 +411,7 @@ def counts_from_log(
         return parsed.counts, "aggregated"
     tallies = parsed.records or {}
     graded: dict[tuple[str, str], int] = {}  # key -> correct unflagged lines
-    verdicts: dict[tuple[str, str], bool] = {}
+    grade_once = functools.cache(grade)
     # keys in the order of their first unflagged line, so the first
     # ungradable line in the file is the one reported
     ungraded = sorted((t.first_ungraded, key) for key, t in tallies.items() if t.first_ungraded)
@@ -422,13 +422,7 @@ def counts_from_log(
                 f"{parsed.source}:{lineno}: record (model={model!r}, task={task!r}, "
                 f"sample_index={index}) has no verdict and no gold answer to grade against"
             )
-        hits = 0
-        for answer, count in tallies[key].answers.items():
-            verdict = verdicts.get((task, answer))
-            if verdict is None:
-                verdict = verdicts[task, answer] = grade(answer, gold[task])
-            hits += count * verdict
-        graded[key] = hits
+        graded[key] = sum(count * grade_once(answer, gold[task]) for answer, count in tallies[key].answers.items())
     per_model: dict[str, dict[str, TaskCounts]] = {}
     for (model, task), tally in tallies.items():
         n = tally.n + sum(tally.answers.values())
@@ -593,12 +587,7 @@ def decode_lines(fh: BinaryIO, source: str) -> Iterator[str]:
     """The lines of a binary stream decoded as UTF-8; an undecodable line is
     a ParseError that names it."""
     for lineno, raw in enumerate(fh, start=1):
-        try:
-            yield raw.decode("utf-8")
-        except UnicodeDecodeError:
-            # the helper decodes again and raises the ParseError that names the line
-            _decode_utf8(raw, source, lineno)
-            raise
+        yield _decode_utf8(raw, source, lineno)
 
 
 def read_log(path: str | Path) -> ParsedLog:

@@ -134,7 +134,7 @@ def build_report(
 
     notes: list[str] = []
     for model in selected:
-        low = [tc for tc in counts[model] if tc.n < LOW_TRIAL_WARNING]
+        low = [tc for tc in aligned[model] if tc.n < LOW_TRIAL_WARNING]
         if low:
             notes.append(
                 f"model {model!r}: {len(low)} task(s) with fewer than {LOW_TRIAL_WARNING} trials; "
@@ -157,7 +157,7 @@ def build_report(
         counts_per_group = [tally.count(cols) for _, cols in sorted(members.items())]
         notes.append(
             f"metric table averages per task group (split on {group_delimiter!r}); "
-            "curves and dominance remain pooled"
+            "curves, dominance and any bootstrap bands remain pooled"
         )
     # the published table is the mean of the group tables; pooled is one group
     tables = [tally.table(count) for count in counts_per_group]
@@ -273,8 +273,6 @@ def render_dominance_text(bundle: ReportBundle) -> str:
     for metric in sorted(bundle.rankings):
         lines.append(f"  {metric}: " + ", ".join(f"{m}({rank})" for m, _v, rank in bundle.rankings[metric]))
     lines += ["", "crossovers (pass@k ordering flips on the evaluated grid):"]
-    if not bundle.crossovers:
-        lines.append("  none evaluated")
     for cross in bundle.crossovers:
         verdict = f"k*={cross.k_star} ({cross.direction})" if cross.crossed else "no crossover"
         lines.append(f"  {cross.pair[0]} vs {cross.pair[1]}: {verdict}")

@@ -4,7 +4,8 @@ The random source is numpy's Philox counter-based generator.  Streams are
 split per task: task i uses key (seed, i), and trial j is the j-th draw of
 that stream, so generating tasks in parallel reproduces the serial output
 bit for bit.  Bernoulli(p) draws for rational p = a/b are exact:
-integers(0, b) < a, with no float thresholding.
+integers(0, b) < a, with no float thresholding.  The guesser draws from the
+same stream at p = 1/m: its draws 0..m-1 are its labels, and gold is "0".
 
 Two canned regimes:
 
@@ -150,32 +151,25 @@ def _task_rng(seed: int, task_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _completion_draws(
-    profile: SuccessProfile, trials: int, seed: int
-) -> Iterator[tuple[str, np.ndarray]]:
-    """(task, hits) per task: `trials` exact Bernoulli(p) verdicts as a bool
-    column.  `trials` is checked now; the draws are made lazily, one task at
-    a time."""
+def _draws(entries: Iterable[tuple[str, Fraction]], trials: int,
+           seed: int) -> Iterator[tuple[str, Fraction, np.ndarray]]:
+    """(task, p, draws) per task: `trials` integers in 0..b-1 for p = a/b from
+    Philox key (seed, i) of the i-th task, so draws < a are exact Bernoulli(p)
+    verdicts.  `trials` is checked now; the draws are made lazily."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     return (
-        (task, _task_rng(seed, i).integers(0, p.denominator, size=trials) < p.numerator)
-        for i, (task, p) in enumerate(profile.entries)
+        (task, p, _task_rng(seed, i).integers(0, p.denominator, size=trials))
+        for i, (task, p) in enumerate(entries)
     )
-
-
-def _guesser_draws(spec: GuesserSpec) -> Iterator[tuple[str, np.ndarray]]:
-    """(task, guesses) per task: `spec.trials` labels drawn from 0..m-1."""
-    for i, task in enumerate(task_ids(spec.tasks)):
-        yield task, _task_rng(spec.seed, i).integers(0, spec.support_size, size=spec.trials)
 
 
 def simulate_completions(profile: SuccessProfile, trials: int, seed: int) -> list[SampleRecord]:
     """n i.i.d. Bernoulli(p) verdicts per task, task-major, trial-minor."""
     return [
         SampleRecord(model=profile.model, task=task, sample_index=j, correct=hit)
-        for task, hits in _completion_draws(profile, trials, seed)
-        for j, hit in enumerate(hits.tolist())
+        for task, p, draws in _draws(profile.entries, trials, seed)
+        for j, hit in enumerate((draws < p.numerator).tolist())
     ]
 
 
@@ -192,12 +186,13 @@ def simulate_guesser(spec: GuesserSpec) -> tuple[SuccessProfile, list[SampleReco
     records; records carry both the guessed answer text and the verdict, so
     the same log also exercises consensus scoring.
     """
+    profile = guesser_profile(spec)
     records = [
         SampleRecord(model=spec.model, task=task, sample_index=j, answer=str(g), correct=g == 0)
-        for task, guesses in _guesser_draws(spec)
+        for task, _, guesses in _draws(profile.entries, spec.trials, spec.seed)
         for j, g in enumerate(guesses.tolist())
     ]
-    return guesser_profile(spec), records
+    return profile, records
 
 
 def guesser_gold(spec: GuesserSpec) -> dict[str, str]:
@@ -239,12 +234,14 @@ def _jsonl_chunks(
 def completions_log(profile: SuccessProfile, trials: int, seed: int) -> Iterator[str]:
     """`records_to_jsonl(simulate_completions(profile, trials, seed))`, one
     chunk per task, with no record objects."""
-    return _jsonl_chunks(profile.model, _completion_draws(profile, trials, seed),
-                         lambda hit: f'"correct":{json.dumps(hit)}')
+    hits = ((task, draws < p.numerator) for task, p, draws in _draws(profile.entries, trials, seed))
+    return _jsonl_chunks(profile.model, hits, lambda hit: f'"correct":{json.dumps(hit)}')
 
 
 def guesser_log(spec: GuesserSpec) -> Iterator[str]:
     """`records_to_jsonl(simulate_guesser(spec)[1])`, one chunk per task,
     with no record objects."""
-    return _jsonl_chunks(spec.model, _guesser_draws(spec),
+    p = spec.success_probability
+    draws = _draws(((t, p) for t in task_ids(spec.tasks)), spec.trials, spec.seed)
+    return _jsonl_chunks(spec.model, ((task, labels) for task, _, labels in draws),
                          lambda g: f'"answer":{json.dumps(str(g))},"correct":{json.dumps(g == 0)}')

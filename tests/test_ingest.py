@@ -153,6 +153,10 @@ class TestParseRecords:
         with pytest.raises(ParseError, match="no records"):
             parse_records([])
 
+    def test_non_object_line_rejected(self):
+        with pytest.raises(ParseError, match=r"log:2: expected an object, got list"):
+            parse_records([sample_line("m", "t", 0, correct=True), "[1]"], "log")
+
 
 class TestGrade:
     def test_numeric_spellings_match(self):
@@ -314,6 +318,13 @@ class TestRawFiles:
         err = capsys.readouterr().err
         assert f"--gold applies to raw logs; {run} is a persisted run whose verdicts are already resolved" in err
 
+    def test_gold_with_a_malformed_run_names_its_line(self, tmp_path, capsys):
+        run = tmp_path / "run.jsonl"
+        run.write_text('{"format":"covertau-run-v2","kind":"manifest","record_count":1,"run_id":"0",'
+                       '"source_digests":{}}\n', encoding="utf-8")
+        assert main(["compute", "--input", str(run), "--gold", str(tmp_path / "gold.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {run}:1: field 'verdict_source' must be a nonempty string\n"
+
     def test_undecodable_first_line_is_not_a_run_file(self, tmp_path, capsys):
         path = tmp_path / "log.jsonl"
         path.write_bytes(b'{"kind":"manifest","x":"\xff"}\n')
@@ -394,6 +405,14 @@ class TestParseGold:
         lines = [json.dumps({"task": "t", "answer": "1"})] * 2
         with pytest.raises(ParseError, match="duplicate gold"):
             parse_gold(lines)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["[1]\n"], "g:1: expected an object, got list"),
+        (["\n", " \n"], "g: no gold answers found"),
+    ], ids=["non-object", "blank"])
+    def test_file_without_gold_objects_rejected(self, lines, message):
+        with pytest.raises(ParseError, match=message):
+            parse_gold(lines, "g")
 
 
 class TestPersistence:

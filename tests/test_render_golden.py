@@ -31,9 +31,9 @@ COMMANDS = {
 }
 EXPECTED = {
     "compute": {
-        "bundle.json": "7de4182e1fedf85f61248922965845922f600805af09eb8e5fd2485f2ce88394",
+        "bundle.json": "0ed454c0705a4d8292a0ca18d6c420c6a8727605d11bd74b432fb523d35c08a4",
         "metrics.csv": "6863600548f6ec58a09d8b00cf1885d4bd9367b6de0963753e99df95c9b390d6",
-        "stdout": "73f99923104521b32d994e1466d02bdd6e94e7a7befd19db7950a1ae0c4af627",
+        "stdout": "0fa7a27025a034c56ac95d025c12a0c61c3533b2f716321f93607ef513c12c74",
     },
     "curves": {
         "cover_curve_lab_m2.csv": "1bd3d88acff878e6d9b8d6832499e85260eb335d595aee7f9637d383e2c70908",
@@ -47,7 +47,7 @@ EXPECTED = {
         "stdout": "cff95ac2c6f81766408029fd5e92648c6e1a8d8ca842fb98c7860ade26a8e6e4",
     },
     "dominance": {
-        "dominance.json": "e46a574bc935a091c4d6390024ff0929ed67ff3f76b2d1c0ad909a36eb0a086a",
+        "dominance.json": "8bb8eb56d85c3c42fa8fa7d0aeedbed00e6c640adb1a66da10cd285c0ff7f3a1",
         "stdout": "6384d9c4d8a6b7ab38318eff6f17b608b8681bb462a807d941988b0f498738ca",
     },
 }

@@ -94,6 +94,14 @@ class TestBuildReport:
         quiet = build_report(toy_counts(trials=32))
         assert not any("fewer than 16" in note for note in quiet.notes)
 
+    def test_low_trial_note_counts_only_reported_tasks(self):
+        counts = toy_counts(tasks=10, trials=8)
+        counts["A"].append(TaskCounts(task="extra", n=4, c=4))
+        assert "model 'A': 10 task(s) with fewer than 16 trials" in build_report(counts).notes[0]
+        counts = toy_counts(tasks=10, trials=32)
+        counts["A"].append(TaskCounts(task="extra", n=4, c=4))
+        assert not any("fewer than 16" in note for note in build_report(counts).notes)
+
     def test_group_averaged_aggregation(self):
         counts = {
             "A": [
@@ -252,6 +260,15 @@ class TestCli:
         assert main(["compute", "--input", str(log), "--k", "4,2"]) == 2
         assert "ascending" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, message", [
+        ("1,x", "--k must be a comma-separated integer list, got '1,x'"),
+        ("0,1", "--k values must be >= 1, got [0, 1]"),
+    ], ids=["not-integer", "below-1"])
+    def test_k_flag_of_no_positive_integers_names_the_flag(self, tmp_path, capsys, k, message):
+        log = write_toy_logs(tmp_path)
+        assert main(["compute", "--input", str(log), "--k", k]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", ["compute", "curves", "dominance"])
     def test_k_past_float_range_rejected(self, tmp_path, capsys, command):
         log = write_toy_logs(tmp_path)
@@ -293,7 +310,7 @@ class TestCli:
             "simulate", "--kind", "constant-p", "--p", "1/0", "--tasks", "2",
             "--trials", "2", "--out", str(out),
         ]) == 2
-        assert "error: p has a zero denominator: '1/0'" in capsys.readouterr().err
+        assert "error: --p has a zero denominator: '1/0'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unparsable_tau_names_the_flag(self, tmp_path, capsys):
@@ -312,7 +329,7 @@ class TestCli:
             spec = ["--kind", "two-point", *(arg for name, v in values.items() for arg in (f"--{name}", v))]
         out = tmp_path / "x.jsonl"
         assert main(["simulate", *spec, "--tasks", "2", "--trials", "2", "--out", str(out)]) == 2
-        assert f"error: {field} is not a rational number: 'half'" in capsys.readouterr().err
+        assert f"error: --{field} is not a rational number: 'half'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_group_delimiter_rejected(self, tmp_path, capsys):

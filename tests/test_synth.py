@@ -329,3 +329,32 @@ class TestSimulateCommand:
                      "--out", str(out), "--gold-out", str(tmp_path / "gold.jsonl")]) == 2
         assert "--gold-out applies to the guesser kind only" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--kind", "guesser", "--tasks", "0"], "--tasks must be >= 1, got 0"),
+        (["--kind", "guesser", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["--kind", "guesser", "--support", "1"], "--support must lie in [2, 2**63], got 1"),
+        (["--kind", "guesser", "--support", str(2**63 + 1)], f"--support must lie in [2, 2**63], got {2**63 + 1}"),
+        (["--kind", "guesser", "--model", ""], "--model must be a nonempty string, got ''"),
+        (["--kind", "constant-p"], "--kind constant-p needs --p"),
+        (["--kind", "constant-p", "--p", "2"], "--p must lie in [0, 1], got 2"),
+        (["--kind", "constant-p", "--p", "1e-30"],
+         "--p must have a denominator of at most 2**63, got 1/1000000000000000000000000000000"),
+        (["--kind", "two-point", "--low", "0", "--ratio", "1/2"], "--kind two-point needs --high"),
+        (["--kind", "two-point", "--low", "0", "--high", "1", "--ratio", "3/2"], "--ratio must lie in [0, 1], got 3/2"),
+    ], ids=["tasks", "trials", "support", "support-past-int64", "empty-model", "no-p", "p-above-1",
+            "p-denominator", "no-high", "ratio-above-1"])
+    def test_rejections_name_their_flag(self, tmp_path, capsys, argv, err):
+        out = tmp_path / "log.jsonl"
+        defaults = {"--tasks": "2", "--trials": "3"}
+        flags = [x for flag, value in defaults.items() if flag not in argv for x in (flag, value)]
+        assert main(["simulate", *argv, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_p_denominator_is_drawn(self, tmp_path):
+        out = tmp_path / "log.jsonl"
+        assert main(["simulate", "--kind", "constant-p", "--p", f"1/{2**63}", "--tasks", "2", "--trials", "3",
+                     "--out", str(out)]) == 0
+        profile = make_profile(ProfileSpec(kind="constant-p", tasks=2, model="constant-p", p=F(1, 2**63)))
+        assert out.read_text(encoding="utf-8") == records_to_jsonl(simulate_completions(profile, 3, 0))
