@@ -109,7 +109,7 @@ def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
 
     (scaled,), scale = scale_to_lcm([profile.probabilities])
     tally = TaskTally([profile.model], [scaled], scale, ())
-    return tally.cover_curve(0, tally.count(range(len(scaled))))
+    return tally.cover_curve(0, tally.at_least(range(len(scaled)))[0])
 
 
 def pass_curve(profile: SuccessProfile, ks: Sequence[int]) -> PassCurve:

@@ -15,8 +15,7 @@ widths are integers over L.  Row i of the whole auc+ matrix is then
 
     sum over the grid of max(H_i - H_j, 0) * width,
 
-an integer sum in int64 (or Python ints once V*L reaches 2**62) that is
-divided by V*L once, as a Fraction.
+an integer sum in Python ints that is divided by V*L once, as a Fraction.
 
 Reports start from counts: p = c/n is the integer c * (L/n) over L = lcm
 of the trial counts.  A `TaskTally` places each task once on the grid of
@@ -25,6 +24,8 @@ multiset of task columns (all of them for the pooled table, cover curves
 and auc+ matrix, a group's own, a bootstrap draw with replacement), by
 one formula per metric in `TaskTally.table`.  p >= tau is always scaled
 p >= ceil(tau * L), one threshold rule for point values and bands alike.
+Point counts run on Python ints.  Only a bootstrap resample is counted in
+numpy, into the same `Count` of Python ints.
 """
 
 from __future__ import annotations
@@ -33,21 +34,24 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, combinations
+from operator import mul, sub
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .curves import CoverCurve, PassCurve, scale_to_lcm
 from .records import RationalLike, SuccessProfile, as_unit_rational, format_tau
 
-# numpy is imported inside the functions that compute with it, so that
-# commands which never do (`--version`, `ingest`) start without loading it
+# numpy is imported only by the bootstrap: commands that draw no resample
+# (`--version`, `ingest`, reports without `--bootstrap`) start without it
 if TYPE_CHECKING:
     import numpy as np
 
 #: quantiles of the resampled values that bound a bootstrap band (a 95% interval)
 BAND_LEVELS = (0.025, 0.975)
 
-#: (t, at_least, totals): a `TaskTally.count` of t task columns
-Count = tuple[int, "np.ndarray", list[list[int]]]
+#: (t, passed, covered, totals) of t task columns, in Python ints: model i's pass@1 is passed[i] / (t * scale),
+#: cov@taus[k] covered[k][i] / t, and auc+ over model j totals[i][j] / (t * scale)
+Count = tuple[int, list[int], list[list[int]], list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -73,24 +77,10 @@ class DominanceReport:
     rankings: dict[str, list[tuple[str, float, int]]]
 
 
-def _grid_dtype(scale: int) -> type:
-    import numpy as np
-
-    # int64 cannot wrap below 2**62; past it, the same code runs on Python ints
-    return np.int64 if scale < 2**62 else object
-
-
-def _cover_grid(curves: Sequence[CoverCurve]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Curves over one task set as integers on their merged breakpoint grid.
-
-    Returns (heights, widths, scale).  heights[i, j] is V * G_i on the j-th
-    interval (grid[j], grid[j+1]] and widths[j] is L * its length, so each
-    interval contributes heights * widths / scale with scale = V * L.  All
-    heights lie in [0, V] and the widths sum to L, so no product, and no sum
-    of clipped differences times widths, exceeds scale.
-    """
-    import numpy as np
-
+def _cover_totals(curves: Sequence[CoverCurve]) -> tuple[list[list[int]], int]:
+    """(totals, scale): the auc+ matrix of curves over one task set is
+    totals / scale.  On each interval of their merged breakpoint grid, V * G_i
+    is an integer height and L times its length an integer width; scale = V * L."""
     first = curves[0]
     for curve in curves[1:]:
         if curve.num_tasks != first.num_tasks:
@@ -101,94 +91,91 @@ def _cover_grid(curves: Sequence[CoverCurve]) -> tuple[np.ndarray, np.ndarray, i
             )
     scaled, width_scale = scale_to_lcm([c.breakpoints for c in curves])
     scaled_values, height_scale = scale_to_lcm([c.values for c in curves])
-    scale = width_scale * height_scale
-    dtype = _grid_dtype(scale)
-    grid = np.array(sorted(set().union(*scaled)), dtype=dtype)
-    heights = np.stack([
-        # each curve is constant on (lo, hi]: its value at the first own breakpoint >= hi
-        np.array(v, dtype=dtype)[np.searchsorted(np.array(b, dtype=dtype), grid[1:], side="left")]
-        for b, v in zip(scaled, scaled_values)
-    ])
-    return heights, np.diff(grid), scale
+    grid = sorted(set().union(*scaled))
+    # each curve is constant on (lo, hi]: its value at the first own breakpoint >= hi
+    heights = [[v[bisect_left(b, hi)] for hi in grid[1:]] for b, v in zip(scaled, scaled_values)]
+    return _excess_totals(heights, list(map(sub, grid[1:], grid)))[1], width_scale * height_scale
 
 
-def _excess_totals(heights: np.ndarray, widths: np.ndarray) -> list[list[int]]:
-    """totals[i][j] = sum over the grid of max(heights[i] - heights[j], 0) * widths."""
-    import numpy as np
+def _excess_totals(heights: Sequence[Sequence[int]], widths: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """(areas, totals): areas[i] = sum over the grid of heights[i] * widths,
+    totals[i][j] = sum over the grid of max(heights[i] - heights[j], 0) * widths."""
+    areas = [sum(map(mul, row, widths)) for row in heights]
+    totals = [[0] * len(heights) for _ in heights]
+    for i, j in combinations(range(len(heights)), 2):
+        above = sum(d * w for d, w in zip(map(sub, heights[i], heights[j]), widths) if d > 0)
+        # totals[i][j] - totals[j][i] is the whole difference, areas[i] - areas[j]
+        totals[i][j], totals[j][i] = above, above - areas[i] + areas[j]
+    return areas, totals
 
-    return [(np.maximum(row - heights, 0) * widths).sum(axis=1).tolist() for row in heights]
 
-
-def _task_grid(scaled: Sequence[Sequence[int]], scale: int) -> tuple[list[int], np.ndarray]:
+def _task_grid(scaled: Sequence[Sequence[int]], scale: int) -> tuple[list[int], Sequence[int]]:
     """Tasks whose p values are scaled[i][t] / scale, on the grid of their
     distinct values plus 0 and scale.  Returns (grid, cells): model i's task t
-    at grid position g is cell i * len(grid) + g of one flat tally."""
-    import numpy as np
+    at grid position g is cells[i * T + t] = i * len(grid) + g, a cell of one
+    flat tally, held as int64 that numpy reads without a copy."""
+    from array import array  # an extension module: commands that make no report do not load it
 
     grid = sorted(set().union(*scaled, (0, scale)))
     position = {point: g for g, point in enumerate(grid)}
     size = len(grid)
-    return grid, np.array([[i * size + position[x] for x in row] for i, row in enumerate(scaled)])
+    return grid, array("q", [i * size + position[x] for i, row in enumerate(scaled) for x in row])
 
 
 class TaskTally:
     """Tasks whose p values are scaled[i][t] / scale (rows over one task set,
     one row per model), placed once on the grid of their distinct values
     plus 0 and scale, with each tau's grid position and the grid widths.
-    `count` counts any multiset of task columns on it; `table` and
-    `cover_curve` read every report number off such a count."""
+    `at_least` counts any multiset of task columns on it; `count`, `table`
+    and `cover_curve` read every report number off such a count."""
 
     def __init__(self, models: Sequence[str], scaled: Sequence[Sequence[int]], scale: int,
                  taus: Sequence[Fraction]) -> None:
-        import numpy as np
-
         self.models = tuple(models)
         self.scale = scale
         self.grid, self.cells = _task_grid(scaled, scale)
+        self.rows = [memoryview(self.cells)[i * len(row):(i + 1) * len(row)] for i, row in enumerate(scaled)]
         # p >= tau is scaled p >= ceil(tau * scale): the first grid point at or above it
         self.tau_at = [bisect_left(self.grid, math.ceil(tau * scale)) for tau in taus]
-        # every multiset counted has at most T tasks, so T * scale bounds its
-        # sums; counts (at most T) times widths take the widths' dtype
-        self.widths = np.diff(np.array(self.grid, dtype=_grid_dtype(self.cells.shape[1] * scale)))
+        self.widths = list(map(sub, self.grid[1:], self.grid))
         self.metric_names = ("pass@1", *(f"cov@{format_tau(tau)}" for tau in taus))
         if len(self.models) >= 2:
             self.metric_names += ("avg_auc_plus",)
 
-    def count(self, columns: Sequence[int] | np.ndarray) -> Count:
-        """(t, at_least, totals) of the t tasks at `columns`, repeats counted:
-        at_least[i, g] tasks of model i have p >= grid[g], so on (grid[g-1],
-        grid[g]] its cover curve is at_least[i, g] / t, and auc+ of model i
-        over model j is totals[i][j] / (t * scale)."""
-        import numpy as np
-
+    def at_least(self, columns: Sequence[int]) -> list[list[int]]:
+        """at_least[i][g]: tasks at `columns`, repeats counted, of model i
+        with p >= grid[g], so on (grid[g-1], grid[g]] its cover curve is
+        at_least[i][g] / at_least[i][0]."""
         size = len(self.grid)
-        # take gathers the columns in about half the time of cells[:, columns]
-        tally = np.bincount(self.cells.take(columns, axis=1).ravel(), minlength=len(self.models) * size)
-        at_least = tally.reshape(-1, size)[:, ::-1].cumsum(axis=1)[:, ::-1]
-        return len(columns), at_least, _excess_totals(at_least[:, 1:], self.widths)
+        tally = [0] * (len(self.models) * size)
+        for row in self.rows:
+            for t in columns:
+                tally[row[t]] += 1
+        return [list(accumulate(reversed(tally[g:g + size])))[::-1] for g in range(0, len(tally), size)]
+
+    def count(self, at_least: Sequence[Sequence[int]]) -> Count:
+        """The `Count` of an `at_least` count: pass@1 is the area under the
+        cover curve."""
+        passed, totals = _excess_totals([row[1:] for row in at_least], self.widths)
+        return at_least[0][0], passed, [[row[g] for row in at_least] for g in self.tau_at], totals
 
     def table(self, count: Count) -> dict[str, tuple[list[int], int]]:
         """{metric: (numerators, denominator)} of a count, one numerator per
         model, for each of `metric_names`."""
-        t, at_least, totals = count
-        # pass@1 is the area under the cover curve
-        rows = [((at_least[:, 1:] @ self.widths).tolist(), t * self.scale)]
-        rows += [(at_least[:, g].tolist(), t) for g in self.tau_at]
+        t, passed, covered, totals = count
+        rows = [(passed, t * self.scale), *((row, t) for row in covered)]
         if len(self.models) >= 2:
             rows.append(_avg_excess(totals, t * self.scale))
         return dict(zip(self.metric_names, rows))
 
-    def cover_curve(self, i: int, count: Count) -> CoverCurve:
-        """Cover curve of model i over a count: breakpoints at 0, at each grid
-        point where model i has tasks, and at 1."""
-        import numpy as np
-
-        t, at_least, _ = count
-        row = at_least[i]
+    def cover_curve(self, i: int, at_least: Sequence[int]) -> CoverCurve:
+        """Cover curve of model i over its `at_least` row: breakpoints at 0,
+        at each grid point where model i has tasks, and at 1."""
+        t, last = at_least[0], len(self.grid) - 1
         # model i has tasks at grid[g] where at_least drops after g
-        points = [0, *(np.flatnonzero(row[1:-1] > row[2:]) + 1).tolist(), len(self.grid) - 1]
+        points = [0, *(g for g in range(1, last) if at_least[g] > at_least[g + 1]), last]
         breakpoints = tuple(Fraction(self.grid[g], self.scale) for g in points)
-        return CoverCurve(self.models[i], breakpoints, tuple(Fraction(k, t) for k in row[points].tolist()), t)
+        return CoverCurve(self.models[i], breakpoints, tuple(Fraction(at_least[g], t) for g in points), t)
 
 
 def _avg_excess(totals: Sequence[Sequence[int]], scale: int) -> tuple[list[int], int]:
@@ -206,8 +193,8 @@ def _check_model_set(names: Sequence[str]) -> None:
 
 def auc_plus_cover(curve_a: CoverCurve, curve_b: CoverCurve) -> Fraction:
     """Exact integral of max(G_A - G_B, 0) over [0, 1]."""
-    heights, widths, scale = _cover_grid([curve_a, curve_b])
-    return Fraction(_excess_totals(heights, widths)[0][1], scale)
+    totals, scale = _cover_totals([curve_a, curve_b])
+    return Fraction(totals[0][1], scale)
 
 
 def avg_auc_plus(curves: Sequence[CoverCurve]) -> dict[str, Fraction]:
@@ -223,8 +210,7 @@ def check_cover_dominance(curve_a: CoverCurve, curve_b: CoverCurve) -> bool:
     When true, pass@k(A) >= pass@k(B) for every k: pass@k is a
     positive-weight integral of the curve difference.
     """
-    heights, widths, _ = _cover_grid([curve_a, curve_b])
-    return _excess_totals(heights, widths)[1][0] == 0
+    return _cover_totals([curve_a, curve_b])[0][1][0] == 0
 
 
 def _sign(x: float) -> int:
@@ -293,8 +279,22 @@ def dominance_report(curves: Sequence[CoverCurve]) -> DominanceReport:
     """Full pairwise matrix, AvgAUC+ vector, and the avg_auc_plus ranking."""
     models = [c.model for c in curves]
     _check_model_set(models)
-    heights, widths, scale = _cover_grid(curves)
-    return _dominance(models, _excess_totals(heights, widths), scale)
+    return _dominance(models, *_cover_totals(curves))
+
+
+def _resample_count(tally: TaskTally, cells: np.ndarray, widths: np.ndarray, columns: np.ndarray) -> Count:
+    """`tally.count(tally.at_least(columns))`, with tally.cells as an (m, T)
+    array and tally.widths as an array whose dtype holds every sum over T
+    tasks: only the m-long rows of the `Count` become Python ints."""
+    import numpy as np
+
+    size = len(tally.grid)
+    # take gathers the columns in about half the time of cells[:, columns]
+    counts = np.bincount(cells.take(columns, axis=1).ravel(), minlength=len(tally.models) * size)
+    at_least = counts.reshape(-1, size)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    heights = at_least[:, 1:]
+    totals = [(np.maximum(row - heights, 0) * widths).sum(axis=1).tolist() for row in heights]
+    return len(columns), (heights @ widths).tolist(), at_least[:, tally.tau_at].T.tolist(), totals
 
 
 def scaled_bootstrap_bands(
@@ -306,22 +306,25 @@ def scaled_bootstrap_bands(
 
     Resample r uses task indices idx[r], row r of one (resamples, T) integer
     draw from Philox keyed on (seed mod 2**64, 0x626F6F74), drawn row by row
-    as each is counted.  Each resampled multiset is counted exactly on the
-    tally and its `table` read, as for the point estimates, each cov@tau and
-    AvgAUC+ rounded to a float once; bands are their BAND_LEVELS quantiles.
+    as each is counted.  Each resampled multiset is counted exactly, as the
+    point estimates are, and its `table` read, each cov@tau and AvgAUC+
+    rounded to a float once; bands are their BAND_LEVELS quantiles.
     Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
     """
     import numpy as np
 
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
-    m, t_count = tally.cells.shape
+    cells = np.frombuffer(tally.cells, dtype=np.int64).reshape(len(tally.models), -1)
+    m, t_count = cells.shape
+    # T * scale bounds every sum over T tasks; int64 cannot wrap below 2**62
+    widths = np.array(tally.widths, dtype=np.int64 if t_count * tally.scale < 2**62 else object)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)))
     samples = {name: np.empty((resamples, m)) for name in tally.metric_names if name != "pass@1"}  # not banded
     for r in range(resamples):
         # row r of the one-shot draw: Philox keeps its buffered half-word in
         # the bit generator, not in the call, so row-by-row draws continue it
-        table = tally.table(tally.count(rng.integers(0, t_count, size=t_count)))
+        table = tally.table(_resample_count(tally, cells, widths, rng.integers(0, t_count, size=t_count)))
         for name, values in samples.items():
             nums, den = table[name]
             values[r] = [num / den for num in nums]  # int true division: correctly rounded

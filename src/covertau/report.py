@@ -8,11 +8,11 @@ raw [0, 1] values, with exact rationals rendered as "num/den" strings.
 counts, straight from the counts, and places every task once on a
 `TaskTally`.  It counts all task columns once and reads the pooled table,
 the cover curves and the auc+ matrix off that count; a grouped report
-adds one count per task group, and the bootstrap one per resample.  Every
-table row comes from `TaskTally.table`, with one threshold rule: p >= tau
-is scaled p >= ceil(tau * L).  A pooled table is the table of one group
-holding every task.  Pass curves read (n - c) / n, and a Fraction is
-formed only for a value that is written out.
+adds one count per task group, and the bootstrap one per resample, the
+only count made in numpy.  Every table row comes from `TaskTally.table`,
+with one threshold rule: p >= tau is scaled p >= ceil(tau * L).  A pooled
+table is the table of one group holding every task.  Pass curves read
+(n - c) / n, and a Fraction is formed only for a value that is written out.
 """
 
 from __future__ import annotations
@@ -147,14 +147,15 @@ def build_report(
         )
 
     tally = TaskTally(selected, scaled, scale, tau_fracs)
-    pooled = tally.count(range(len(tasks)))
+    at_least = tally.at_least(range(len(tasks)))
+    pooled = tally.count(at_least)
     aggregation, counts_per_group = "pooled", [pooled]
     if group_delimiter is not None:
         members: dict[str, list[int]] = {}
         for t, task in enumerate(tasks):
             members.setdefault(task.split(group_delimiter, 1)[0], []).append(t)
         aggregation = "per-group-averaged"
-        counts_per_group = [tally.count(cols) for _, cols in sorted(members.items())]
+        counts_per_group = [tally.count(tally.at_least(cols)) for _, cols in sorted(members.items())]
         notes.append(
             f"metric table averages per task group (split on {group_delimiter!r}); "
             "curves, dominance and any bootstrap bands remain pooled"
@@ -168,10 +169,10 @@ def build_report(
         }
         for i, model in enumerate(selected)
     }
-    cover_curves = {model: tally.cover_curve(i, pooled) for i, model in enumerate(selected)}
+    cover_curves = {model: tally.cover_curve(i, row) for i, (model, row) in enumerate(zip(selected, at_least))}
     dominance = None
     if len(selected) >= 2:
-        dominance = _dominance(selected, pooled[2], len(tasks) * scale)
+        dominance = _dominance(selected, pooled[3], len(tasks) * scale)
     else:
         notes.append("avg_auc_plus column absent: needs at least 2 models")
 

@@ -18,8 +18,8 @@ Two canned regimes:
 Logs are written column-wise: `guesser_log` and `completions_log` turn
 each task's draw column straight into canonical JSON lines (one prefix per
 draw value, built when the value is first drawn, then the sample index and
-a per-task suffix) and yield one chunk per task, so a log of any length is
-streamed with one task's column in memory.  `simulate_guesser`,
+a per-task suffix) and yield one chunk per slice of at most SLICE draws of
+a task, so a log of any length streams in fixed memory.  `simulate_guesser`,
 `simulate_completions` and `records_to_jsonl` build on the same draws and
 give the same bytes through `SampleRecord`s; they are the record-level API
 and the emitters' test oracle.
@@ -33,6 +33,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain, count
+from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .records import RationalLike, SampleRecord, SuccessProfile, as_unit_rational
@@ -43,6 +46,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MASK64 = (1 << 64) - 1
+SLICE = 65_536  # trials drawn and rendered at a time; Philox continues its stream across slices
 
 PROFILE_KINDS = ("constant-p", "two-point", "uniform-random", "user-list")
 
@@ -152,16 +156,17 @@ def _task_rng(seed: int, task_index: int) -> np.random.Generator:
 
 
 def _draws(entries: Iterable[tuple[str, Fraction]], trials: int,
-           seed: int) -> Iterator[tuple[str, Fraction, np.ndarray]]:
-    """(task, p, draws) per task: `trials` integers in 0..b-1 for p = a/b from
+           seed: int) -> Iterator[tuple[str, Fraction, Iterator[np.ndarray]]]:
+    """(task, p, slices) per task: `trials` integers in 0..b-1 for p = a/b from
     Philox key (seed, i) of the i-th task, so draws < a are exact Bernoulli(p)
-    verdicts.  `trials` is checked now; the draws are made lazily."""
+    verdicts, in consecutive slices of at most SLICE.  `trials` is checked
+    now; the draws are made lazily."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return (
-        (task, p, _task_rng(seed, i).integers(0, p.denominator, size=trials))
-        for i, (task, p) in enumerate(entries)
-    )
+
+    def slices(rng: np.random.Generator, bound: int) -> Iterator[np.ndarray]:
+        return (rng.integers(0, bound, size=min(SLICE, trials - start)) for start in range(0, trials, SLICE))
+    return ((task, p, slices(_task_rng(seed, i), p.denominator)) for i, (task, p) in enumerate(entries))
 
 
 def simulate_completions(profile: SuccessProfile, trials: int, seed: int) -> list[SampleRecord]:
@@ -169,7 +174,7 @@ def simulate_completions(profile: SuccessProfile, trials: int, seed: int) -> lis
     return [
         SampleRecord(model=profile.model, task=task, sample_index=j, correct=hit)
         for task, p, draws in _draws(profile.entries, trials, seed)
-        for j, hit in enumerate((draws < p.numerator).tolist())
+        for j, hit in enumerate(chain.from_iterable((d < p.numerator).tolist() for d in draws))
     ]
 
 
@@ -190,7 +195,7 @@ def simulate_guesser(spec: GuesserSpec) -> tuple[SuccessProfile, list[SampleReco
     records = [
         SampleRecord(model=spec.model, task=task, sample_index=j, answer=str(g), correct=g == 0)
         for task, _, guesses in _draws(profile.entries, spec.trials, spec.seed)
-        for j, g in enumerate(guesses.tolist())
+        for j, g in enumerate(chain.from_iterable(d.tolist() for d in guesses))
     ]
     return profile, records
 
@@ -214,33 +219,34 @@ def records_to_jsonl(records: Sequence[SampleRecord]) -> str:
 
 
 def _jsonl_chunks(
-    model: str, draws: Iterable[tuple[str, np.ndarray]], fields: Callable[[int], str]
+    model: str, draws: Iterable[tuple[str, Iterable[np.ndarray]]], fields: Callable[[int], str]
 ) -> Iterator[str]:
-    """One chunk of canonical-JSON lines per task, the bytes of
-    `records_to_jsonl`.  `fields(v)` holds the fields that sort before
-    "model" for draw value v; the keys sort as answer, correct, model,
-    sample_index, task, so a line is prefix[v] + index + task suffix.  A
-    value's prefix is built when it is first drawn."""
+    """One chunk of canonical-JSON lines per slice of a task's draws, the
+    bytes of `records_to_jsonl`.  `fields(v)` holds the fields that sort
+    before "model" for draw value v; the keys sort as answer, correct,
+    model, sample_index, task, so a line is prefix[v] + index + task suffix.
+    A value's prefix is built when it is first drawn."""
     head = f',"model":{json.dumps(model)},"sample_index":'
     prefixes: dict[int, str] = {}
     for task, column in draws:
-        values = column.tolist()
-        for v in set(values).difference(prefixes):
-            prefixes[v] = "{" + fields(v) + head
         suffix = f',"task":{json.dumps(task)}}}\n'
-        yield "".join([prefixes[v] + str(j) + suffix for j, v in enumerate(values)])
+        for start, values in zip(count(0, SLICE), (piece.tolist() for piece in column)):
+            for v in set(values).difference(prefixes):
+                prefixes[v] = "{" + fields(v) + head
+            yield "".join([prefixes[v] + str(j) + suffix for j, v in enumerate(values, start)])
 
 
 def completions_log(profile: SuccessProfile, trials: int, seed: int) -> Iterator[str]:
     """`records_to_jsonl(simulate_completions(profile, trials, seed))`, one
-    chunk per task, with no record objects."""
-    hits = ((task, draws < p.numerator) for task, p, draws in _draws(profile.entries, trials, seed))
+    chunk per slice of a task's draws, with no record objects."""
+    # numerator > d is d < numerator, bound to this task's p now, not when the slice is drawn
+    hits = ((task, map(partial(gt, p.numerator), draws)) for task, p, draws in _draws(profile.entries, trials, seed))
     return _jsonl_chunks(profile.model, hits, lambda hit: f'"correct":{json.dumps(hit)}')
 
 
 def guesser_log(spec: GuesserSpec) -> Iterator[str]:
-    """`records_to_jsonl(simulate_guesser(spec)[1])`, one chunk per task,
-    with no record objects."""
+    """`records_to_jsonl(simulate_guesser(spec)[1])`, one chunk per slice
+    of a task's draws, with no record objects."""
     p = spec.success_probability
     draws = _draws(((t, p) for t in task_ids(spec.tasks)), spec.trials, spec.seed)
     return _jsonl_chunks(spec.model, ((task, labels) for task, _, labels in draws),

@@ -2,12 +2,14 @@
 
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covertau.dominance
 import fraction_oracle as oracle
 from covertau import (
     CoverCurve,
@@ -22,7 +24,7 @@ from covertau import (
     pass_at_k_exact,
     pass_curve,
 )
-from covertau.dominance import BAND_LEVELS, TaskTally, _cover_grid, scaled_bootstrap_bands
+from covertau.dominance import BAND_LEVELS, TaskTally, _cover_totals, scaled_bootstrap_bands
 from covertau.report import format_tau
 
 F = Fraction
@@ -89,12 +91,46 @@ def test_pass_curve_equals_pointwise_pass_at_k(profiles):
         assert pass_curve(prof, ks).values == tuple(pass_at_k_exact(prof, k) for k in ks)
 
 
+def resample_counts(tally, resamples, seed):
+    """(columns, widths dtype, count) of each resample that
+    `scaled_bootstrap_bands` counts in numpy."""
+    seen = []
+    count = covertau.dominance._resample_count
+
+    def spy(tally, cells, widths, columns):
+        seen.append((columns.tolist(), widths.dtype, count(tally, cells, widths, columns)))
+        return seen[-1][2]
+
+    with mock.patch.object(covertau.dominance, "_resample_count", spy):
+        scaled_bootstrap_bands(tally, resamples=resamples, seed=seed)
+    return seen
+
+
+@st.composite
+def tallies(draw):
+    # scales from 2**60 up put T * scale at and past 2**62, onto Python ints
+    scale = draw(st.one_of(st.integers(1, 300), st.integers(2**60, 2**64)))
+    tasks, models = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    scaled = [draw(st.lists(st.integers(0, scale), min_size=tasks, max_size=tasks)) for _ in range(models)]
+    taus = draw(st.lists(st.fractions(0, 1), max_size=3, unique=True))
+    return TaskTally([f"m{i}" for i in range(models)], scaled, scale, taus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tallies(), st.integers(0, 2**64 - 1))
+def test_resample_count_equals_python_count(tally, seed):
+    for columns, _, count in resample_counts(tally, 3, seed):
+        expected = tally.count(tally.at_least(columns))
+        assert count == expected and tally.table(count) == tally.table(expected)
+        assert all(type(x) is int for row in (count[1], *count[2], *count[3]) for x in row)
+
+
 def test_grid_dtype_switches_to_python_ints_at_2_62():
-    for den, dtype in ((2**62 - 1, np.int64), (2**62, object)):
-        curves = [build_cover_curve(SuccessProfile.from_pairs(m, [("t0", F(1, den))])) for m in "AB"]
-        heights, widths, scale = _cover_grid(curves)
-        assert scale == den
-        assert heights.dtype == dtype and widths.dtype == dtype
+    # a resample of T tasks sums at most T * scale: the switch is at T * scale = 2**62
+    for tasks, scale, dtype in ((1, 2**62 - 1, np.int64), (1, 2**62, object), (2, 2**61, object)):
+        tally = TaskTally(["A", "B"], [[1] * tasks, [0] * tasks], scale, [F(1, 2)])
+        (columns, widths_dtype, count), = resample_counts(tally, 1, 0)
+        assert widths_dtype == dtype and count == tally.count(tally.at_least(columns))
 
 
 def test_wide_denominators_match_oracle_on_python_ints():
@@ -104,8 +140,7 @@ def test_wide_denominators_match_oracle_on_python_ints():
         SuccessProfile.from_pairs("B", [("t0", F(d - 1, d)), ("t1", F(0)), ("t2", F(1, 2))]),
     ]
     curves = [build_cover_curve(p) for p in profiles]
-    heights, _, scale = _cover_grid(curves)
-    assert scale >= 2**62 and heights.dtype == object
+    assert _cover_totals(curves)[1] >= 2**62
     assert_matches_oracle(curves)
 
 

@@ -1,12 +1,16 @@
-"""No module of the package imports numpy at module scope.
+"""No module of the package imports numpy at module scope, and the
+library's cover-curve path loads it nowhere.
 
-numpy is imported inside the functions that compute with it, so that
-`covertau --version` and `ingest` start without it.  A stray top-level
-import would load it on every command again; this guard reads the source
-instead of timing anything.
+numpy is imported inside the functions that draw random numbers, so that
+`covertau --version`, `ingest` and reports without `--bootstrap` start
+without it.  A stray top-level import would load it on every command
+again; the first guard reads the source instead of timing anything.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import covertau
@@ -70,3 +74,20 @@ def test_guard_flags_module_scope_and_passes_local_imports():
         "    from numpy import random\n"
     )
     assert _module_scope_numpy_imports(ast.parse(source)) == [1, 6, 10]
+
+
+def test_library_cover_path_leaves_numpy_unloaded():
+    # cover curves and auc+ are integer counts: only resampling needs numpy
+    code = """
+import sys
+from fractions import Fraction as F
+from covertau import (SuccessProfile, auc_plus_cover, avg_auc_plus, build_cover_curve, check_cover_dominance,
+                      dominance_report)
+a, b = (SuccessProfile.from_pairs(m, [("t0", F(1, 3)), ("t1", p)]) for m, p in (("A", F(1)), ("B", F(0))))
+curves = [build_cover_curve(a), build_cover_curve(b)]
+dominance_report(curves), avg_auc_plus(curves), auc_plus_cover(*curves), check_cover_dominance(*curves)
+print("numpy" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

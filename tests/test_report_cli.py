@@ -493,10 +493,10 @@ def test_cli_import_leaves_out_the_network_stack():
 
 
 def test_version_and_ingest_start_without_numpy(tmp_path):
-    # only commands that compute (compute, curves, dominance, simulate) load numpy
+    # only `simulate` and `--bootstrap` draw random numbers, and only they load numpy
     log, gold, run = tmp_path / "log.jsonl", tmp_path / "gold.jsonl", tmp_path / "run.jsonl"
-    log.write_text(json.dumps({"model": "m", "task": "t", "sample_index": 0, "answer": "42"}) + "\n",
-                   encoding="utf-8")
+    log.write_text("".join(json.dumps({"model": m, "task": "t", "sample_index": 0, "answer": a}) + "\n"
+                           for m, a in (("m", "42"), ("n", "7"))), encoding="utf-8")
     gold.write_text(json.dumps({"task": "t", "answer": "42"}) + "\n", encoding="utf-8")
     code = f"""
 import contextlib, io, sys
@@ -510,27 +510,39 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen.append("numpy" in sys.modules)
     assert covertau.cli.main(["ingest", "--input", {str(log)!r}, "--gold", {str(gold)!r}, "--out", {str(run)!r}]) == 0
     seen.append("numpy" in sys.modules)
-    assert covertau.cli.main(["compute", "--input", {str(run)!r}]) == 0
-    seen.append("numpy" in sys.modules)
 print(seen)
 """
     env = {**os.environ, "PYTHONPATH": str(Path(covertau.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    # imports, --version, ingest, then compute, which does load it
-    assert result.stdout.strip() == "[False, False, False, True]"
+    # imports, --version, then ingest
+    assert result.stdout.strip() == "[False, False, False]"
+    # each report command without --bootstrap, in a fresh interpreter
+    out = tmp_path / "out"
+    for command in ("compute", "curves", "dominance"):
+        argv = [command, "--input", str(run), "--out-dir", str(out)]
+        code = f"""
+import contextlib, io, sys
+import covertau.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert covertau.cli.main({argv!r}) == 0
+print("numpy" in sys.modules)
+"""
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False", command
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc to count threads")
 @pytest.mark.parametrize("preset", [None, "2"])
 def test_main_runs_openblas_on_one_thread(tmp_path, preset):
-    # covertau makes no BLAS call, so numpy's import should start no OpenBLAS pool
+    # covertau makes no BLAS call, so numpy's import, which the bootstrap
+    # makes, should start no OpenBLAS pool
     log = tmp_path / "log.jsonl"
     log.write_text(json.dumps({"model": "m", "task": "t", "n": 4, "c": 1}) + "\n", encoding="utf-8")
     code = f"""
 import contextlib, io, os, sys
 import covertau.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    assert covertau.cli.main(["compute", "--input", {str(log)!r}]) == 0
+    assert covertau.cli.main(["compute", "--input", {str(log)!r}, "--bootstrap", "1"]) == 0
 assert "numpy" in sys.modules
 print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
 """

@@ -1,5 +1,8 @@
 """Synthetic profile generators and Monte-Carlo simulators."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -30,7 +33,7 @@ from covertau import (
 )
 from covertau.cli import main
 from covertau.ingest import write_atomic
-from covertau.synth import completions_log, guesser_gold, guesser_log, records_to_jsonl
+from covertau.synth import SLICE, completions_log, guesser_gold, guesser_log, records_to_jsonl
 
 F = Fraction
 
@@ -268,6 +271,37 @@ class TestStreamingEmitters:
         with path.open("rb") as fh:
             assert sum(1 for _ in fh) == 30 * 8192
 
+
+    def test_columns_longer_than_a_slice_keep_their_one_shot_bytes(self):
+        # sha256 of the logs as drawn and rendered one whole column at a time:
+        # the 32-bit draws of support 30 and p = 2/7, the 64-bit ones of 2**40 + 5
+        def digest(chunks):
+            h = hashlib.sha256()
+            for chunk in chunks:
+                h.update(chunk.encode())
+            return h.hexdigest()
+
+        spec = GuesserSpec(support_size=30, tasks=2, trials=70_000, seed=11)
+        assert [len(chunk.splitlines()) for chunk in guesser_log(spec)] == [SLICE, 70_000 - SLICE] * 2
+        assert digest(guesser_log(spec)) == "43d28082ba7768ff432cc1148d98a320d935974193ebb3c7b9b1280f14eb1c3c"
+        prof = SuccessProfile.from_pairs("m", [("t0", F(3, 2**40 + 5)), ("t1", F(2, 7))])
+        assert digest(completions_log(prof, 140_000, 2)) == (
+            "0ff860a1df61ce67de8bdf80b2888756b8afdbe1bdb26568dcdb7ae436e385ac")
+
+    def test_simulate_memory_does_not_grow_with_trials(self, tmp_path):
+        # one whole column of a million trials peaked at about 250 MB
+        out = tmp_path / "log.jsonl"
+        argv = ["simulate", "--kind", "guesser", "--tasks", "1", "--trials", "1000000", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
+        with out.open("rb") as fh:
+            assert sum(1 for _ in fh) == 10**6
 
     def test_guesser_log_builds_a_prefix_per_drawn_label_only(self):
         # a prefix for each of the 100,000 labels peaked at about 21 MB
