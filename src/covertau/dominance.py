@@ -49,9 +49,9 @@ if TYPE_CHECKING:
 #: quantiles of the resampled values that bound a bootstrap band (a 95% interval)
 BAND_LEVELS = (0.025, 0.975)
 
-#: (t, passed, covered, totals) of t task columns, in Python ints: model i's pass@1 is passed[i] / (t * scale),
-#: cov@taus[k] covered[k][i] / t, and auc+ over model j totals[i][j] / (t * scale)
-Count = tuple[int, list[int], list[list[int]], list[list[int]]]
+#: (t, passed, covered, excess) of t task columns, in Python ints: model i's pass@1 is passed[i] / (t * scale),
+#: cov@taus[k] covered[k][i] / t, and its auc+ summed over the other models excess[i] / (t * scale)
+Count = tuple[int, list[int], list[list[int]], list[int]]
 
 
 @dataclass(frozen=True)
@@ -154,18 +154,23 @@ class TaskTally:
         return [list(accumulate(reversed(tally[g:g + size])))[::-1] for g in range(0, len(tally), size)]
 
     def count(self, at_least: Sequence[Sequence[int]]) -> Count:
-        """The `Count` of an `at_least` count: pass@1 is the area under the
-        cover curve."""
+        """The `Count` of an `at_least` count."""
+        return self.count_totals(at_least)[0]
+
+    def count_totals(self, at_least: Sequence[Sequence[int]]) -> tuple[Count, list[list[int]]]:
+        """The `Count` of an `at_least` count, pass@1 being the area under
+        the cover curve, and the auc+ totals whose row sums are its excess."""
         passed, totals = _excess_totals([row[1:] for row in at_least], self.widths)
-        return at_least[0][0], passed, [[row[g] for row in at_least] for g in self.tau_at], totals
+        covered = [[row[g] for row in at_least] for g in self.tau_at]
+        return (at_least[0][0], passed, covered, [sum(row) for row in totals]), totals
 
     def table(self, count: Count) -> dict[str, tuple[list[int], int]]:
         """{metric: (numerators, denominator)} of a count, one numerator per
         model, for each of `metric_names`."""
-        t, passed, covered, totals = count
+        t, passed, covered, excess = count
         rows = [(passed, t * self.scale), *((row, t) for row in covered)]
         if len(self.models) >= 2:
-            rows.append(_avg_excess(totals, t * self.scale))
+            rows.append(_avg_excess(excess, t * self.scale))
         return dict(zip(self.metric_names, rows))
 
     def cover_curve(self, i: int, at_least: Sequence[int]) -> CoverCurve:
@@ -178,10 +183,10 @@ class TaskTally:
         return CoverCurve(self.models[i], breakpoints, tuple(Fraction(at_least[g], t) for g in points), t)
 
 
-def _avg_excess(totals: Sequence[Sequence[int]], scale: int) -> tuple[list[int], int]:
-    """AvgAUC+ of the auc+ matrix totals / scale as (numerators, denominator):
-    each row's excess over the m - 1 other models."""
-    return [sum(row) for row in totals], scale * (len(totals) - 1)
+def _avg_excess(excess: Sequence[int], scale: int) -> tuple[Sequence[int], int]:
+    """AvgAUC+ as (numerators, denominator) of the row sums excess / scale of
+    an auc+ matrix: each model's excess over the m - 1 other models."""
+    return excess, scale * (len(excess) - 1)
 
 
 def _check_model_set(names: Sequence[str]) -> None:
@@ -265,7 +270,7 @@ def rank_models(values: Mapping[str, float | Fraction]) -> list[tuple[str, float
 
 def _dominance(models: Sequence[str], totals: Sequence[Sequence[int]], scale: int) -> DominanceReport:
     """The auc+ matrix whose entry (i, j) is totals[i][j] / scale."""
-    sums, divisor = _avg_excess(totals, scale)
+    sums, divisor = _avg_excess([sum(row) for row in totals], scale)
     avg_vector = tuple(Fraction(total, divisor) for total in sums)
     return DominanceReport(
         models=tuple(models),
@@ -284,8 +289,10 @@ def dominance_report(curves: Sequence[CoverCurve]) -> DominanceReport:
 
 def _resample_count(tally: TaskTally, cells: np.ndarray, widths: np.ndarray, columns: np.ndarray) -> Count:
     """`tally.count(tally.at_least(columns))`, with tally.cells as an (m, T)
-    array and tally.widths as an array whose dtype holds every sum over T
-    tasks: only the m-long rows of the `Count` become Python ints."""
+    array and tally.widths as an array whose dtype holds every sum over m - 1
+    models and T tasks: only the m-long rows of the `Count` become Python
+    ints.  The excess is summed per grid point over the other models, then
+    weighted by the widths once; the auc+ matrix itself is never built."""
     import numpy as np
 
     size = len(tally.grid)
@@ -293,8 +300,13 @@ def _resample_count(tally: TaskTally, cells: np.ndarray, widths: np.ndarray, col
     counts = np.bincount(cells.take(columns, axis=1).ravel(), minlength=len(tally.models) * size)
     at_least = counts.reshape(-1, size)[:, ::-1].cumsum(axis=1)[:, ::-1]
     heights = at_least[:, 1:]
-    totals = [(np.maximum(row - heights, 0) * widths).sum(axis=1).tolist() for row in heights]
-    return len(columns), (heights @ widths).tolist(), at_least[:, tally.tau_at].T.tolist(), totals
+    # above[i, g] = sum over j of max(heights[i, g] - heights[j, g], 0), in
+    # row chunks of at most about 2**18 differences each
+    step = max(1, (1 << 18) // heights.size)
+    above = np.concatenate([np.maximum(heights[i:i + step, None] - heights, 0).sum(axis=1)
+                            for i in range(0, len(heights), step)])
+    return (len(columns), (heights @ widths).tolist(), at_least[:, tally.tau_at].T.tolist(),
+            (above @ widths).tolist())
 
 
 def scaled_bootstrap_bands(
@@ -317,8 +329,10 @@ def scaled_bootstrap_bands(
         raise ValueError(f"resamples must be >= 1, got {resamples}")
     cells = np.frombuffer(tally.cells, dtype=np.int64).reshape(len(tally.models), -1)
     m, t_count = cells.shape
-    # T * scale bounds every sum over T tasks; int64 cannot wrap below 2**62
-    widths = np.array(tally.widths, dtype=np.int64 if t_count * tally.scale < 2**62 else object)
+    # T * scale bounds a sum over T tasks, and an excess adds m - 1 of them;
+    # int64 cannot wrap below 2**62
+    bound = max(m - 1, 1) * t_count * tally.scale
+    widths = np.array(tally.widths, dtype=np.int64 if bound < 2**62 else object)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)))
     samples = {name: np.empty((resamples, m)) for name in tally.metric_names if name != "pass@1"}  # not banded
     for r in range(resamples):

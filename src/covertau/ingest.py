@@ -15,13 +15,15 @@ unchanged data is byte-identical.  A run stores its counts once, in its
 body; the manifest adds provenance, the body's sha256 and its record_count.
 
 A per-completion log is folded line by line into one `SampleTally` per
-(model, task): flagged lines add to its n and c at once, unflagged lines
-add their answer text to a counter, and the only per-line state kept is the
-key's set of seen sample_index values, so memory grows with keys and
-distinct answers rather than with lines.  `counts_from_log` grades each
-distinct answer once per gold text.  `apply_grading` and
-`metrics.aggregate` do the same job record by record for in-memory
-`SampleRecord` lists.
+(model, task): flagged lines add to its n and c at once, and unflagged lines
+add their answer text to a counter.  The key's sample_index values read so
+far are one counter, `stop`, below which every index was read, plus the set
+`ahead` of those read above it; an index is held in `ahead` until `stop`
+reaches it.  So memory grows with keys, distinct answers and indices read
+out of order, and a log whose indices run 0, 1, 2, ... per key keeps no
+per-line state.  `counts_from_log` grades each distinct answer once per
+gold text.  `apply_grading` and `metrics.aggregate` do the same job record
+by record for in-memory `SampleRecord` lists.
 
 `read_log` and `load_run` read a file, of either schema, in blocks of about
 `_BLOCK` bytes, each cut after a "\n".  A block's first line gives its
@@ -96,7 +98,8 @@ class ParseError(ValueError):
 class SampleTally:
     """Running tally of one (model, task) key of a per-completion log."""
 
-    seen: set[int] = field(default_factory=set)  # sample_index values read so far
+    stop: int = 0  # the smallest sample_index not read yet: every index below it was read
+    ahead: set[int] = field(default_factory=set)  # sample_index values read above stop
     n: int = 0  # lines with a correct flag
     c: int = 0  # of those, flagged correct
     answers: Counter[str] = field(default_factory=Counter)  # answer text of unflagged lines
@@ -644,11 +647,12 @@ def _block_rows(text: str, lines: int, kind: str | None) -> tuple[str, list[tupl
     if kind not in (None, schema) or len(rows := pattern.findall(text)) != lines:
         return None
     if "\\" in text:
+        # row k is line k: rebuild only the rows whose line holds a backslash
         try:
-            get = {v: _unescape(v) for v in {v for row in rows for v in row if "\\" in v}}.get
+            for k in [k for k, line in enumerate(text.split("\n")) if "\\" in line]:
+                rows[k] = tuple([_unescape(v) if "\\" in v else v for v in rows[k]])
         except ValueError:  # a bad escape, or a backslash that escapes the closing quote
             return None
-        rows = [tuple(map(get, row, row)) for row in rows]
     return schema, rows, fields
 
 
@@ -683,21 +687,30 @@ def _fold_samples(tallies: dict[tuple[str, str], SampleTally], rows: Iterable[tu
                   lineno: int, source: str) -> None:
     """Fold per-completion rows, on lines `lineno`, `lineno` + 1, ... of
     `source`, into `tallies`, rejecting a repeated sample_index of a key on
-    its line.  `fields` gives a row's (model, task, sample_index, correct,
-    answer), sample_index as an int or digits, correct "true", "false" or ""."""
-    last_key = None
+    its line: one below the key's `stop` or in its `ahead` set.  `fields`
+    gives a row's (model, task, sample_index, correct, answer), sample_index
+    as an int or digits, correct "true", "false" or ""."""
+    last_key = tally = None
     for lineno, (model, task, index, correct, answer) in enumerate(map(fields, rows), lineno):
         key = (model, task)
         if key != last_key:
+            if tally is not None:
+                tally.stop = stop
             tally = tallies.get(key)
             if tally is None:
                 tally = tallies[key] = SampleTally()
-            last_key, seen, answers = key, tally.seen, tally.answers
+            last_key, stop, ahead, answers = key, tally.stop, tally.ahead, tally.answers
         index = int(index)
-        if index in seen:
+        if index == stop:
+            stop += 1
+            while ahead and stop in ahead:
+                ahead.remove(stop)
+                stop += 1
+        elif index < stop or index in ahead:
             raise ParseError(f"{source}:{lineno}: duplicate record key (model={model!r}, task={task!r}, "
                              f"sample_index={index})")
-        seen.add(index)
+        else:
+            ahead.add(index)
         if correct:
             tally.n += 1
             tally.c += correct == "true"
@@ -705,6 +718,8 @@ def _fold_samples(tallies: dict[tuple[str, str], SampleTally], rows: Iterable[tu
             answers[answer] += 1
             if tally.first_ungraded is None:
                 tally.first_ungraded = (lineno, index)
+    if tally is not None:
+        tally.stop = stop
 
 
 def _fold_rows(counts: dict[str, dict[str, TaskCounts]], rows: Iterable[tuple], fields: Callable,

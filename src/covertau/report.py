@@ -148,7 +148,7 @@ def build_report(
 
     tally = TaskTally(selected, scaled, scale, tau_fracs)
     at_least = tally.at_least(range(len(tasks)))
-    pooled = tally.count(at_least)
+    pooled, totals = tally.count_totals(at_least)
     aggregation, counts_per_group = "pooled", [pooled]
     if group_delimiter is not None:
         members: dict[str, list[int]] = {}
@@ -172,7 +172,7 @@ def build_report(
     cover_curves = {model: tally.cover_curve(i, row) for i, (model, row) in enumerate(zip(selected, at_least))}
     dominance = None
     if len(selected) >= 2:
-        dominance = _dominance(selected, pooled[3], len(tasks) * scale)
+        dominance = _dominance(selected, totals, len(tasks) * scale)
     else:
         notes.append("avg_auc_plus column absent: needs at least 2 models")
 

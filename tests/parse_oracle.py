@@ -6,9 +6,11 @@ blocks, and fold a block whose lines all match the layout of its first
 line without `json.loads`.  This module keeps the per-line fold they ran
 before: each nonblank line is parsed and classified by `_line_kind`, then
 read by `_sample_fields` into its key's tally, or by the oracle's own
-aggregated fold, `add_aggregated`, into its model's counts.  It is slow but
-has no shortcut, and the property tests require the readers to agree with
-it on every tally and every error message.
+aggregated fold, `add_aggregated`, into its model's counts.  It keeps each
+key's whole set of sample_index values, checks each line's index against
+it, and gives each tally the (stop, ahead) pair of that set at the end.  It
+is slow but has no shortcut, and the property tests require the readers to
+agree with it on every tally and every error message.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ def add_aggregated(counts: dict[str, dict[str, TaskCounts]], obj: dict, lineno: 
 
 def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
     tallies: dict[tuple[str, str], SampleTally] = {}
+    seen: dict[tuple[str, str], set[int]] = {}  # each key's sample_index values
     counts: dict = {}
     kind = None
     for lineno, raw in enumerate(lines, start=1):
@@ -61,12 +64,13 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
             continue
         model, task, index, correct, answer = _sample_fields(obj, lineno, source)
         tally = tallies.setdefault((model, task), SampleTally())
-        if index in tally.seen:
+        indices = seen.setdefault((model, task), set())
+        if index in indices:
             raise ParseError(
                 f"{source}:{lineno}: duplicate record key (model={model!r}, "
                 f"task={task!r}, sample_index={index})"
             )
-        tally.seen.add(index)
+        indices.add(index)
         if correct is None:
             tally.answers[answer] += 1
             if tally.first_ungraded is None:
@@ -77,8 +81,19 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
     if kind is None:
         raise ParseError(f"{source}: no records found")
     if kind == "samples":
+        for key, tally in tallies.items():
+            tally.stop, tally.ahead = canonical_indices(seen[key])
         return ParsedLog(records=tallies, counts=None, source=source)
     return ParsedLog(records=None, counts=_sorted_counts(counts), source=source)
+
+
+def canonical_indices(indices: set[int]) -> tuple[int, set[int]]:
+    """(stop, ahead) of a set of sample_index values: stop the smallest
+    value >= 0 not in it, ahead the values above stop."""
+    stop = 0
+    while stop in indices:
+        stop += 1
+    return stop, {i for i in indices if i > stop}
 
 
 def read_log(path: Path) -> ParsedLog:

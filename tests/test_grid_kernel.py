@@ -122,7 +122,7 @@ def test_resample_count_equals_python_count(tally, seed):
     for columns, _, count in resample_counts(tally, 3, seed):
         expected = tally.count(tally.at_least(columns))
         assert count == expected and tally.table(count) == tally.table(expected)
-        assert all(type(x) is int for row in (count[1], *count[2], *count[3]) for x in row)
+        assert all(type(x) is int for row in (count[1], *count[2], count[3]) for x in row)
 
 
 def test_grid_dtype_switches_to_python_ints_at_2_62():
@@ -131,6 +131,16 @@ def test_grid_dtype_switches_to_python_ints_at_2_62():
         tally = TaskTally(["A", "B"], [[1] * tasks, [0] * tasks], scale, [F(1, 2)])
         (columns, widths_dtype, count), = resample_counts(tally, 1, 0)
         assert widths_dtype == dtype and count == tally.count(tally.at_least(columns))
+
+
+def test_excess_over_four_models_switches_to_python_ints():
+    # one model at p = 1 and four at 0: its excess is 4 * T * scale, past 2**63,
+    # though T * scale alone is below 2**62
+    scale = 2**61 + 1
+    tally = TaskTally([f"m{i}" for i in range(5)], [[scale], [0], [0], [0], [0]], scale, [])
+    (columns, widths_dtype, count), = resample_counts(tally, 1, 0)
+    assert widths_dtype == object and count == tally.count(tally.at_least(columns))
+    assert count[3] == [4 * scale, 0, 0, 0, 0]
 
 
 def test_wide_denominators_match_oracle_on_python_ints():

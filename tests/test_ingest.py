@@ -42,11 +42,11 @@ class TestParseRecords:
         lines = [sample_line("m", "t", i, correct=i == 0) for i in range(3)]
         parsed = parse_records(lines)
         assert parsed.kind == "samples"
-        assert parsed.records == {("m", "t"): SampleTally(seen={0, 1, 2}, n=3, c=1)}
+        assert parsed.records == {("m", "t"): SampleTally(stop=3, n=3, c=1)}
 
     def test_blank_lines_skipped(self):
         lines = ["", sample_line("m", "t", 0, correct=True), "   ", "\f\n"]
-        assert parse_records(lines).records == {("m", "t"): SampleTally(seen={0}, n=1, c=1)}
+        assert parse_records(lines).records == {("m", "t"): SampleTally(stop=1, n=1, c=1)}
 
     def test_lines_fold_into_per_key_tallies(self):
         lines = [
@@ -59,11 +59,11 @@ class TestParseRecords:
         ]
         assert parse_records(lines).records == {
             ("m", "t1"): SampleTally(
-                seen={7, 2, 9, 4}, n=1, c=1, answers=Counter({"42": 2, " 42 ": 1}),
+                ahead={7, 2, 9, 4}, n=1, c=1, answers=Counter({"42": 2, " 42 ": 1}),
                 first_ungraded=(1, 7),
             ),
-            ("m", "t2"): SampleTally(seen={0}, n=1, c=1),
-            ("m2", "t1"): SampleTally(seen={3}, n=1, c=0),
+            ("m", "t2"): SampleTally(stop=1, n=1, c=1),
+            ("m2", "t1"): SampleTally(ahead={3}, n=1, c=0),
         }
 
     def test_invalid_json_names_line(self):
@@ -78,7 +78,7 @@ class TestParseRecords:
     def test_answer_only_line_accepted(self):
         parsed = parse_records([sample_line("m", "t", 0, answer="42")])
         assert parsed.records == {
-            ("m", "t"): SampleTally(seen={0}, answers=Counter({"42": 1}), first_ungraded=(1, 0))
+            ("m", "t"): SampleTally(stop=1, answers=Counter({"42": 1}), first_ungraded=(1, 0))
         }
 
     @pytest.mark.parametrize("fields, message", [

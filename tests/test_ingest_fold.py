@@ -103,9 +103,10 @@ def log_lines(models=2, tasks=5, trials=5000, distinct=False):
 
 def test_parse_memory_stays_per_key(tmp_path):
     # A record per line (frozen SampleRecord in a tuple) peaked at about
-    # 370 bytes per line here; the fold keeps only each key's set of seen
-    # sample_index values (about 130 bytes per line, the set and its ints),
-    # and its answers.  read_log, the CLI's path, holds one block at a time.
+    # 370 bytes per line here, and a set of each key's seen sample_index
+    # values about 130.  The fold keeps each key's counts, its answers and
+    # its indices read out of order: none for these in-order keys.
+    # read_log, the CLI's path, holds one block at a time.
     for distinct in (False, True):
         log = tmp_path / "log.jsonl"
         log.write_text("".join(log_lines(distinct=distinct)), encoding="utf-8")
@@ -118,6 +119,24 @@ def test_parse_memory_stays_per_key(tmp_path):
                 tracemalloc.stop()
             assert peak < 50_000 * 180, f"parse peaked at {peak / 50_000:.0f} bytes per line ({distinct=})"
             assert len(parsed.records) == 10
+
+
+def test_an_in_order_log_keeps_no_state_per_line(tmp_path):
+    # 4 keys x 50,000 lines, the keys interleaved and each key's indices
+    # 0, 1, 2, ...: a set of each key's indices retained about 14 MiB here
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(f'{{"model":"m","task":"t{k}","sample_index":{j},"correct":{str(j % 3 > 0).lower()}}}\n'
+                           for j in range(50_000) for k in range(4)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        parsed = read_log(log)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 2**20, f"read_log retained {retained / 2**20:.1f} MiB"
+    assert {key: (t.stop, t.ahead, t.n, t.c) for key, t in parsed.records.items()} == {
+        ("m", f"t{k}"): (50_000, set(), 50_000, 33_333) for k in range(4)
+    }
 
 
 @pytest.mark.parametrize("gold", [None, {"task-000": "3"}, {"task-000": "3", "task-001": "4.0"}])

@@ -249,3 +249,54 @@ def test_a_row_that_repeats_an_index_is_rejected_on_its_line(tmp_path, block):
     error = rf"^{re.escape(str(log))}:5: duplicate record key .*sample_index=1\)$"
     with mock.patch.object(ingest, "_BLOCK", block), pytest.raises(ParseError, match=error):
         read_log(log)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("indices", [(2, 0, 3, 5, 3), (1, 2, 0, 4, 2), (4, 3, 2, 1, 4)],
+                         ids=["ahead", "below-stop-after-a-run-left-ahead", "ahead-reversed"])
+def test_a_repeat_out_of_order_is_rejected_on_its_line(tmp_path, block, indices):
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(f'{{"model":"m","task":"t","sample_index":{j},"correct":true}}\n' for j in indices),
+                   encoding="utf-8")
+    error = rf"^{re.escape(str(log))}:5: duplicate record key .*sample_index={indices[-1]}\)$"
+    with mock.patch.object(ingest, "_BLOCK", block), pytest.raises(ParseError, match=error):
+        read_log(log)
+
+
+@st.composite
+def index_orders(draw):
+    """The lines of a per-completion log of up to four keys, interleaved at
+    random.  Each key's sample_index values are 0..n-1, 1..n or a set with
+    gaps, read in order, reversed or shuffled, with up to two repeats put in
+    anywhere.  Some lines are flagged and some answer only, some with an
+    escaped answer, so a block mixes lines with and without a backslash."""
+    keys = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(0, 25))
+        base = draw(st.sampled_from(("from 0", "from 1", "gaps")))
+        if base == "gaps":
+            indices = sorted(draw(st.sets(st.integers(0, 40), max_size=size)))
+        else:
+            first = int(base == "from 1")
+            indices = list(range(first, first + size))
+        arrangement = draw(st.sampled_from(("in order", "reversed", "shuffled")))
+        if arrangement == "reversed":
+            indices.reverse()
+        elif arrangement == "shuffled":
+            indices = draw(st.permutations(indices))
+        for _ in range(draw(st.integers(0, 2)) if indices else 0):
+            indices.insert(draw(st.integers(0, len(indices))), draw(st.sampled_from(indices)))
+        keys.append(indices)
+    order = draw(st.permutations([k for k, indices in enumerate(keys) for _ in indices]))
+    unread = [iter(indices) for indices in keys]
+    verdicts = ('"correct":true', '"correct":false', '"answer":"4"', '"answer":"a\\\\b"', '"answer":"\\u00e9"')
+    return [f'{{"model":"m{k % 2}","task":"t{k // 2}","sample_index":{next(unread[k])},'
+            f'{draw(st.sampled_from(verdicts))}}}\n' for k in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_orders(), st.sampled_from(BLOCKS))
+def test_sample_indices_in_any_order_match_the_checked_parse(lines, block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_BLOCK", block):
+        check_readers(Path(tmp), "".join(lines))
+    assert outcome(ingest.parse_records, lines) == outcome(parse_oracle.parse_records, lines)

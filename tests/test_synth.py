@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parse_oracle import canonical_indices
 
 from covertau import (
     GuesserSpec,
@@ -197,8 +198,8 @@ class TestLogEmission:
             for r in records
         ]
         parsed = parse_records(lines)
-        assert {key: tally.seen for key, tally in parsed.records.items()} == {
-            (r.model, r.task): {s.sample_index for s in records if s.task == r.task}
+        assert {key: (tally.stop, tally.ahead) for key, tally in parsed.records.items()} == {
+            (r.model, r.task): canonical_indices({s.sample_index for s in records if s.task == r.task})
             for r in records
         }
         assert counts_from_log(parsed) == (aggregate(records), "flags")
