@@ -40,7 +40,8 @@ from .ingest import (
     write_atomic,
 )
 from .plots import cover_curves_svg, pass_curves_svg
-from .records import as_unit_rational, format_tau
+from .metrics import check_k_grid
+from .records import as_thresholds, as_unit_rational
 from .report import (
     DEFAULT_K_GRID,
     DEFAULT_TAUS,
@@ -74,13 +75,7 @@ MAX_DENOMINATOR = 2**63  # p = a/b is drawn as int64 integers in 0..b-1
 
 
 def _parse_taus(raw: list[str] | None) -> tuple[Fraction, ...]:
-    if not raw:
-        return DEFAULT_TAUS
-    taus = tuple(as_unit_rational(t, "--tau") for t in raw)
-    for i, tau in enumerate(taus):
-        if tau in taus[:i]:
-            raise ValueError(f"--tau gives threshold {format_tau(tau)} more than once")
-    return taus
+    return as_thresholds(raw, "--tau") if raw else DEFAULT_TAUS
 
 
 def _parse_ks(raw: str | None) -> tuple[int, ...]:
@@ -90,25 +85,17 @@ def _parse_ks(raw: str | None) -> tuple[int, ...]:
         ks = tuple(int(part) for part in raw.split(","))
     except ValueError as exc:
         raise ValueError(f"--k must be a comma-separated integer list, got {raw!r}") from exc
-    if any(k < 1 for k in ks):
-        raise ValueError(f"--k values must be >= 1, got {list(ks)}")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError(f"--k values must be strictly ascending, got {list(ks)}")
-    try:
-        float(ks[-1])
-    except OverflowError:
-        raise ValueError(f"--k values must convert to a float; one has {len(str(ks[-1]))} digits") from None
-    return ks
+    return check_k_grid(ks, "--k")
 
 
 def _counts_from_raw_log(input_path: str, gold_path: str | None):
-    """(counts, verdict source) of a raw log, graded against gold if given."""
+    """(counts, verdict source, sha256) of a raw log, graded against gold if given."""
     parsed = read_log(input_path)
     gold = None
     if gold_path:
         with Path(gold_path).open("rb") as fh:
             gold = parse_gold(decode_lines(fh, gold_path), gold_path)
-    return counts_from_log(parsed, gold)
+    return (*counts_from_log(parsed, gold), parsed.digest)
 
 
 def _load_counts(input_path: str, gold_path: str | None):
@@ -120,8 +107,8 @@ def _load_counts(input_path: str, gold_path: str | None):
             raise ValueError(f"--gold applies to raw logs; {input_path} is a persisted run "
                              "whose verdicts are already resolved")
         return counts, {"run_id": manifest.run_id, "verdict_source": manifest.verdict_source}
-    counts, verdict_source = _counts_from_raw_log(input_path, gold_path)
-    provenance = {"source_digest": digest_file(input_path), "verdict_source": verdict_source}
+    counts, verdict_source, digest = _counts_from_raw_log(input_path, gold_path)
+    provenance = {"source_digest": digest, "verdict_source": verdict_source}
     if gold_path:
         provenance["gold_digest"] = digest_file(gold_path)
     return counts, provenance
@@ -190,8 +177,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    counts, verdict_source = _counts_from_raw_log(args.input, args.gold)
-    digests = {Path(args.input).name: digest_file(args.input)}
+    counts, verdict_source, digest = _counts_from_raw_log(args.input, args.gold)
+    digests = {Path(args.input).name: digest}
     if args.gold:
         digests[Path(args.gold).name] = digest_file(args.gold)
     manifest = build_manifest(counts, digests, verdict_source)
@@ -206,10 +193,10 @@ def _report(args: argparse.Namespace, **options):
     """The report bundle of `args.input` under the shared input flags plus
     a command's own `build_report` options."""
     counts, provenance = _load_counts(args.input, args.gold)
-    unknown = sorted(set(args.model or ()) - set(counts))
-    if unknown:
+    if unknown := sorted(set(args.model or ()) - set(counts)):
         raise ValueError(f"--model names unknown models {unknown}; known models: {sorted(counts)}")
-    return build_report(counts, ks=_parse_ks(args.k), model_filter=args.model, provenance=provenance, **options)
+    selected = {model: counts[model] for model in args.model or counts}
+    return build_report(selected, ks=_parse_ks(args.k), provenance=provenance, **options)
 
 
 def _table_options(args: argparse.Namespace) -> dict[str, object]:

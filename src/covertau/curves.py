@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .metrics import _check_k, pass_values
+from .metrics import _check_k, check_k_grid, pass_values
 from .records import ONE, ZERO, RationalLike, SuccessProfile, as_unit_rational
 
 
@@ -83,14 +83,9 @@ class PassCurve:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.ks:
-            raise ValueError("k grid is empty")
+        check_k_grid(self.ks, "k")
         if len(self.ks) != len(self.values):
             raise ValueError("ks and values must have equal length")
-        if any(k < 1 for k in self.ks):
-            raise ValueError("k values must be positive")
-        if any(k2 <= k1 for k1, k2 in zip(self.ks, self.ks[1:])):
-            raise ValueError("k grid must be strictly ascending")
         if any(v2 < v1 for v1, v2 in zip(self.values, self.values[1:])):
             raise ValueError("pass curve must be non-decreasing")
 

@@ -301,9 +301,10 @@ def _resample_count(tally: TaskTally, cells: np.ndarray, widths: np.ndarray, col
     at_least = counts.reshape(-1, size)[:, ::-1].cumsum(axis=1)[:, ::-1]
     heights = at_least[:, 1:]
     # above[i, g] = sum over j of max(heights[i, g] - heights[j, g], 0), in
-    # row chunks of at most about 2**18 differences each
+    # row chunks of at most about 2**18 differences each, clipped in place: a
+    # second chunk-sized array per resample can make malloc trim and refault the heap
     step = max(1, (1 << 18) // heights.size)
-    above = np.concatenate([np.maximum(heights[i:i + step, None] - heights, 0).sum(axis=1)
+    above = np.concatenate([np.maximum(d := heights[i:i + step, None] - heights, 0, out=d).sum(axis=1)
                             for i in range(0, len(heights), step)])
     return (len(columns), (heights @ widths).tolist(), at_least[:, tally.tau_at].T.tolist(),
             (above @ widths).tolist())

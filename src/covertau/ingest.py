@@ -112,12 +112,13 @@ class ParsedLog:
 
     `records` maps (model, task) to its `SampleTally` for a per-completion
     log; `counts` holds per-model counts for an aggregated one.  `source`
-    names the file in grading errors.
+    names the file in grading errors; `digest` is `read_log`'s file sha256.
     """
 
     records: dict[tuple[str, str], SampleTally] | None
     counts: dict[str, list[TaskCounts]] | None
     source: str = "<stream>"
+    digest: str | None = field(default=None, compare=False)  # of the bytes, not of what they parse to
 
     @property
     def kind(self) -> str:
@@ -183,13 +184,13 @@ def _fold_lines(tallies: dict[tuple[str, str], SampleTally], counts: dict[str, d
 
 
 def _parsed(kind: str | None, tallies: dict[tuple[str, str], SampleTally],
-            counts: dict[str, dict[str, TaskCounts]], source: str) -> ParsedLog:
+            counts: dict[str, dict[str, TaskCounts]], source: str, digest: str | None = None) -> ParsedLog:
     """The ParsedLog of a file of schema `kind` folded into `tallies` or `counts`."""
     if kind is None:
         raise ParseError(f"{source}: no records found")
     if kind == "samples":
-        return ParsedLog(records=tallies, counts=None, source=source)
-    return ParsedLog(records=None, counts=_sorted_counts(counts), source=source)
+        return ParsedLog(records=tallies, counts=None, source=source, digest=digest)
+    return ParsedLog(records=None, counts=_sorted_counts(counts), source=source, digest=digest)
 
 
 def _sorted_counts(per_model: Mapping[str, Mapping[str, TaskCounts]]) -> dict[str, list[TaskCounts]]:
@@ -595,23 +596,25 @@ def decode_lines(fh: BinaryIO, source: str) -> Iterator[str]:
 
 def read_log(path: str | Path) -> ParsedLog:
     """Parse a raw log from disk (per-completion or aggregated form) in
-    blocks, by `_read_blocks`."""
+    blocks, by `_read_blocks`, hashing its bytes as they are read."""
     path = Path(path)
     with path.open("rb") as fh:
-        return _read_blocks(fh, str(path), 1)
+        return _read_blocks(fh, str(path), 1, hashlib.sha256())
 
 
-def _read_blocks(fh: BinaryIO, source: str, lineno: int) -> ParsedLog:
+def _read_blocks(fh: BinaryIO, source: str, lineno: int, digest=None) -> ParsedLog:
     """Parse the rest of a binary stream, its first line being line `lineno`
     of `source`, in blocks of about `_BLOCK` bytes, each cut after a "\n":
     by `_block_rows` where it can, else through `_fold_lines`, which also
-    decodes a block that is not UTF-8 line by line."""
+    decodes a block that is not UTF-8 line by line; `digest` hashes each block."""
     tallies: dict[tuple[str, str], SampleTally] = {}
     counts: dict[str, dict[str, TaskCounts]] = {}
     kind = None
     while block := fh.read(_BLOCK):
         if not block.endswith(b"\n"):
             block += fh.readline()
+        if digest is not None:
+            digest.update(block)
         try:
             text = str(block, "utf-8")
         except UnicodeDecodeError:
@@ -631,7 +634,7 @@ def _read_blocks(fh: BinaryIO, source: str, lineno: int) -> ParsedLog:
         else:
             kind = _fold_lines(tallies, counts, text.split("\n")[:lines], lineno, kind, source)
         lineno += breaks
-    return _parsed(kind, tallies, counts, source)
+    return _parsed(kind, tallies, counts, source, digest and digest.hexdigest())
 
 
 def _block_rows(text: str, lines: int, kind: str | None) -> tuple[str, list[tuple[str, ...]], itemgetter] | None:

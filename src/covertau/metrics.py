@@ -28,6 +28,8 @@ from .records import (
     as_unit_rational,
 )
 
+_FLOAT_LIMIT = 2**1024 - 2**970  # the least int that float() rounds past the largest float
+
 
 def aggregate(records: Sequence[SampleRecord]) -> dict[str, list[TaskCounts]]:
     """Tally records into per-model, per-task (n, c) counts.
@@ -159,6 +161,24 @@ def cons_at_n(records: Sequence[SampleRecord], gold: Mapping[str, str]) -> Fract
     return Fraction(solved, len(by_task))
 
 
+def check_k_grid(ks: Sequence[int], name: str = "k") -> Sequence[int]:
+    """`ks` if it is a pass@k grid: nonempty, strictly ascending, each k an
+    int >= 1 that converts to a float; else a ValueError naming `name`."""
+    if not ks:
+        raise ValueError(f"{name} grid is empty")
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in ks):
+        raise ValueError(f"{name} values must be integers, got {list(ks)}")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"{name} values must be >= 1, got {list(ks)}")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"{name} values must be strictly ascending, got {list(ks)}")
+    if ks[-1] >= _FLOAT_LIMIT:
+        raise ValueError(f"{name} values must convert to a float; one has {len(str(ks[-1]))} digits")
+    return ks
+
+
 def _check_k(k: int) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
+    if k >= _FLOAT_LIMIT:
+        raise ValueError(f"k must convert to a float; it has {len(str(k))} digits")

@@ -66,6 +66,15 @@ def as_unit_rational(value: RationalLike, name: str = "value") -> Fraction:
     return r
 
 
+def as_thresholds(values: Iterable[RationalLike], name: str = "tau") -> tuple[Fraction, ...]:
+    """Each value by `as_unit_rational`; a repeated threshold is a ValueError naming `name`."""
+    taus = tuple(as_unit_rational(v, name) for v in values)
+    for i, tau in enumerate(taus):
+        if tau in taus[:i]:
+            raise ValueError(f"{name} gives threshold {format_tau(tau)} more than once")
+    return taus
+
+
 def format_tau(tau: Fraction) -> str:
     """Compact exact rendering: decimal when the denominator allows, else num/den."""
     for digits in range(7):

@@ -34,7 +34,7 @@ from .dominance import (CrossoverResult, DominanceReport, TaskTally, _dominance,
 from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import pass_values
-from .records import RationalLike, TaskCounts, as_unit_rational
+from .records import RationalLike, TaskCounts, as_thresholds
 from .records import format_tau  # re-exported: callers import it from covertau.report
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
@@ -104,36 +104,26 @@ def build_report(
     counts: Mapping[str, Sequence[TaskCounts]],
     taus: Sequence[RationalLike] = DEFAULT_TAUS,
     ks: Sequence[int] = DEFAULT_K_GRID,
-    model_filter: Sequence[str] | None = None,
     group_delimiter: str | None = None,
     bootstrap_resamples: int = 0,
     seed: int = 0,
     provenance: Mapping[str, object] | None = None,
 ) -> ReportBundle:
-    """Compute the full report bundle from aggregated counts."""
-    known = sorted(counts)
-    selected = known
-    if model_filter:
-        unknown = sorted(set(model_filter) - set(known))
-        if unknown:
-            raise ValueError(f"unknown models {unknown}; known models: {known}")
-        selected = sorted(set(model_filter))
+    """Compute the full report bundle from aggregated counts, over every model they hold."""
+    models = sorted(counts)
     if bootstrap_resamples < 0:
         raise ValueError(f"bootstrap resample count must be >= 0, got {bootstrap_resamples}")
     if group_delimiter == "":
         raise ValueError("group delimiter must be a nonempty string, got ''")
-    tau_fracs = tuple(as_unit_rational(t, "tau") for t in taus)
-    for i, tau in enumerate(tau_fracs):
-        if tau in tau_fracs[:i]:
-            raise ValueError(f"threshold {format_tau(tau)} is given more than once")
+    tau_fracs = as_thresholds(taus, "tau")
 
-    aligned, dropped = align_profiles({m: counts[m] for m in selected})
-    tasks = [tc.task for tc in aligned[selected[0]]]
+    aligned, dropped = align_profiles({m: counts[m] for m in models})
+    tasks = [tc.task for tc in aligned[models[0]]]
     scale = math.lcm(*{tc.n for row in aligned.values() for tc in row})
     scaled = [[tc.c * (scale // tc.n) for tc in row] for row in aligned.values()]
 
     notes: list[str] = []
-    for model in selected:
+    for model in models:
         low = [tc for tc in aligned[model] if tc.n < LOW_TRIAL_WARNING]
         if low:
             notes.append(
@@ -146,7 +136,7 @@ def build_report(
             + ", ".join(extra)
         )
 
-    tally = TaskTally(selected, scaled, scale, tau_fracs)
+    tally = TaskTally(models, scaled, scale, tau_fracs)
     at_least = tally.at_least(range(len(tasks)))
     pooled, totals = tally.count_totals(at_least)
     aggregation, counts_per_group = "pooled", [pooled]
@@ -167,12 +157,12 @@ def build_report(
             name: sum((Fraction(table[name][0][i], table[name][1]) for table in tables), Fraction(0)) / len(tables)
             for name in tally.metric_names
         }
-        for i, model in enumerate(selected)
+        for i, model in enumerate(models)
     }
-    cover_curves = {model: tally.cover_curve(i, row) for i, (model, row) in enumerate(zip(selected, at_least))}
+    cover_curves = {model: tally.cover_curve(i, row) for i, (model, row) in enumerate(zip(models, at_least))}
     dominance = None
-    if len(selected) >= 2:
-        dominance = _dominance(selected, totals, len(tasks) * scale)
+    if len(models) >= 2:
+        dominance = _dominance(models, totals, len(tasks) * scale)
     else:
         notes.append("avg_auc_plus column absent: needs at least 2 models")
 
@@ -180,7 +170,7 @@ def build_report(
     pass_curves = {m: PassCurve(m, tuple(ks), pass_values([(tc.n - tc.c) / tc.n for tc in row], ks))
                    for m, row in aligned.items()}
     crossovers = [
-        find_crossover(pass_curves[a], pass_curves[b]) for i, a in enumerate(selected) for b in selected[i + 1 :]
+        find_crossover(pass_curves[a], pass_curves[b]) for i, a in enumerate(models) for b in models[i + 1 :]
     ]
 
     bands = None
@@ -198,7 +188,7 @@ def build_report(
         prov.update(provenance)
 
     return ReportBundle(
-        models=tuple(selected),
+        models=tuple(models),
         taus=tau_fracs,
         k_grid=tuple(ks),
         aggregation=aggregation,

@@ -52,7 +52,7 @@ CASES = {
     "cover-tasks": (lambda: CoverCurve("m", (F(0), F(1)), (F(1), F(0)), 0), "num_tasks must be >= 1"),
     "pass-empty": (lambda: PassCurve("m", (), ()), "k grid is empty"),
     "pass-lengths": (lambda: PassCurve("m", (1, 2), (0.5,)), "equal length"),
-    "pass-positive": (lambda: PassCurve("m", (0, 1), (0.5, 0.5)), "k values must be positive"),
+    "pass-positive": (lambda: PassCurve("m", (0, 1), (0.5, 0.5)), r"k values must be >= 1, got \[0, 1\]"),
     "export-pass-grid": (lambda: export_curve(PassCurve("m", (1,), (0.5,)), grid=[F(1, 2)]), "grid is not supported"),
     # dominance
     "report-repeated-model": (lambda: dominance_report([CURVE, CURVE]), r"duplicate model names in \['m', 'm'\]"),
@@ -86,7 +86,7 @@ CASES = {
     "align-model": (lambda: align_profiles({"": [COUNTS]}), "model identifier must be nonempty"),
     "align-no-counts": (lambda: align_profiles({"m": []}), "no task counts for model 'm'"),
     "align-repeated-task": (lambda: align_profiles({"m": [COUNTS, COUNTS]}), "duplicate task in the counts for model 'm'"),
-    "report-repeated-tau": (lambda: build_report({"m": [COUNTS]}, taus=("0.2", "1/5")), "threshold 0.2 is given more than once"),
+    "report-repeated-tau": (lambda: build_report({"m": [COUNTS]}, taus=("0.2", "1/5")), "tau gives threshold 0.2 more than once"),
     "dominance-text-one-model": (lambda: render_dominance_text(build_report({"m": [COUNTS]})),
                                  "dominance requires at least 2 models"),
     # synth

@@ -75,10 +75,6 @@ class TestBuildReport:
         assert "avg_auc_plus" not in bundle.metric_names
         assert any("needs at least 2 models" in note for note in bundle.notes)
 
-    def test_unknown_model_filter_lists_known(self):
-        with pytest.raises(ValueError, match=r"unknown models \['C'\]; known models: \['A', 'B'\]"):
-            build_report(toy_counts(), model_filter=["C"])
-
     def test_task_alignment_names_dropped_tasks(self):
         counts = toy_counts(tasks=10)
         counts["A"].append(TaskCounts(task="extra", n=4, c=4))
