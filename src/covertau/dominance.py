@@ -39,7 +39,7 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .curves import CoverCurve, PassCurve, scale_to_lcm
-from .records import RationalLike, SuccessProfile, as_unit_rational, format_tau
+from .records import RationalLike, SuccessProfile, as_thresholds, format_tau
 
 # numpy is imported only by the bootstrap: commands that draw no resample
 # (`--version`, `ingest`, reports without `--bootstrap`) start without it
@@ -355,13 +355,13 @@ def bootstrap_bands(
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """`scaled_bootstrap_bands` of the tally of profiles that share one task
     tuple, their p values scaled to integers over the lcm of their
-    denominators."""
+    denominators; a repeated threshold in `taus` is a ValueError."""
     if not profiles:
         raise ValueError("no profiles")
     for prof in profiles[1:]:
         if prof.tasks != profiles[0].tasks:
             raise ValueError("bootstrap requires profiles aligned to the same task set")
-    tau_fracs = [as_unit_rational(t, "tau") for t in taus]
+    tau_fracs = as_thresholds(taus, "tau")
     scaled, scale = scale_to_lcm([prof.probabilities for prof in profiles])
     tally = TaskTally([p.model for p in profiles], scaled, scale, tau_fracs)
     return scaled_bootstrap_bands(tally, resamples, seed)

@@ -13,6 +13,10 @@ A file holds either per-completion lines or aggregated lines, never both.
 Persisted runs are canonical JSON (sorted keys, no spaces), so re-saving
 unchanged data is byte-identical.  A run stores its counts once, in its
 body; the manifest adds provenance, the body's sha256 and its record_count.
+The body is rendered, hashed and written one model at a time:
+`build_manifest` hashes each model's chunk as it is rendered, and
+`persist_run` writes the manifest line and then each chunk, and checks the
+run_id after the last chunk.  So neither holds more than one model's lines.
 
 A per-completion log is folded line by line into one `SampleTally` per
 (model, task): flagged lines add to its n and c at once, and unflagged lines
@@ -37,7 +41,8 @@ match (a blank line, another layout, an escaped key, an escaped quote in a
 value), if a value does not decode, or if it is not UTF-8.  Both paths fold
 their rows with the same two functions, which make the checks no pattern
 can (a repeated sample_index within a key, n >= 1, c <= n and a repeated
-task) and name the line of each error.
+task) and name the line of each error.  An aggregated row's task name is
+interned, so every model's `TaskCounts` for one task shares one string.
 """
 
 from __future__ import annotations
@@ -50,9 +55,11 @@ import json
 import math
 import os
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -440,12 +447,15 @@ def build_manifest(
     source_digests: Mapping[str, str],
     verdict_source: str,
 ) -> RunManifest:
-    """Manifest for aggregated counts; run_id is a digest of the canonical
-    body, so identical data yields an identical manifest."""
+    """Manifest for aggregated counts; run_id is the sha256 of the canonical
+    body, hashed one model's chunk at a time as `_body_chunks` yields it, so
+    identical data yields an identical manifest."""
     if not counts:
         raise ValueError("no counts to persist")
-    run_id = hashlib.sha256(_render_body(counts).encode("utf-8")).hexdigest()
-    return _implied_manifest(counts, run_id, source_digests, verdict_source)
+    digest = hashlib.sha256()
+    for chunk in _body_chunks(counts):
+        digest.update(chunk.encode("utf-8"))
+    return _implied_manifest(counts, digest.hexdigest(), source_digests, verdict_source)
 
 
 def _implied_manifest(
@@ -461,17 +471,16 @@ def _implied_manifest(
     )
 
 
-def _render_body(counts: Mapping[str, Sequence[TaskCounts]]) -> str:
-    """Canonical aggregated lines sorted by model and task; each model's
-    lines share one prebuilt prefix, so only c, n and the task vary."""
-    parts: list[str] = []
+def _body_chunks(counts: Mapping[str, Sequence[TaskCounts]]) -> Iterator[str]:
+    """The canonical body, one chunk per model in sorted order: its aggregated
+    lines sorted by task.  A model's lines share one prebuilt prefix, so only
+    c, n and the task vary, and a name is escaped as `json.dumps` escapes it."""
     for model in sorted(counts):
-        head = f',"model":{json.dumps(model)},"n":'
-        parts += [
-            f'{{"c":{tc.c}{head}{tc.n},"task":{json.dumps(tc.task)}}}\n'
-            for tc in sorted(counts[model], key=lambda t: t.task)
-        ]
-    return "".join(parts)
+        head = f',"model":{_quote(model)},"n":'
+        yield "".join([
+            f'{{"c":{tc.c}{head}{tc.n},"task":{_quote(tc.task)}}}\n'
+            for tc in sorted(counts[model], key=attrgetter("task"))
+        ])
 
 
 def persist_run(
@@ -482,21 +491,30 @@ def persist_run(
     The write is atomic (temp file + rename) and canonical, so a fixed
     input always produces identical bytes.  The manifest's record_count
     must be the counts' total n, and its run_id the sha256 of their body,
-    or `load_run` would reject the file it wrote.
+    or `load_run` would reject the file it wrote.  The body is rendered,
+    hashed and written one model at a time; run_id is checked after the
+    last chunk, and a mismatch leaves neither the target nor a temp file.
     """
     implied = _implied_manifest(counts, manifest.run_id, manifest.source_digests, manifest.verdict_source)
     if manifest != implied:
         raise ValueError("manifest record_count does not match the counts")
     # the implied manifest's own values: a given record_count of True equals 1 but would be written as true
     header = json.dumps(implied.to_json_obj(), sort_keys=True, separators=(",", ":"))
-    body = _render_body(counts)
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != manifest.run_id:
-        raise ValueError(
-            f"manifest run_id={manifest.run_id} does not match the sha256 of the counts' canonical body"
-        )
     path = Path(path)
-    write_atomic(path, header + "\n" + body)
+    write_atomic(path, _checked_run_chunks(header, counts, manifest.run_id))
     return path
+
+
+def _checked_run_chunks(header: str, counts: Mapping[str, Sequence[TaskCounts]], run_id: str) -> Iterator[str]:
+    """The manifest line `header`, then the chunks of the counts' body; a
+    ValueError after the last chunk if the body does not hash to `run_id`."""
+    yield header + "\n"
+    digest = hashlib.sha256()
+    for chunk in _body_chunks(counts):
+        digest.update(chunk.encode("utf-8"))
+        yield chunk
+    if digest.hexdigest() != run_id:
+        raise ValueError(f"manifest run_id={run_id} does not match the sha256 of the counts' canonical body")
 
 
 def write_atomic(path: Path, text: str | Iterable[str]) -> None:
@@ -735,6 +753,7 @@ def _fold_rows(counts: dict[str, dict[str, TaskCounts]], rows: Iterable[tuple], 
     for lineno, (name, task, n, c) in enumerate(map(fields, rows), lineno):
         if name != model:
             model, per_model = name, counts.setdefault(name, {})
+        task = sys.intern(task)  # one string per task, shared by every model's row for it
         try:  # TaskCounts rejects n < 1 and c outside [0, n]
             tc = TaskCounts(task, int(n), int(c))
         except ValueError as exc:

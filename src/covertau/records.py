@@ -114,7 +114,7 @@ class SampleRecord:
         return (self.model, self.task, self.sample_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskCounts:
     """Per-task trial tally: n trials, c correct, both exact integers."""
 

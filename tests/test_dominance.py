@@ -276,6 +276,11 @@ class TestBootstrapBands:
         bands = bootstrap_bands([below, zero], [F(1, 3)], resamples=20, seed=0)
         assert bands["A"]["cov@1/3"] == (0.0, 0.0)
 
+    def test_repeated_threshold_rejected(self):
+        # "0.2" and "1/5" are one threshold, which would give one cov@0.2 band for two taus
+        with pytest.raises(ValueError, match="tau gives threshold 0.2 more than once"):
+            bootstrap_bands([toy_model_a(4), toy_model_b(4)], ["0.2", "1/5"], resamples=3)
+
     def test_misaligned_profiles_rejected(self):
         a = toy_model_a(tasks=10)
         b = toy_model_b(tasks=12)

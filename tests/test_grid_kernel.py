@@ -216,7 +216,7 @@ def assert_band_is_the_exact_sample(profiles, taus, seed):
 @settings(max_examples=200, deadline=None)
 @given(
     profile_sets(min_models=1),
-    st.lists(st.one_of(plug_in, st.sampled_from([F(0), F(1)]), from_float), min_size=1, max_size=3),
+    st.lists(st.one_of(plug_in, st.sampled_from([F(0), F(1)]), from_float), min_size=1, max_size=3, unique=True),
     st.integers(-(2**64), 2**64),
 )
 def test_single_resample_band_is_the_exact_sample(profiles, taus, seed):
@@ -241,7 +241,7 @@ def test_single_resample_band_on_python_ints(d):
 @settings(max_examples=60, deadline=None)
 @given(
     profile_sets(min_models=1),
-    st.lists(st.one_of(plug_in, st.sampled_from([F(0), F(1)]), from_float), min_size=1, max_size=3),
+    st.lists(st.one_of(plug_in, st.sampled_from([F(0), F(1)]), from_float), min_size=1, max_size=3, unique=True),
     st.integers(-(2**64), 2**64),
 )
 def test_band_is_the_quantile_of_the_exact_samples(resamples, profiles, taus, seed):
