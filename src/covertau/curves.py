@@ -26,16 +26,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .metrics import _check_k, check_k_grid, pass_values
-from .records import ONE, ZERO, RationalLike, SuccessProfile, as_unit_rational
+from .records import ONE, ZERO, RationalLike, SuccessProfile, Value, as_unit_rational
 
 
-@dataclass(frozen=True)
-class CoverCurve:
+class CoverCurve(Value):
     """Non-increasing step function G(tau) on [0, 1].
 
     breakpoints: ascending distinct rationals, always starting at 0 and
@@ -46,13 +44,11 @@ class CoverCurve:
     num_tasks: size of the generating task set (needed to compare curves).
     """
 
-    model: str
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    num_tasks: int
+    __slots__ = ("model", "breakpoints", "values", "num_tasks")
 
-    def __post_init__(self) -> None:
-        bps, vals = self.breakpoints, self.values
+    def __init__(self, model: str, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...],
+                 num_tasks: int) -> None:
+        bps, vals = breakpoints, values
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values must have equal length")
         if len(bps) < 2 or bps[0] != ZERO or bps[-1] != ONE:
@@ -65,8 +61,9 @@ class CoverCurve:
             raise ValueError("curve values must lie in [0, 1]")
         if any(v2 > v1 for v1, v2 in zip(vals, vals[1:])):
             raise ValueError("cover curve must be non-increasing")
-        if self.num_tasks < 1:
+        if num_tasks < 1:
             raise ValueError("num_tasks must be >= 1")
+        self._assign(model, breakpoints, values, num_tasks)
 
     def value_at(self, tau: RationalLike) -> Fraction:
         """G(tau), exact."""
@@ -74,20 +71,18 @@ class CoverCurve:
         return self.values[bisect_left(self.breakpoints, t)]
 
 
-@dataclass(frozen=True)
-class PassCurve:
+class PassCurve(Value):
     """pass@k sampled on an ascending grid of k values."""
 
-    model: str
-    ks: tuple[int, ...]
-    values: tuple[float, ...]
+    __slots__ = ("model", "ks", "values")
 
-    def __post_init__(self) -> None:
-        check_k_grid(self.ks, "k")
-        if len(self.ks) != len(self.values):
+    def __init__(self, model: str, ks: tuple[int, ...], values: tuple[float, ...]) -> None:
+        check_k_grid(ks, "k")
+        if len(ks) != len(values):
             raise ValueError("ks and values must have equal length")
-        if any(v2 < v1 for v1, v2 in zip(self.values, self.values[1:])):
+        if any(v2 < v1 for v1, v2 in zip(values, values[1:])):
             raise ValueError("pass curve must be non-decreasing")
+        self._assign(model, ks, values)
 
 
 def scale_to_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:

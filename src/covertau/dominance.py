@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul, sub
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .curves import CoverCurve, PassCurve, scale_to_lcm
-from .records import RationalLike, SuccessProfile, as_thresholds, format_tau
+from .records import RationalLike, SuccessProfile, Value, as_thresholds, format_tau
 
 # numpy is imported only by the bootstrap: commands that draw no resample
 # (`--version`, `ingest`, reports without `--bootstrap`) start without it
@@ -54,27 +53,27 @@ BAND_LEVELS = (0.025, 0.975)
 Count = tuple[int, list[int], list[list[int]], list[int]]
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
+class CrossoverResult(Value):
     """Smallest evaluated k at which the pass@k ordering of a pair flips."""
 
-    pair: tuple[str, str]
-    k_star: int | None
-    direction: str
+    __slots__ = ("pair", "k_star", "direction")
+
+    def __init__(self, pair: tuple[str, str], k_star: int | None, direction: str) -> None:
+        self._assign(pair, k_star, direction)
 
     @property
     def crossed(self) -> bool:
         return self.k_star is not None
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(Value):
     """Pairwise excess-AUC matrix plus per-model summary scores."""
 
-    models: tuple[str, ...]
-    auc_plus: tuple[tuple[Fraction, ...], ...]
-    avg_auc_plus: tuple[Fraction, ...]
-    rankings: dict[str, list[tuple[str, float, int]]]
+    __slots__ = ("models", "auc_plus", "avg_auc_plus", "rankings")
+
+    def __init__(self, models: tuple[str, ...], auc_plus: tuple[tuple[Fraction, ...], ...],
+                 avg_auc_plus: tuple[Fraction, ...], rankings: dict[str, list[tuple[str, float, int]]]) -> None:
+        self._assign(models, auc_plus, avg_auc_plus, rankings)
 
 
 def _cover_totals(curves: Sequence[CoverCurve]) -> tuple[list[list[int]], int]:
@@ -175,12 +174,14 @@ class TaskTally:
 
     def cover_curve(self, i: int, at_least: Sequence[int]) -> CoverCurve:
         """Cover curve of model i over its `at_least` row: breakpoints at 0,
-        at each grid point where model i has tasks, and at 1."""
+        at each grid point where model i has tasks, and at 1.  It is built
+        without `CoverCurve`'s checks, which such a row always passes."""
         t, last = at_least[0], len(self.grid) - 1
         # model i has tasks at grid[g] where at_least drops after g
         points = [0, *(g for g in range(1, last) if at_least[g] > at_least[g + 1]), last]
         breakpoints = tuple(Fraction(self.grid[g], self.scale) for g in points)
-        return CoverCurve(self.models[i], breakpoints, tuple(Fraction(at_least[g], t) for g in points), t)
+        values = tuple(Fraction(at_least[g], t) for g in points)
+        return CoverCurve._make(self.models[i], breakpoints, values, t)
 
 
 def _avg_excess(excess: Sequence[int], scale: int) -> tuple[Sequence[int], int]:

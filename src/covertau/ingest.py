@@ -57,14 +57,13 @@ import os
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .metrics import aggregate  # noqa: F401  (perfbench/spans.py wraps it here)
-from .records import GoldAnswer, SampleRecord, TaskCounts
+from .records import GoldAnswer, SampleRecord, TaskCounts, Value
 
 FORMAT_NAME = "covertau-run-v2"
 _MANIFEST_KEYS = frozenset({"kind", "format", "run_id", "source_digests", "record_count", "verdict_source"})
@@ -101,45 +100,54 @@ class ParseError(ValueError):
     """Malformed log content, annotated with the offending line number."""
 
 
-@dataclass(slots=True)
-class SampleTally:
-    """Running tally of one (model, task) key of a per-completion log."""
+class SampleTally(Value):
+    """Running tally of one (model, task) key of a per-completion log; its
+    fields are assigned as lines are folded, so it has no hash.
 
-    stop: int = 0  # the smallest sample_index not read yet: every index below it was read
-    ahead: set[int] = field(default_factory=set)  # sample_index values read above stop
-    n: int = 0  # lines with a correct flag
-    c: int = 0  # of those, flagged correct
-    answers: Counter[str] = field(default_factory=Counter)  # answer text of unflagged lines
-    first_ungraded: tuple[int, int] | None = None  # (line, sample_index) of the first unflagged line
+    stop: the smallest sample_index not read yet: every index below it was read
+    ahead: sample_index values read above stop
+    n: lines with a correct flag; c: of those, flagged correct
+    answers: answer text of unflagged lines
+    first_ungraded: (line, sample_index) of the first unflagged line
+    """
+
+    __slots__ = ("stop", "ahead", "n", "c", "answers", "first_ungraded")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, stop: int = 0, ahead: set[int] | None = None, n: int = 0, c: int = 0,
+                 answers: Counter[str] | None = None, first_ungraded: tuple[int, int] | None = None) -> None:
+        self._assign(stop, set() if ahead is None else ahead, n, c, Counter() if answers is None else answers,
+                     first_ungraded)
 
 
-@dataclass(frozen=True)
-class ParsedLog:
+class ParsedLog(Value, compare=3):
     """Result of parsing one log file: exactly one of the two forms.
 
     `records` maps (model, task) to its `SampleTally` for a per-completion
     log; `counts` holds per-model counts for an aggregated one.  `source`
-    names the file in grading errors; `digest` is `read_log`'s file sha256.
+    names the file in grading errors; `digest` is `read_log`'s file sha256,
+    of the bytes, not of what they parse to, so equality ignores it.
     """
 
-    records: dict[tuple[str, str], SampleTally] | None
-    counts: dict[str, list[TaskCounts]] | None
-    source: str = "<stream>"
-    digest: str | None = field(default=None, compare=False)  # of the bytes, not of what they parse to
+    __slots__ = ("records", "counts", "source", "digest")
+
+    def __init__(self, records: dict[tuple[str, str], SampleTally] | None,
+                 counts: dict[str, list[TaskCounts]] | None, source: str = "<stream>",
+                 digest: str | None = None) -> None:
+        self._assign(records, counts, source, digest)
 
     @property
     def kind(self) -> str:
         return "samples" if self.records is not None else "aggregated"
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Value):
     """Header block of a persisted run."""
 
-    run_id: str
-    source_digests: dict[str, str]
-    record_count: int
-    verdict_source: str
+    __slots__ = ("run_id", "source_digests", "record_count", "verdict_source")
+
+    def __init__(self, run_id: str, source_digests: dict[str, str], record_count: int, verdict_source: str) -> None:
+        self._assign(run_id, source_digests, record_count, verdict_source)
 
     def to_json_obj(self) -> dict:
         return {

@@ -8,8 +8,8 @@ appear where a metric is explicitly defined as a floating-point quantity
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 #: Inputs accepted wherever an exact rational is required.  Floats are
@@ -87,51 +87,107 @@ def format_tau(tau: Fraction) -> str:
     return f"{tau.numerator}/{tau.denominator}"
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+_setattr = object.__setattr__
+
+
+class Value:
+    """Base of the package's value types: plain classes whose `__slots__`
+    name their fields in constructor order, after those of the classes they
+    extend.
+
+    Two values are equal when their classes are the same and so are their
+    compared fields (the first `compare` fields, given as a class keyword,
+    or all of them); a value hashes as the tuple of those fields and prints
+    as `Name(field=value, ...)`.  It pickles and copies field by field
+    without re-running its constructor's checks, and refuses every
+    attribute assignment and deletion once built.  A subclass that is
+    filled in as it goes, as `ingest.SampleTally` is, may restore
+    `object`'s `__setattr__` and `__delattr__` and set `__hash__` to None.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare: int | None = None) -> None:
+        cls._names = names = tuple(name for klass in cls.__mro__[::-1] for name in klass.__dict__.get("__slots__", ()))
+        cls._fields = attrgetter(*names)
+        cls._key = attrgetter(*names[:compare])
+
+    def _assign(self, *values: object) -> None:
+        for name, value in zip(self._names, values):
+            _setattr(self, name, value)
+
+    @classmethod
+    def _make(cls, *values: object):
+        """An instance holding `values`, in field order, built without the constructor's checks."""
+        self = object.__new__(cls)
+        self._assign(*values)
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._names, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self._make, self._fields(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SampleRecord(Value):
     """One completion's verdict for a (model, task) pair.
 
     `correct` may be None when the log carries raw answers that still need
     grading against a gold answer; aggregation requires it to be resolved.
     """
 
-    model: str
-    task: str
-    sample_index: int
-    answer: str | None = None
-    correct: bool | None = None
+    __slots__ = ("model", "task", "sample_index", "answer", "correct")
 
-    def __post_init__(self) -> None:
-        if not self.model:
+    def __init__(self, model: str, task: str, sample_index: int, answer: str | None = None,
+                 correct: bool | None = None) -> None:
+        if not model:
             raise ValueError("model identifier must be nonempty")
-        if not self.task:
+        if not task:
             raise ValueError("task identifier must be nonempty")
-        if self.sample_index < 0:
-            raise ValueError(f"sample_index must be >= 0, got {self.sample_index}")
+        if sample_index < 0:
+            raise ValueError(f"sample_index must be >= 0, got {sample_index}")
+        self._assign(model, task, sample_index, answer, correct)
 
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.model, self.task, self.sample_index)
 
 
-@dataclass(frozen=True, slots=True)
-class TaskCounts:
+class TaskCounts(Value):
     """Per-task trial tally: n trials, c correct, both exact integers."""
 
-    task: str
-    n: int
-    c: int
+    __slots__ = ("task", "n", "c")
 
-    def __post_init__(self) -> None:
-        if not self.task:
+    def __init__(self, task: str, n: int, c: int) -> None:
+        if not task:
             raise ValueError("task identifier must be nonempty")
-        if type(self.n) is not int or type(self.c) is not int:  # True or 2.0 would persist as true or 2.0
-            name, value = ("n", self.n) if type(self.n) is not int else ("c", self.c)
-            raise ValueError(f"{name} must be an integer for task {self.task!r}, got {value!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1 for task {self.task!r}, got {self.n}")
-        if not 0 <= self.c <= self.n:
-            raise ValueError(f"need 0 <= c <= n for task {self.task!r}, got c={self.c}, n={self.n}")
+        if type(n) is not int or type(c) is not int:  # True or 2.0 would persist as true or 2.0
+            name, value = ("n", n) if type(n) is not int else ("c", c)
+            raise ValueError(f"{name} must be an integer for task {task!r}, got {value!r}")
+        if n < 1:
+            raise ValueError(f"n must be >= 1 for task {task!r}, got {n}")
+        if not 0 <= c <= n:
+            raise ValueError(f"need 0 <= c <= n for task {task!r}, got c={c}, n={n}")
+        # one per line of a run body: three calls cost about a third less than `_assign`'s loop
+        _setattr(self, "task", task)
+        _setattr(self, "n", n)
+        _setattr(self, "c", c)
 
     @property
     def rate(self) -> Fraction:
@@ -139,33 +195,32 @@ class TaskCounts:
         return Fraction(self.c, self.n)
 
 
-@dataclass(frozen=True)
-class SuccessProfile:
+class SuccessProfile(Value):
     """Per-model vector of per-task success probabilities.
 
     Entries are (task, p) pairs with p an exact rational in [0, 1]; task
     identifiers are unique and kept in a deterministic (sorted) order.
     """
 
-    model: str
-    entries: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("model", "entries")
 
-    def __post_init__(self) -> None:
-        if not self.model:
+    def __init__(self, model: str, entries: tuple[tuple[str, Fraction], ...]) -> None:
+        if not model:
             raise ValueError("model identifier must be nonempty")
-        if not self.entries:
-            raise ValueError(f"profile for {self.model!r} has no tasks")
+        if not entries:
+            raise ValueError(f"profile for {model!r} has no tasks")
         seen: set[str] = set()
-        for task, p in self.entries:
+        for task, p in entries:
             if not task:
-                raise ValueError(f"task identifier must be nonempty in profile for {self.model!r}")
+                raise ValueError(f"task identifier must be nonempty in profile for {model!r}")
             if task in seen:
-                raise ValueError(f"duplicate task {task!r} in profile for {self.model!r}")
+                raise ValueError(f"duplicate task {task!r} in profile for {model!r}")
             seen.add(task)
             if not isinstance(p, Fraction):
                 raise TypeError(f"p for task {task!r} must be a Fraction, got {type(p).__name__}")
             if not ZERO <= p <= ONE:
                 raise ValueError(f"p for task {task!r} must lie in [0, 1], got {p}")
+        self._assign(model, entries)
 
     @classmethod
     def from_pairs(cls, model: str, pairs: Iterable[tuple[str, RationalLike]]) -> "SuccessProfile":
@@ -198,15 +253,14 @@ class SuccessProfile:
         return SuccessProfile(model=self.model, entries=entries)
 
 
-@dataclass(frozen=True)
-class GoldAnswer:
+class GoldAnswer(Value):
     """Canonical answer for one task."""
 
-    task: str
-    answer: str
+    __slots__ = ("task", "answer")
 
-    def __post_init__(self) -> None:
-        if not self.task:
+    def __init__(self, task: str, answer: str) -> None:
+        if not task:
             raise ValueError("task identifier must be nonempty")
-        if not self.answer.strip():
-            raise ValueError(f"gold answer for task {self.task!r} is empty")
+        if not answer.strip():
+            raise ValueError(f"gold answer for task {task!r} is empty")
+        self._assign(task, answer)

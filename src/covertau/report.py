@@ -22,7 +22,6 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -34,7 +33,7 @@ from .dominance import (CrossoverResult, DominanceReport, TaskTally, _dominance,
 from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import pass_values
-from .records import RationalLike, TaskCounts, as_thresholds
+from .records import RationalLike, TaskCounts, Value, as_thresholds
 from .records import format_tau  # re-exported: callers import it from covertau.report
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
@@ -47,25 +46,21 @@ def format_exact(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class ReportBundle:
+class ReportBundle(Value):
     """Everything a report run computed, recomputable from the run file."""
 
-    models: tuple[str, ...]
-    taus: tuple[Fraction, ...]
-    k_grid: tuple[int, ...]
-    aggregation: str
-    metric_names: tuple[str, ...]
-    metrics: dict[str, dict[str, Fraction]]
-    rankings: dict[str, list[tuple[str, float, int]]]
-    cover_curves: dict[str, CoverCurve]
-    pass_curves: dict[str, PassCurve]
-    dominance: DominanceReport | None
-    crossovers: tuple[CrossoverResult, ...]
-    dropped_tasks: dict[str, tuple[str, ...]]
-    notes: tuple[str, ...]
-    bootstrap: dict[str, dict[str, tuple[float, float]]] | None
-    provenance: dict[str, object] = field(default_factory=dict)
+    __slots__ = ("models", "taus", "k_grid", "aggregation", "metric_names", "metrics", "rankings", "cover_curves",
+                 "pass_curves", "dominance", "crossovers", "dropped_tasks", "notes", "bootstrap", "provenance")
+
+    def __init__(self, models: tuple[str, ...], taus: tuple[Fraction, ...], k_grid: tuple[int, ...], aggregation: str,
+                 metric_names: tuple[str, ...], metrics: dict[str, dict[str, Fraction]],
+                 rankings: dict[str, list[tuple[str, float, int]]], cover_curves: dict[str, CoverCurve],
+                 pass_curves: dict[str, PassCurve], dominance: DominanceReport | None,
+                 crossovers: tuple[CrossoverResult, ...], dropped_tasks: dict[str, tuple[str, ...]],
+                 notes: tuple[str, ...], bootstrap: dict[str, dict[str, tuple[float, float]]] | None,
+                 provenance: dict[str, object] | None = None) -> None:
+        self._assign(models, taus, k_grid, aggregation, metric_names, metrics, rankings, cover_curves, pass_curves,
+                     dominance, crossovers, dropped_tasks, notes, bootstrap, {} if provenance is None else provenance)
 
 
 def align_profiles(

@@ -31,14 +31,13 @@ distribution over a small support is not uniform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, count
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .records import RationalLike, SampleRecord, SuccessProfile, as_unit_rational
+from .records import RationalLike, SampleRecord, SuccessProfile, Value, as_unit_rational
 
 # numpy is imported inside the functions that compute with it, so that
 # commands which never do (`--version`, `ingest`) start without loading it
@@ -51,33 +50,28 @@ SLICE = 65_536  # trials drawn and rendered at a time; Philox continues its stre
 PROFILE_KINDS = ("constant-p", "two-point", "uniform-random", "user-list")
 
 
-@dataclass(frozen=True)
-class GuesserSpec:
+class GuesserSpec(Value):
     """Uniform guesser over `support_size` labels, gold fixed at label "0"."""
 
-    support_size: int
-    tasks: int
-    trials: int
-    seed: int
-    model: str = "guesser"
+    __slots__ = ("support_size", "tasks", "trials", "seed", "model")
 
-    def __post_init__(self) -> None:
-        if self.support_size < 2:
-            raise ValueError(f"support_size must be >= 2, got {self.support_size}")
-        if self.tasks < 1:
-            raise ValueError(f"tasks must be >= 1, got {self.tasks}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.model:
+    def __init__(self, support_size: int, tasks: int, trials: int, seed: int, model: str = "guesser") -> None:
+        if support_size < 2:
+            raise ValueError(f"support_size must be >= 2, got {support_size}")
+        if tasks < 1:
+            raise ValueError(f"tasks must be >= 1, got {tasks}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if not model:
             raise ValueError("model identifier must be nonempty")
+        self._assign(support_size, tasks, trials, seed, model)
 
     @property
     def success_probability(self) -> Fraction:
         return Fraction(1, self.support_size)
 
 
-@dataclass(frozen=True)
-class ProfileSpec:
+class ProfileSpec(Value):
     """Named profile generator.
 
     kind "constant-p":     every task at p
@@ -86,21 +80,16 @@ class ProfileSpec:
     kind "user-list":      explicit p values
     """
 
-    kind: str
-    tasks: int
-    seed: int = 0
-    model: str = "synthetic"
-    p: RationalLike | None = None
-    low: RationalLike | None = None
-    high: RationalLike | None = None
-    ratio: RationalLike | None = None
-    values: Sequence[RationalLike] | None = None
+    __slots__ = ("kind", "tasks", "seed", "model", "p", "low", "high", "ratio", "values")
 
-    def __post_init__(self) -> None:
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}; expected one of {PROFILE_KINDS}")
-        if self.tasks < 1:
-            raise ValueError(f"tasks must be >= 1, got {self.tasks}")
+    def __init__(self, kind: str, tasks: int, seed: int = 0, model: str = "synthetic", p: RationalLike | None = None,
+                 low: RationalLike | None = None, high: RationalLike | None = None, ratio: RationalLike | None = None,
+                 values: Sequence[RationalLike] | None = None) -> None:
+        if kind not in PROFILE_KINDS:
+            raise ValueError(f"unknown profile kind {kind!r}; expected one of {PROFILE_KINDS}")
+        if tasks < 1:
+            raise ValueError(f"tasks must be >= 1, got {tasks}")
+        self._assign(kind, tasks, seed, model, p, low, high, ratio, values)
 
 
 def task_ids(count: int) -> list[str]:

@@ -125,6 +125,16 @@ def test_resample_count_equals_python_count(tally, seed):
         assert all(type(x) is int for row in (count[1], *count[2], count[3]) for x in row)
 
 
+@settings(max_examples=300, deadline=None)
+@given(tallies(), st.data())
+def test_tally_built_curves_pass_the_public_checks(tally, data):
+    # `cover_curve` skips `CoverCurve`'s checks: each curve it builds must pass them
+    columns = data.draw(st.lists(st.integers(0, len(tally.rows[0]) - 1), min_size=1, max_size=30))
+    for i, row in enumerate(tally.at_least(columns)):
+        curve = tally.cover_curve(i, row)
+        assert CoverCurve(curve.model, curve.breakpoints, curve.values, curve.num_tasks) == curve
+
+
 def test_grid_dtype_switches_to_python_ints_at_2_62():
     # a resample of T tasks sums at most T * scale: the switch is at T * scale = 2**62
     for tasks, scale, dtype in ((1, 2**62 - 1, np.int64), (1, 2**62, object), (2, 2**61, object)):

@@ -1,5 +1,6 @@
-"""No module of the package imports numpy at module scope, and the
-library's cover-curve path loads it nowhere.
+"""No module of the package imports numpy at module scope, the library's
+cover-curve path loads it nowhere, and importing the CLI loads none of
+`dataclasses`, `inspect` or `html`.
 
 numpy is imported inside the functions that draw random numbers, so that
 `covertau --version`, `ingest` and reports without `--bootstrap` start
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import covertau
 
@@ -76,18 +79,24 @@ def test_guard_flags_module_scope_and_passes_local_imports():
     assert _module_scope_numpy_imports(ast.parse(source)) == [1, 6, 10]
 
 
-def test_library_cover_path_leaves_numpy_unloaded():
-    # cover curves and auc+ are integer counts: only resampling needs numpy
-    code = """
-import sys
+COVER_PATH = """
 from fractions import Fraction as F
 from covertau import (SuccessProfile, auc_plus_cover, avg_auc_plus, build_cover_curve, check_cover_dominance,
                       dominance_report)
 a, b = (SuccessProfile.from_pairs(m, [("t0", F(1, 3)), ("t1", p)]) for m, p in (("A", F(1)), ("B", F(0))))
 curves = [build_cover_curve(a), build_cover_curve(b)]
 dominance_report(curves), avg_auc_plus(curves), auc_plus_cover(*curves), check_cover_dominance(*curves)
-print("numpy" in sys.modules)
 """
+
+
+@pytest.mark.parametrize("code, unloaded", [
+    # cover curves and auc+ are integer counts: only resampling needs numpy
+    (COVER_PATH, ["numpy"]),
+    # the value types are plain slotted classes and SVG text is escaped by hand
+    ("import covertau.cli", ["dataclasses", "inspect", "html"]),
+], ids=["library-cover-path", "cli-import"])
+def test_fresh_interpreter_leaves_modules_unloaded(code, unloaded):
+    code = f"import sys\n{code}\nprint([name for name in {unloaded!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

@@ -419,11 +419,12 @@ class TestCli:
 
     def test_svg_text_is_escaped(self, tmp_path):
         log = tmp_path / "log.jsonl"
-        log.write_text(json.dumps({"model": "a<b&c>", "task": "t", "n": 4, "c": 1}) + "\n", encoding="utf-8")
+        # as html.escape(quote=False) does: & first, quotes kept
+        log.write_text(json.dumps({"model": "a<b&c>\"'&amp;", "task": "t", "n": 4, "c": 1}) + "\n", encoding="utf-8")
         out = tmp_path / "plots"
         assert main(["curves", "--input", str(log), "--out-dir", str(out)]) == 0
         text = (out / "cover_curves.svg").read_text(encoding="utf-8")
-        assert ">a&lt;b&amp;c&gt;</text>" in text and "a<b" not in text
+        assert ">a&lt;b&amp;c&gt;\"'&amp;amp;</text>" in text and "a<b" not in text
 
     @pytest.mark.parametrize("flag", [["--tau", "0.5"], ["--seed", "3"]])
     def test_curves_takes_no_table_flags(self, tmp_path, capsys, flag):

@@ -136,11 +136,11 @@ def test_report_on_python_ints_matches_oracle():
 
 def test_report_builds_no_profile_and_no_fraction_round_trip(monkeypatch):
     calls = []
-    original = SuccessProfile.__post_init__
+    original = SuccessProfile.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
         calls.append("SuccessProfile")
-        original(self)
+        original(self, *args, **kwargs)
 
     def counting(name, fn, seen=calls):
         def wrapper(*args, **kwargs):
@@ -148,25 +148,25 @@ def test_report_builds_no_profile_and_no_fraction_round_trip(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(SuccessProfile, "__post_init__", counting_post_init)
+    monkeypatch.setattr(SuccessProfile, "__init__", counting_init)
     for module, name in [(covertau.metrics, "estimate_success"), (covertau.report, "estimate_success"),
                          (covertau.curves, "scale_to_lcm"), (covertau.dominance, "scale_to_lcm")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
-    # one task tally per report and one validated cover curve per model
+    # one task tally per report, and its cover curves are not re-checked
     built = []
-    task_grid, curve_post_init = covertau.dominance._task_grid, covertau.curves.CoverCurve.__post_init__
+    task_grid, curve_init = covertau.dominance._task_grid, covertau.curves.CoverCurve.__init__
 
     def counting_task_grid(*args):
         built.append("_task_grid")
         return task_grid(*args)
 
-    def counting_curve(self):
+    def counting_curve(self, *args):
         built.append("CoverCurve")
-        curve_post_init(self)
+        curve_init(self, *args)
 
     monkeypatch.setattr(covertau.dominance, "_task_grid", counting_task_grid)
-    monkeypatch.setattr(covertau.curves.CoverCurve, "__post_init__", counting_curve)
+    monkeypatch.setattr(covertau.curves.CoverCurve, "__init__", counting_curve)
     # every table row, cover curve and bootstrap sample is read off one count:
     # a Python count of the points, a numpy count of each resample
     for owner, name in [(covertau.dominance.TaskTally, "at_least"), (covertau.dominance, "_resample_count")]:
@@ -179,7 +179,7 @@ def test_report_builds_no_profile_and_no_fraction_round_trip(monkeypatch):
     bundle = build_report(counts, group_delimiter="/", bootstrap_resamples=5, seed=1)
     assert bundle.bootstrap is not None and bundle.aggregation == "per-group-averaged"
     assert calls == []
-    assert built.count("_task_grid") == 1 and built.count("CoverCurve") == 3
+    assert built.count("_task_grid") == 1 and built.count("CoverCurve") == 0 and len(bundle.cover_curves) == 3
     # 3 groups and the pooled count, and one per resample
     assert built.count("at_least") == 3 + 1 and built.count("_resample_count") == 5
     built.clear()

@@ -1,7 +1,6 @@
 """A run's manifest is the one its body implies: the body renderer, and the
 checks on save and on load."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertau import ParseError, TaskCounts, build_manifest, load_run, persist_run
+from covertau import ParseError, RunManifest, TaskCounts, build_manifest, load_run, persist_run
 from covertau import ingest
 from covertau.cli import main
 from covertau.ingest import read_log
@@ -125,7 +124,10 @@ def test_edited_body_is_reported_before_a_malformed_manifest(tmp_path):
     [("record_count", 2)],
 )
 def test_manifest_unlike_its_counts_rejected_on_save(tmp_path, field, value):
-    manifest = dataclasses.replace(build_manifest(ONE_RECORD, {}, "flags"), **{field: value})
+    built = build_manifest(ONE_RECORD, {}, "flags")
+    manifest = RunManifest(**{"run_id": built.run_id, "source_digests": built.source_digests,
+                              "record_count": built.record_count, "verdict_source": built.verdict_source,
+                              field: value})
     with pytest.raises(ValueError, match="does not match the counts"):
         persist_run(manifest, ONE_RECORD, tmp_path / "run.jsonl")
     assert list(tmp_path.iterdir()) == []
@@ -135,7 +137,7 @@ def test_save_writes_the_implied_manifest_values(tmp_path):
     # True == 1 in Python, so this manifest equals the implied one; written as
     # given it would read `true`, which load_run rejects
     built = build_manifest(ONE_RECORD, {}, "flags")
-    manifest = dataclasses.replace(built, record_count=True)
+    manifest = RunManifest(built.run_id, built.source_digests, True, built.verdict_source)
     path = persist_run(manifest, ONE_RECORD, tmp_path / "run.jsonl")
     assert path.read_bytes() == persist_run(built, ONE_RECORD, tmp_path / "built.jsonl").read_bytes()
     assert '"record_count":1,' in path.read_text(encoding="utf-8")

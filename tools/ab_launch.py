@@ -7,14 +7,18 @@ for each tree, the order flipped from pair to pair, so host load that drifts
 over minutes lands on both sides alike.  Each child goes through
 perfbench/launch.py, a fresh `-I -S` interpreter that reads the child's own
 wall time, CPU time and peak RSS from `os.wait4` (its docstring says why the
-child is not spawned from here).  One untimed launch per tree comes first,
-so both sides run with their bytecode cached.  For wall_s, cpu_s and rss_mb
-it prints each side's median and quartiles and the pairs each side won
-(lower wins).  The command runs in the current directory, and both sides
-write its outputs to the same paths in turn.
+child is not spawned from here).  One untimed launch per tree comes first.
+It caches the tree's bytecode unless PYTHONDONTWRITEBYTECODE is set, in
+which case every launch compiles covertau from source again; the setting
+is passed on as found.  After that launch it prints, for each tree, how
+many of its modules have bytecode cached for this interpreter.  For
+wall_s, cpu_s and rss_mb it prints each side's median and quartiles and
+the pairs each side won (lower wins).  The command runs in the current
+directory, and both sides write its outputs to the same paths in turn.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -39,6 +43,14 @@ def launch(tree: str, argv: list[str], scratch: Path) -> dict:
     return sample
 
 
+def bytecode_state(tree: str) -> str:
+    """How many of the tree's covertau modules have bytecode cached for this interpreter."""
+    sources = sorted((Path(tree).resolve() / "src" / "covertau").glob("*.py"))
+    cached = sum(Path(importlib.util.cache_from_source(str(path))).exists() for path in sources)
+    writes = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
+    return f"{cached}/{len(sources)} modules cached (bytecode writes {writes})"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs to time (at least 2)")
@@ -50,8 +62,9 @@ def main() -> None:
     sides = list(enumerate(args.trees))  # by position: A and B may name one tree, to see the noise
     runs = ([], [])
     with tempfile.TemporaryDirectory() as scratch:
-        for _, tree in sides:
+        for side, tree in sides:
             launch(tree, args.argv, Path(scratch))
+            print(f"bytecode {'AB'[side]} {bytecode_state(tree)}  {tree}")
         for pair in range(args.pairs):
             for side, tree in sides[::-1] if pair % 2 else sides:
                 runs[side].append(launch(tree, args.argv, Path(scratch)))
