@@ -18,52 +18,52 @@ with a message on stderr for any rejection.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .ingest import (
-    ParseError,
-    build_manifest,
-    counts_from_log,
-    decode_lines,
-    digest_file,
-    is_run_file,
-    load_run,
-    parse_gold,
-    persist_run,
-    read_log,
-    write_atomic,
-)
-from .plots import cover_curves_svg, pass_curves_svg
-from .metrics import check_k_grid
-from .records import as_thresholds, as_unit_rational
-from .report import (
-    DEFAULT_K_GRID,
-    DEFAULT_TAUS,
-    build_report,
-    bundle_json,
-    cover_curve_csv,
-    metrics_csv,
-    pass_curve_csv,
-    render_dominance_text,
-    render_metrics_table,
-    safe_filename,
-)
-from .synth import (
-    GuesserSpec,
-    ProfileSpec,
-    completions_log,
-    guesser_gold,
-    guesser_log,
-    guesser_profile,
-    make_profile,
-)
-from .synth import records_to_jsonl, simulate_guesser  # noqa: F401  (perfbench/spans.py wraps them here)
+
+# covertau module -> the names the CLI takes from it.  A command binds the
+# names of the modules it runs when it starts (`_load`), so `--version`
+# loads none of them and `ingest` no report code.  perfbench/spans.py and
+# some tests patch names here before a command runs; `_load` keeps a name
+# already bound, and `__getattr__` imports one that is asked for first.
+# simulate_guesser and records_to_jsonl are bound only for perfbench/spans.py,
+# which wraps them here.
+_IMPORTS = {
+    "files": ("write_atomic",),
+    "ingest": ("build_manifest", "counts_from_log", "decode_lines", "digest_file", "is_run_file", "load_run",
+               "parse_gold", "persist_run", "read_log"),
+    "metrics": ("check_k_grid",),
+    "plots": ("cover_curves_svg", "pass_curves_svg"),
+    "records": ("as_thresholds", "as_unit_rational"),
+    "report": ("DEFAULT_K_GRID", "DEFAULT_TAUS", "build_report", "bundle_json", "cover_curve_csv", "metrics_csv",
+               "pass_curve_csv", "render_dominance_text", "render_metrics_table", "safe_filename"),
+    "synth": ("GuesserSpec", "ProfileSpec", "completions_log", "guesser_gold", "guesser_log", "guesser_profile",
+              "make_profile", "records_to_jsonl", "simulate_guesser"),
+}
+_SOURCES = {name: module for module, names in _IMPORTS.items() for name in names}
+_REPORT_MODULES = ("files", "ingest", "metrics", "records", "report")
+
+
+def _load(*modules: str) -> None:
+    """Bind the names `_IMPORTS` takes from `modules`, keeping those already bound."""
+    from importlib import import_module
+
+    bound = globals()
+    for module in modules:
+        source = import_module(f".{module}", __package__)
+        for name in _IMPORTS[module]:
+            bound.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_SOURCES[name])
+    return globals()[name]
+
 
 MAX_BOOTSTRAP = 100_000  # resamples a report may draw; each counts the task tally once
 # `simulate` bounds, checked before any draw: at about 30 us per task and
@@ -126,6 +126,10 @@ def _simulate_value(args: argparse.Namespace, name: str) -> Fraction:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    import json
+    from collections import Counter
+
+    _load("files", "records", "synth")
     if args.model == "":
         raise ValueError("--model must be a nonempty string, got ''")
     for flag, count in (("--tasks", args.tasks), ("--trials", args.trials)):
@@ -177,6 +181,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    _load("ingest")
     counts, verdict_source, digest = _counts_from_raw_log(args.input, args.gold)
     digests = {Path(args.input).name: digest}
     if args.gold:
@@ -209,6 +214,7 @@ def _table_options(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    _load(*_REPORT_MODULES)
     if args.group_delimiter == "":
         raise ValueError("--group-delimiter must be a nonempty string, got ''")
     bundle = _report(args, group_delimiter=args.group_delimiter, **_table_options(args))
@@ -223,6 +229,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
+    _load("plots", *_REPORT_MODULES)
     bundle = _report(args)
     stems: dict[str, str] = {}
     for model in bundle.models:
@@ -244,6 +251,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
+    _load(*_REPORT_MODULES)
     if args.model and len(set(args.model)) < 2:
         raise ValueError(f"dominance needs at least 2 models; --model selects only {args.model[0]!r}")
     bundle = _report(args, **_table_options(args))
@@ -325,7 +333,8 @@ def main(argv: list[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
-    except (ValueError, ParseError, OSError, MemoryError) as exc:  # numpy's MemoryError names its array
+    # a ParseError is a ValueError; numpy's MemoryError names its array
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -47,13 +47,11 @@ interned, so every model's `TaskCounts` for one task shares one string.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import io
 import json
 import math
-import os
 import re
 import sys
 from collections import Counter
@@ -62,6 +60,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
+from .files import write_atomic
 from .metrics import aggregate  # noqa: F401  (perfbench/spans.py wraps it here)
 from .records import GoldAnswer, SampleRecord, TaskCounts, Value
 
@@ -523,24 +522,6 @@ def _checked_run_chunks(header: str, counts: Mapping[str, Sequence[TaskCounts]],
         yield chunk
     if digest.hexdigest() != run_id:
         raise ValueError(f"manifest run_id={run_id} does not match the sha256 of the counts' canonical body")
-
-
-def write_atomic(path: Path, text: str | Iterable[str]) -> None:
-    """Replace `path` with `text`, a string or an iterable of string chunks
-    written in order, through a temp file of its own in the same directory,
-    so concurrent writers never share one, and a failed write (an iterable
-    that raises too) leaves neither a partial target nor a temp file behind."""
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    # O_EXCL: never reuse an existing file; mode 0o666 is narrowed by the umask
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]]:

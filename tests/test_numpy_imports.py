@@ -1,6 +1,7 @@
 """No module of the package imports numpy at module scope, the library's
-cover-curve path loads it nowhere, and importing the CLI loads none of
-`dataclasses`, `inspect` or `html`.
+cover-curve path loads it nowhere, and importing the CLI, or every module
+of the package, loads none of `dataclasses`, `inspect` or `html` (nor, for
+every module, the network stack).
 
 numpy is imported inside the functions that draw random numbers, so that
 `covertau --version`, `ingest` and reports without `--bootstrap` start
@@ -94,7 +95,10 @@ dominance_report(curves), avg_auc_plus(curves), auc_plus_cover(*curves), check_c
     (COVER_PATH, ["numpy"]),
     # the value types are plain slotted classes and SVG text is escaped by hand
     ("import covertau.cli", ["dataclasses", "inspect", "html"]),
-], ids=["library-cover-path", "cli-import"])
+    # the CLI loads each module only when a command runs it, so import them all
+    ("from covertau import cli, curves, dominance, files, ingest, metrics, plots, records, report, synth",
+     ["dataclasses", "inspect", "html", "urllib.request", "http.client", "email", "ssl"]),
+], ids=["library-cover-path", "cli-import", "every-module"])
 def test_fresh_interpreter_leaves_modules_unloaded(code, unloaded):
     code = f"import sys\n{code}\nprint([name for name in {unloaded!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}

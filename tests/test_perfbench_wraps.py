@@ -12,6 +12,9 @@ bytecode next to it.
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +61,32 @@ def test_every_noqa_import_is_wrapped_where_it_is_imported(spans):
     imports = list(noqa_imports())
     assert imports, "no noqa imports found; is PACKAGE right?"
     assert [f"{m}.{name}" for m, name in imports if (m, name) not in wrapped] == []
+
+
+def test_trace_sees_each_command_layer_in_a_fresh_interpreter(tmp_path):
+    # the CLI binds a command's names when it starts; a name the tracer has
+    # wrapped there before must stay the one the command calls
+    log, run = tmp_path / "log.jsonl", tmp_path / "run.jsonl"
+    log.write_text("".join(json.dumps({"model": m, "task": f"t{i}", "n": 4, "c": c}) + "\n"
+                           for m, c in (("a", 1), ("b", 3)) for i in range(3)), encoding="utf-8")
+    code = f"""
+import contextlib, importlib.util, io, json, sys
+sys.dont_write_bytecode = True
+spec = importlib.util.spec_from_file_location("perfbench_spans", {str(SPANS)!r})
+spans = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+import covertau.cli
+tracer = spans.Tracer()
+with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+    assert covertau.cli.main(["ingest", "--input", {str(log)!r}, "--out", {str(run)!r}]) == 0
+    assert covertau.cli.main(["compute", "--input", {str(run)!r}]) == 0
+print(json.dumps(tracer.calls({{tracer.run_id}})))
+"""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    calls = json.loads(result.stdout)
+    layers = ["ingest.read_log", "ingest.build_manifest", "ingest.persist_run", "io.write_atomic",
+              "ingest.load_run", "report.build_report"]
+    assert {name: calls.get(name, 0) for name in layers} == {
+        "ingest.read_log": 1, "ingest.build_manifest": 1, "ingest.persist_run": 1, "io.write_atomic": 1,
+        "ingest.load_run": 1, "report.build_report": 1}
