@@ -14,20 +14,20 @@ __version__ = "0.1.0"
 # command loads only the modules it runs.
 _EXPORTS = {
     "curves": (
-        "CoverCurve", "PassCurve", "beta_mass_below", "beta_weighted_pass", "build_cover_curve",
-        "export_curve", "fraction_nonzero", "pass_curve", "uniform_auc",
+        "CoverCurve", "PassCurve", "beta_mass_below", "beta_weighted_pass", "export_curve", "fraction_nonzero",
+        "pass_curve", "uniform_auc",
     ),
     "dominance": (
-        "CrossoverResult", "DominanceReport", "auc_plus_cover", "avg_auc_plus", "bootstrap_bands",
+        "CrossoverResult", "DominanceReport", "auc_plus_cover", "avg_auc_plus", "bootstrap_bands", "build_cover_curve",
         "check_cover_dominance", "dominance_report", "find_crossover", "rank_models",
     ),
     "ingest": (
-        "ParseError", "RunManifest", "apply_grading", "build_manifest", "canonical_answer",
+        "ParseError", "RunManifest", "aggregate", "apply_grading", "build_manifest", "canonical_answer", "cons_at_n",
         "counts_from_log", "grade", "load_run", "parse_gold", "parse_records", "persist_run",
     ),
     "metrics": (
-        "aggregate", "cons_at_n", "cover_at_tau", "estimate_success", "maj_at_n", "majority_threshold",
-        "pass_at_k_exact", "pass_at_k_unbiased",
+        "cover_at_tau", "estimate_success", "maj_at_n", "majority_threshold", "pass_at_k_exact",
+        "pass_at_k_unbiased",
     ),
     "records": ("GoldAnswer", "SampleRecord", "SuccessProfile", "TaskCounts", "as_unit_rational"),
     "synth": (

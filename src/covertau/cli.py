@@ -93,6 +93,10 @@ def _counts_from_raw_log(input_path: str, gold_path: str | None):
     parsed = read_log(input_path)
     gold = None
     if gold_path:
+        # checked after the read, so that a malformed log is reported by its line
+        if parsed.kind == "aggregated":
+            raise ValueError(f"--gold applies to per-completion logs; {input_path} is an aggregated log "
+                             "whose verdicts are already counted")
         with Path(gold_path).open("rb") as fh:
             gold = parse_gold(decode_lines(fh, gold_path), gold_path)
     return (*counts_from_log(parsed, gold), parsed.digest)
@@ -104,7 +108,7 @@ def _load_counts(input_path: str, gold_path: str | None):
         # read first, so that a malformed run file is reported by its line
         manifest, counts = load_run(input_path)
         if gold_path:
-            raise ValueError(f"--gold applies to raw logs; {input_path} is a persisted run "
+            raise ValueError(f"--gold applies to per-completion logs; {input_path} is a persisted run "
                              "whose verdicts are already resolved")
         return counts, {"run_id": manifest.run_id, "verdict_source": manifest.verdict_source}
     counts, verdict_source, digest = _counts_from_raw_log(input_path, gold_path)
@@ -181,6 +185,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    if args.gold and Path(args.gold).name == Path(args.input).name:
+        raise ValueError(f"--input {args.input} and --gold {args.gold} have the same base name "
+                         f"{Path(args.input).name!r}, which keys each one's sha256 in the run's source_digests; "
+                         "rename one of them")
     _load("ingest")
     counts, verdict_source, digest = _counts_from_raw_log(args.input, args.gold)
     digests = {Path(args.input).name: digest}
@@ -268,7 +276,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 
 def _add_input_args(sub: argparse.ArgumentParser, with_table: bool = False) -> None:
     sub.add_argument("--input", required=True, help="raw log (per-completion or aggregated) or persisted run")
-    sub.add_argument("--gold", help="gold-answer file for grading raw logs without verdicts")
+    sub.add_argument("--gold", help="gold-answer file for grading per-completion logs without verdicts")
     sub.add_argument("--model", action="append", help="restrict to this model (repeatable)")
     sub.add_argument("--k", help="comma-separated ascending k grid (default powers of two 1..8192)")
     if with_table:

@@ -10,10 +10,11 @@ only when a caller asks for them.
 
 Every plug-in p is c/n, so over L = lcm of the trial counts each p is the
 integer c * (L / n) and a cover curve is a vector of integer task counts.
-Reports read cover curves off their task tally's count
-(`dominance.TaskTally.cover_curve`) and pass curves off the counts
-(`metrics.pass_values`); `build_cover_curve` and `pass_curve` convert a
-profile's Fractions and call the same code.
+That grid lives in `dominance`, with `build_cover_curve`, which counts a
+profile on a one-model `TaskTally`.  Reports read cover curves off their
+tally's count (`TaskTally.cover_curve`) and pass curves off the counts
+(`metrics.pass_values`); `pass_curve` converts a profile's Fractions and
+calls the same code.
 
 Key identities (realized exactly or in closed form):
 
@@ -24,7 +25,6 @@ Key identities (realized exactly or in closed form):
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
@@ -83,23 +83,6 @@ class PassCurve(Value):
         if any(v2 < v1 for v1, v2 in zip(values, values[1:])):
             raise ValueError("pass curve must be non-decreasing")
         self._assign(model, ks, values)
-
-
-def scale_to_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Rows of Fractions as integers over one scale, the lcm of all their
-    denominators: rows[i][j] == scaled[i][j] / scale."""
-    scale = math.lcm(*{x.denominator for row in rows for x in row})
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
-
-
-def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
-    """Cover curve of a profile, its p values scaled to integers over the
-    lcm of their denominators and counted on a one-model task tally."""
-    from .dominance import TaskTally  # late import: dominance imports this module
-
-    (scaled,), scale = scale_to_lcm([profile.probabilities])
-    tally = TaskTally([profile.model], [scaled], scale, ())
-    return tally.cover_curve(0, tally.at_least(range(len(scaled)))[0])
 
 
 def pass_curve(profile: SuccessProfile, ks: Sequence[int]) -> PassCurve:

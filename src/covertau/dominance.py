@@ -19,7 +19,9 @@ an integer sum in Python ints that is divided by V*L once, as a Fraction.
 
 Reports start from counts: p = c/n is the integer c * (L/n) over L = lcm
 of the trial counts.  A `TaskTally` places each task once on the grid of
-those integers.  Every report number is read off one count of it over a
+those integers (`scale_to_lcm` makes such integers of a profile's
+Fractions, and `build_cover_curve` counts one profile on its own tally).
+Every report number is read off one count of the tally over a
 multiset of task columns (all of them for the pooled table, cover curves
 and auc+ matrix, a group's own, a bootstrap draw with replacement), by
 one formula per metric in `TaskTally.table`.  p >= tau is always scaled
@@ -37,7 +39,7 @@ from itertools import accumulate, combinations
 from operator import mul, sub
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .curves import CoverCurve, PassCurve, scale_to_lcm
+from .curves import CoverCurve, PassCurve
 from .records import RationalLike, SuccessProfile, Value, as_thresholds, format_tau
 
 # numpy is imported only by the bootstrap: commands that draw no resample
@@ -74,6 +76,13 @@ class DominanceReport(Value):
     def __init__(self, models: tuple[str, ...], auc_plus: tuple[tuple[Fraction, ...], ...],
                  avg_auc_plus: tuple[Fraction, ...], rankings: dict[str, list[tuple[str, float, int]]]) -> None:
         self._assign(models, auc_plus, avg_auc_plus, rankings)
+
+
+def scale_to_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rows of Fractions as integers over one scale, the lcm of all their
+    denominators: rows[i][j] == scaled[i][j] / scale."""
+    scale = math.lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def _cover_totals(curves: Sequence[CoverCurve]) -> tuple[list[list[int]], int]:
@@ -182,6 +191,14 @@ class TaskTally:
         breakpoints = tuple(Fraction(self.grid[g], self.scale) for g in points)
         values = tuple(Fraction(at_least[g], t) for g in points)
         return CoverCurve._make(self.models[i], breakpoints, values, t)
+
+
+def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
+    """Cover curve of a profile, its p values scaled to integers over the
+    lcm of their denominators and counted on a one-model task tally."""
+    (scaled,), scale = scale_to_lcm([profile.probabilities])
+    tally = TaskTally([profile.model], [scaled], scale, ())
+    return tally.cover_curve(0, tally.at_least(range(len(scaled)))[0])
 
 
 def _avg_excess(excess: Sequence[int], scale: int) -> tuple[Sequence[int], int]:

@@ -1,4 +1,4 @@
-"""Completion-log parsing, answer grading, and run persistence.
+"""Completion-log parsing, answer grading, record tallies, and run persistence.
 
 File formats (all JSON Lines, UTF-8, "\n" line endings):
 
@@ -26,8 +26,9 @@ far are one counter, `stop`, below which every index was read, plus the set
 reaches it.  So memory grows with keys, distinct answers and indices read
 out of order, and a log whose indices run 0, 1, 2, ... per key keeps no
 per-line state.  `counts_from_log` grades each distinct answer once per
-gold text.  `apply_grading` and `metrics.aggregate` do the same job record
-by record for in-memory `SampleRecord` lists.
+gold text.  `apply_grading` and `aggregate` do the same job record by
+record for in-memory `SampleRecord` lists, and `cons_at_n` scores such a
+list's modal answers with the same `canonical_answer` and `grade`.
 
 `read_log` and `load_run` read a file, of either schema, in blocks of about
 `_BLOCK` bytes, each cut after a "\n".  A block's first line gives its
@@ -55,13 +56,13 @@ import math
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .files import write_atomic
-from .metrics import aggregate  # noqa: F401  (perfbench/spans.py wraps it here)
 from .records import GoldAnswer, SampleRecord, TaskCounts, Value
 
 FORMAT_NAME = "covertau-run-v2"
@@ -412,6 +413,63 @@ def apply_grading(
             )
         )
     return resolved, ("flags+gold" if used_gold else "flags")
+
+
+def aggregate(records: Sequence[SampleRecord]) -> dict[str, list[TaskCounts]]:
+    """Tally records into per-model, per-task (n, c) counts.
+
+    Rejects empty input, duplicate (model, task, sample_index) keys, and
+    records whose verdict is still unresolved (correct is None); grading
+    happens upstream, in `apply_grading`.
+    """
+    if not records:
+        raise ValueError("no records to aggregate")
+    seen: set[tuple[str, str, int]] = set()
+    totals: dict[str, dict[str, list[int]]] = {}
+    for rec in records:
+        if rec.key in seen:
+            raise ValueError(f"duplicate record key (model={rec.model!r}, task={rec.task!r}, sample_index={rec.sample_index})")
+        seen.add(rec.key)
+        if rec.correct is None:
+            raise ValueError(f"record (model={rec.model!r}, task={rec.task!r}, sample_index={rec.sample_index}) has no verdict")
+        tally = totals.setdefault(rec.model, {}).setdefault(rec.task, [0, 0])
+        tally[0] += 1
+        tally[1] += int(rec.correct)
+    return {
+        model: [TaskCounts(task=t, n=nc[0], c=nc[1]) for t, nc in sorted(tasks.items())]
+        for model, tasks in sorted(totals.items())
+    }
+
+
+def cons_at_n(records: Sequence[SampleRecord], gold: Mapping[str, str]) -> Fraction:
+    """cons@n: fraction of tasks whose modal answer equals the gold answer.
+
+    The mode is taken over canonicalized answer texts; a tie for the mode
+    counts as unsolved.  Records must belong to a single model and every
+    record must carry an answer; gold must cover every task present.
+    """
+    if not records:
+        raise ValueError("no records")
+    models = {rec.model for rec in records}
+    if len(models) > 1:
+        raise ValueError(f"records span multiple models {sorted(models)}; score one model at a time")
+
+    by_task: dict[str, list[str]] = {}
+    for rec in records:
+        if rec.answer is None:
+            raise ValueError(f"record (model={rec.model!r}, task={rec.task!r}, sample_index={rec.sample_index}) has no answer text")
+        by_task.setdefault(rec.task, []).append(rec.answer)
+
+    solved = 0
+    for task, answers in sorted(by_task.items()):
+        if task not in gold:
+            raise ValueError(f"no gold answer for task {task!r}")
+        tally = Counter(canonical_answer(a) for a in answers)
+        best = max(tally.values())
+        modes = [a for a, cnt in tally.items() if cnt == best]
+        if len(modes) == 1 and grade(modes[0], gold[task]):
+            solved += 1
+    return Fraction(solved, len(by_task))
 
 
 def counts_from_log(

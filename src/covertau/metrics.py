@@ -6,55 +6,23 @@ The estimators:
     pass@k (unbiased)  1 - C(n-c, k) / C(n, k), over min(c, k) factors
     cover@tau          (1/T) * sum_i 1{p_i >= tau}
     maj@n              fraction of tasks with a strict majority of correct trials
-    cons@n             fraction of tasks whose modal answer matches gold
 
 cover@tau thresholds compare exact rationals (integer cross-multiplication);
 pass@k is a floating-point quantity evaluated from exact per-task rationals.
+The metrics of records rather than counts live with grading in `ingest`:
+`aggregate` tallies graded records into counts, and `cons_at_n` scores
+their modal answers against gold.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .records import (
-    ONE,
-    RationalLike,
-    SampleRecord,
-    SuccessProfile,
-    TaskCounts,
-    as_unit_rational,
-)
+from .records import ONE, RationalLike, SuccessProfile, TaskCounts, as_unit_rational
 
 _FLOAT_LIMIT = 2**1024 - 2**970  # the least int that float() rounds past the largest float
-
-
-def aggregate(records: Sequence[SampleRecord]) -> dict[str, list[TaskCounts]]:
-    """Tally records into per-model, per-task (n, c) counts.
-
-    Rejects empty input, duplicate (model, task, sample_index) keys, and
-    records whose verdict is still unresolved (correct is None); grading
-    happens upstream in the ingest layer.
-    """
-    if not records:
-        raise ValueError("no records to aggregate")
-    seen: set[tuple[str, str, int]] = set()
-    totals: dict[str, dict[str, list[int]]] = {}
-    for rec in records:
-        if rec.key in seen:
-            raise ValueError(f"duplicate record key (model={rec.model!r}, task={rec.task!r}, sample_index={rec.sample_index})")
-        seen.add(rec.key)
-        if rec.correct is None:
-            raise ValueError(f"record (model={rec.model!r}, task={rec.task!r}, sample_index={rec.sample_index}) has no verdict")
-        tally = totals.setdefault(rec.model, {}).setdefault(rec.task, [0, 0])
-        tally[0] += 1
-        tally[1] += int(rec.correct)
-    return {
-        model: [TaskCounts(task=t, n=nc[0], c=nc[1]) for t, nc in sorted(tasks.items())]
-        for model, tasks in sorted(totals.items())
-    }
 
 
 def estimate_success(counts: Sequence[TaskCounts], model: str) -> SuccessProfile:
@@ -126,39 +94,6 @@ def majority_threshold(n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return Fraction(n // 2 + 1, n)
-
-
-def cons_at_n(records: Sequence[SampleRecord], gold: Mapping[str, str]) -> Fraction:
-    """cons@n: fraction of tasks whose modal answer equals the gold answer.
-
-    The mode is taken over canonicalized answer texts; a tie for the mode
-    counts as unsolved.  Records must belong to a single model and every
-    record must carry an answer; gold must cover every task present.
-    """
-    from .ingest import canonical_answer, grade  # late import: ingest owns grading
-
-    if not records:
-        raise ValueError("no records")
-    models = {rec.model for rec in records}
-    if len(models) > 1:
-        raise ValueError(f"records span multiple models {sorted(models)}; score one model at a time")
-
-    by_task: dict[str, list[str]] = {}
-    for rec in records:
-        if rec.answer is None:
-            raise ValueError(f"record (model={rec.model!r}, task={rec.task!r}, sample_index={rec.sample_index}) has no answer text")
-        by_task.setdefault(rec.task, []).append(rec.answer)
-
-    solved = 0
-    for task, answers in sorted(by_task.items()):
-        if task not in gold:
-            raise ValueError(f"no gold answer for task {task!r}")
-        tally = Counter(canonical_answer(a) for a in answers)
-        best = max(tally.values())
-        modes = [a for a, cnt in tally.items() if cnt == best]
-        if len(modes) == 1 and grade(modes[0], gold[task]):
-            solved += 1
-    return Fraction(solved, len(by_task))
 
 
 def check_k_grid(ks: Sequence[int], name: str = "k") -> Sequence[int]:

@@ -27,14 +27,14 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .curves import CoverCurve, PassCurve
-from .curves import build_cover_curve, pass_curve  # noqa: F401  (perfbench/spans.py wraps them)
+from .curves import pass_curve  # noqa: F401  (perfbench/spans.py wraps it)
 from .dominance import (CrossoverResult, DominanceReport, TaskTally, _dominance, find_crossover, rank_models,
                         scaled_bootstrap_bands)
 from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: F401  (perfbench/spans.py wraps them)
+from .dominance import build_cover_curve  # noqa: F401  (perfbench/spans.py wraps it)
 from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import pass_values
 from .records import RationalLike, TaskCounts, Value, as_thresholds
-from .records import format_tau  # re-exported: callers import it from covertau.report
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
 DEFAULT_K_GRID = tuple(2**i for i in range(14))  # 1 .. 2^13

@@ -1,7 +1,12 @@
+import importlib.util
 import json
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -31,3 +36,15 @@ def loads_calls(monkeypatch):
 
     monkeypatch.setattr(json, "loads", counting_loads)
     return calls
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    """perfbench/spans.py, the benchmark's layer trace, imported from its
+    file without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module

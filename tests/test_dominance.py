@@ -23,7 +23,7 @@ from covertau import (
     toy_model_b,
     uniform_auc,
 )
-from covertau.report import format_tau
+from covertau.records import format_tau
 
 F = Fraction
 

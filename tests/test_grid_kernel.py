@@ -25,7 +25,7 @@ from covertau import (
     pass_curve,
 )
 from covertau.dominance import BAND_LEVELS, TaskTally, _cover_totals, scaled_bootstrap_bands
-from covertau.report import format_tau
+from covertau.records import format_tau
 
 F = Fraction
 

@@ -316,7 +316,37 @@ class TestRawFiles:
         run = persist_run(build_manifest(counts, {}, "aggregated"), counts, tmp_path / "run.jsonl")
         assert main(["compute", "--input", str(run), "--gold", str(tmp_path / "nonexistent.jsonl")]) == 2
         err = capsys.readouterr().err
-        assert f"--gold applies to raw logs; {run} is a persisted run whose verdicts are already resolved" in err
+        assert (f"--gold applies to per-completion logs; {run} is a persisted run whose verdicts are already "
+                "resolved") in err
+
+    @pytest.mark.parametrize("command", ["ingest", "compute"])
+    def test_gold_with_an_aggregated_log_is_rejected_before_gold_is_read(self, tmp_path, capsys, command):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"model":"m","task":"t","n":2,"c":1}\n', encoding="utf-8")
+        out = ["--out", str(tmp_path / "run.jsonl")] if command == "ingest" else []
+        assert main([command, "--input", str(log), "--gold", str(tmp_path / "nonexistent.jsonl"), *out]) == 2
+        assert capsys.readouterr().err == (f"error: --gold applies to per-completion logs; {log} is an aggregated "
+                                           "log whose verdicts are already counted\n")
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_gold_with_a_malformed_aggregated_log_names_its_line(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"model":"m","task":"t","n":2,"c":1}\n{"model":"m","task":"u","n":2,"c":3}\n',
+                       encoding="utf-8")
+        assert main(["compute", "--input", str(log), "--gold", str(tmp_path / "nonexistent.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {log}:2: ")
+
+    def test_ingest_rejects_a_log_and_gold_of_one_base_name(self, tmp_path, capsys):
+        # both sha256 values would be keyed "log.jsonl" in source_digests, and the log's lost
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        log, gold, run = tmp_path / "a" / "log.jsonl", tmp_path / "b" / "log.jsonl", tmp_path / "run.jsonl"
+        log.write_text(sample_line("m", "t", 0, answer="42") + "\n", encoding="utf-8")
+        gold.write_text('{"task":"t","answer":"42"}\n', encoding="utf-8")
+        assert main(["ingest", "--input", str(log), "--gold", str(gold), "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert f"--input {log} and --gold {gold} have the same base name 'log.jsonl'" in err
+        assert not run.exists()
 
     def test_gold_with_a_malformed_run_names_its_line(self, tmp_path, capsys):
         run = tmp_path / "run.jsonl"

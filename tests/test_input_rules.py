@@ -22,7 +22,8 @@ import covertau.cli
 from covertau import PassCurve, TaskCounts, toy_model_a
 from covertau import ingest
 from covertau.cli import main
-from covertau.curves import beta_mass_below, beta_weighted_pass, build_cover_curve, pass_curve
+from covertau.curves import beta_mass_below, beta_weighted_pass, pass_curve
+from covertau.dominance import build_cover_curve
 from covertau.metrics import _FLOAT_LIMIT, check_k_grid, pass_at_k_exact, pass_values
 from covertau.records import as_thresholds
 from covertau.report import DEFAULT_K_GRID, DEFAULT_TAUS, build_report

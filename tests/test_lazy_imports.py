@@ -21,16 +21,16 @@ from covertau.cli import main
 ENV = {**os.environ, "PYTHONPATH": str(Path(covertau.__file__).parents[1])}
 
 # the names `covertau` exported when its __init__ imported every module, by
-# the module each came from, in `__all__` order
+# the module that defines each, in `__all__` order
 EXPORTS = {
-    "curves": ["CoverCurve", "PassCurve", "beta_mass_below", "beta_weighted_pass", "build_cover_curve",
-               "export_curve", "fraction_nonzero", "pass_curve", "uniform_auc"],
+    "curves": ["CoverCurve", "PassCurve", "beta_mass_below", "beta_weighted_pass", "export_curve",
+               "fraction_nonzero", "pass_curve", "uniform_auc"],
     "dominance": ["CrossoverResult", "DominanceReport", "auc_plus_cover", "avg_auc_plus", "bootstrap_bands",
-                  "check_cover_dominance", "dominance_report", "find_crossover", "rank_models"],
-    "ingest": ["ParseError", "RunManifest", "apply_grading", "build_manifest", "canonical_answer",
-               "counts_from_log", "grade", "load_run", "parse_gold", "parse_records", "persist_run"],
-    "metrics": ["aggregate", "cons_at_n", "cover_at_tau", "estimate_success", "maj_at_n", "majority_threshold",
-                "pass_at_k_exact", "pass_at_k_unbiased"],
+                  "build_cover_curve", "check_cover_dominance", "dominance_report", "find_crossover", "rank_models"],
+    "ingest": ["ParseError", "RunManifest", "aggregate", "apply_grading", "build_manifest", "canonical_answer",
+               "cons_at_n", "counts_from_log", "grade", "load_run", "parse_gold", "parse_records", "persist_run"],
+    "metrics": ["cover_at_tau", "estimate_success", "maj_at_n", "majority_threshold", "pass_at_k_exact",
+                "pass_at_k_unbiased"],
     "records": ["GoldAnswer", "SampleRecord", "SuccessProfile", "TaskCounts", "as_unit_rational"],
     "synth": ["GuesserSpec", "ProfileSpec", "make_profile", "simulate_completions", "simulate_guesser",
               "toy_model_a", "toy_model_b"],
@@ -84,7 +84,8 @@ REPORT = ["covertau.curves", "covertau.dominance", "covertau.report"]
     (["simulate", "--kind", "guesser", "--tasks", "2", "--trials", "2", "--out", "{root}/sim.jsonl",
       "--gold-out", "{root}/sim_gold.jsonl"],
      BASE + ["covertau.files", "covertau.records", "covertau.synth"]),
-    (["ingest", "--input", "{log}", "--gold", "{gold}", "--out", "{root}/again.jsonl"], BASE + READ),
+    (["ingest", "--input", "{log}", "--gold", "{gold}", "--out", "{root}/again.jsonl"],
+     BASE + ["covertau.files", "covertau.ingest", "covertau.records"]),
     (["compute", "--input", "{run}", "--out-dir", "{root}/compute"], BASE + READ + REPORT),
     (["dominance", "--input", "{run}", "--out-dir", "{root}/dominance"], BASE + READ + REPORT),
     (["curves", "--input", "{run}", "--out-dir", "{root}/curves"], BASE + READ + REPORT + ["covertau.plots"]),

@@ -11,28 +11,15 @@ bytecode next to it.
 """
 
 import ast
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "covertau"
-
-
-@pytest.fixture
-def spans(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_wrapped_name_resolves(spans):

@@ -16,11 +16,11 @@ import covertau
 import covertau.cli
 from covertau import SampleRecord, TaskCounts, cover_at_tau, estimate_success
 from covertau.cli import main
+from covertau.records import format_tau
 from covertau.report import (
     build_report,
     bundle_json,
     cover_curve_csv,
-    format_tau,
     metrics_csv,
     render_dominance_text,
     render_metrics_table,
@@ -478,15 +478,6 @@ class TestCli:
         provenance = json.loads((tmp_path / "out" / "bundle.json").read_text(encoding="utf-8"))["provenance"]
         assert provenance["gold_digest"] == hashlib.sha256(gold.read_bytes()).hexdigest()
         assert provenance["source_digest"] == hashlib.sha256(log.read_bytes()).hexdigest()
-
-
-def test_cli_import_leaves_out_the_network_stack():
-    # SVG text escaping must not pull in what xml.sax.saxutils imports
-    heavy = ["urllib.request", "http.client", "email", "ssl"]
-    code = f"import sys, covertau.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    env = {**os.environ, "PYTHONPATH": str(Path(covertau.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
 
 
 def test_version_and_ingest_start_without_numpy(tmp_path):

@@ -25,7 +25,8 @@ from covertau import (
     pass_curve,
     rank_models,
 )
-from covertau.report import build_report, format_tau
+from covertau.records import format_tau
+from covertau.report import build_report
 
 F = Fraction
 
@@ -150,7 +151,7 @@ def test_report_builds_no_profile_and_no_fraction_round_trip(monkeypatch):
 
     monkeypatch.setattr(SuccessProfile, "__init__", counting_init)
     for module, name in [(covertau.metrics, "estimate_success"), (covertau.report, "estimate_success"),
-                         (covertau.curves, "scale_to_lcm"), (covertau.dominance, "scale_to_lcm")]:
+                         (covertau.dominance, "scale_to_lcm")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
     # one task tally per report, and its cover curves are not re-checked

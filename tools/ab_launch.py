@@ -11,10 +11,13 @@ child is not spawned from here).  One untimed launch per tree comes first.
 It caches the tree's bytecode unless PYTHONDONTWRITEBYTECODE is set, in
 which case every launch compiles covertau from source again; the setting
 is passed on as found.  After that launch it prints, for each tree, how
-many of its modules have bytecode cached for this interpreter.  For
-wall_s, cpu_s and rss_mb it prints each side's median and quartiles and
-the pairs each side won (lower wins).  The command runs in the current
-directory, and both sides write its outputs to the same paths in turn.
+many of its modules have bytecode cached for this interpreter, and exits 2
+if one tree has none, some or all of them cached and the other does not:
+a launch that compiles covertau and one that reads its bytecode would time
+the cache, not the code.  For wall_s, cpu_s and rss_mb it prints each
+side's median and quartiles and the pairs each side won (lower wins).  The
+command runs in the current directory, and both sides write its outputs to
+the same paths in turn.
 """
 
 import argparse
@@ -43,12 +46,14 @@ def launch(tree: str, argv: list[str], scratch: Path) -> dict:
     return sample
 
 
-def bytecode_state(tree: str) -> str:
-    """How many of the tree's covertau modules have bytecode cached for this interpreter."""
+def bytecode_state(tree: str) -> tuple[str, str]:
+    """Whether none, some or all of the tree's covertau modules have bytecode
+    cached for this interpreter, and how many."""
     sources = sorted((Path(tree).resolve() / "src" / "covertau").glob("*.py"))
     cached = sum(Path(importlib.util.cache_from_source(str(path))).exists() for path in sources)
     writes = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
-    return f"{cached}/{len(sources)} modules cached (bytecode writes {writes})"
+    state = "none" if cached == 0 else "all" if cached == len(sources) else "some"
+    return state, f"{cached}/{len(sources)} modules cached (bytecode writes {writes})"
 
 
 def main() -> None:
@@ -62,9 +67,15 @@ def main() -> None:
     sides = list(enumerate(args.trees))  # by position: A and B may name one tree, to see the noise
     runs = ([], [])
     with tempfile.TemporaryDirectory() as scratch:
+        states = []
         for side, tree in sides:
             launch(tree, args.argv, Path(scratch))
-            print(f"bytecode {'AB'[side]} {bytecode_state(tree)}  {tree}")
+            states.append(bytecode_state(tree))
+            print(f"bytecode {'AB'[side]} {states[-1][1]}  {tree}", flush=True)
+        if states[0][0] != states[1][0]:
+            print(f"error: A has {states[0][1]} and B {states[1][1]}; clear both trees' __pycache__ "
+                  "or cache both, so that the pairs time the code and not the bytecode cache", file=sys.stderr)
+            sys.exit(2)
         for pair in range(args.pairs):
             for side, tree in sides[::-1] if pair % 2 else sides:
                 runs[side].append(launch(tree, args.argv, Path(scratch)))
