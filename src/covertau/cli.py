@@ -29,8 +29,8 @@ from . import __version__
 # loads none of them and `ingest` no report code.  perfbench/spans.py and
 # some tests patch names here before a command runs; `_load` keeps a name
 # already bound, and `__getattr__` imports one that is asked for first.
-# simulate_guesser and records_to_jsonl are bound only for perfbench/spans.py,
-# which wraps them here.
+# simulate_guesser, records_to_jsonl and bundle_json are bound only for
+# perfbench/spans.py, which wraps them here.
 _IMPORTS = {
     "files": ("write_atomic",),
     "ingest": ("build_manifest", "counts_from_log", "decode_lines", "digest_file", "is_run_file", "load_run",
@@ -38,8 +38,8 @@ _IMPORTS = {
     "metrics": ("check_k_grid",),
     "plots": ("cover_curves_svg", "pass_curves_svg"),
     "records": ("as_thresholds", "as_unit_rational"),
-    "report": ("DEFAULT_K_GRID", "DEFAULT_TAUS", "build_report", "bundle_json", "cover_curve_csv", "metrics_csv",
-               "pass_curve_csv", "render_dominance_text", "render_metrics_table", "safe_filename"),
+    "report": ("DEFAULT_K_GRID", "DEFAULT_TAUS", "build_report", "bundle_chunks", "bundle_json", "cover_curve_csv",
+               "metrics_csv", "pass_curve_csv", "render_dominance_text", "render_metrics_table", "safe_filename"),
     "synth": ("GuesserSpec", "ProfileSpec", "completions_log", "guesser_gold", "guesser_log", "guesser_profile",
               "make_profile", "records_to_jsonl", "simulate_guesser"),
 }
@@ -197,7 +197,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     manifest = build_manifest(counts, digests, verdict_source)
     persist_run(manifest, counts, args.out)
     print(f"run {manifest.run_id[:12]}: {len(counts)} model(s), "
-          f"{len({tc.task for tcs in counts.values() for tc in tcs})} task(s), {manifest.record_count} records")
+          f"{len(set().union(*(view.tasks for view in counts.values())))} task(s), {manifest.record_count} records")
     print(f"wrote {args.out}")
     return 0
 
@@ -230,7 +230,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "bundle.json", bundle_json(bundle))
+        write_atomic(out / "bundle.json", bundle_chunks(bundle))
         write_atomic(out / "metrics.csv", metrics_csv(bundle))
         print(f"wrote {out / 'bundle.json'} and {out / 'metrics.csv'}")
     return 0
@@ -269,7 +269,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "dominance.json", bundle_json(bundle))
+        write_atomic(out / "dominance.json", bundle_chunks(bundle))
         print(f"wrote {out / 'dominance.json'}")
     return 0
 

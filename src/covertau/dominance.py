@@ -18,10 +18,11 @@ widths are integers over L.  Row i of the whole auc+ matrix is then
 an integer sum in Python ints that is divided by V*L once, as a Fraction.
 
 Reports start from counts: p = c/n is the integer c * (L/n) over L = lcm
-of the trial counts.  A `TaskTally` places each task once on the grid of
-those integers (`scale_to_lcm` makes such integers of a profile's
-Fractions, and `build_cover_curve` counts one profile on its own tally).
-Every report number is read off one count of the tally over a
+of the trial counts, made from a model's count columns each time the tally
+reads them (`TaskTally.of_columns`).  A `TaskTally` places each task once
+on the grid of those integers (`scale_to_lcm` makes such integers of a
+profile's Fractions, and `build_cover_curve` counts one profile on its own
+tally).  Every report number is read off one count of the tally over a
 multiset of task columns (all of them for the pooled table, cover curves
 and auc+ matrix, a group's own, a bootstrap draw with replacement), by
 one formula per metric in `TaskTally.table`.  p >= tau is always scaled
@@ -37,10 +38,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul, sub
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .curves import CoverCurve, PassCurve
-from .records import RationalLike, SuccessProfile, Value, as_thresholds, format_tau
+from .records import RationalLike, SuccessProfile, TaskColumns, Value, as_thresholds, format_tau
 
 # numpy is imported only by the bootstrap: commands that draw no resample
 # (`--version`, `ingest`, reports without `--bootstrap`) start without it
@@ -127,7 +128,23 @@ def _task_grid(scaled: Sequence[Sequence[int]], scale: int) -> tuple[list[int], 
     grid = sorted(set().union(*scaled, (0, scale)))
     position = {point: g for g, point in enumerate(grid)}
     size = len(grid)
-    return grid, array("q", [i * size + position[x] for i, row in enumerate(scaled) for x in row])
+    return grid, array("q", (i * size + position[x] for i, row in enumerate(scaled) for x in row))
+
+
+class _Scaled:
+    """The integers c * (scale // n) of one model's count columns, made
+    again on each pass over them rather than held."""
+
+    __slots__ = ("n", "c", "scale")
+
+    def __init__(self, n: Sequence[int], c: Sequence[int], scale: int) -> None:
+        self.n, self.c, self.scale = n, c, scale
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __iter__(self) -> Iterator[int]:
+        return map(mul, self.c, map(self.scale.__floordiv__, self.n))
 
 
 class TaskTally:
@@ -149,6 +166,13 @@ class TaskTally:
         self.metric_names = ("pass@1", *(f"cov@{format_tau(tau)}" for tau in taus))
         if len(self.models) >= 2:
             self.metric_names += ("avg_auc_plus",)
+
+    @classmethod
+    def of_columns(cls, models: Sequence[str], columns: Sequence[TaskColumns], taus: Sequence[Fraction]) -> TaskTally:
+        """The tally of each model's count columns over one task set: p = c / n,
+        scaled by the lcm of every n."""
+        scale = math.lcm(*set().union(*(view.n for view in columns)))
+        return cls(models, [_Scaled(view.n, view.c, scale) for view in columns], scale, taus)
 
     def at_least(self, columns: Sequence[int]) -> list[list[int]]:
         """at_least[i][g]: tasks at `columns`, repeats counted, of model i

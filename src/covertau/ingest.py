@@ -16,7 +16,8 @@ body; the manifest adds provenance, the body's sha256 and its record_count.
 The body is rendered, hashed and written one model at a time:
 `build_manifest` hashes each model's chunk as it is rendered, and
 `persist_run` writes the manifest line and then each chunk, and checks the
-run_id after the last chunk.  So neither holds more than one model's lines.
+run_id after the last chunk.  So neither holds more than one model's lines,
+and `load_run` reads and hashes the body block by block, as `read_log` does.
 
 A per-completion log is folded line by line into one `SampleTally` per
 (model, task): flagged lines add to its n and c at once, and unflagged lines
@@ -42,28 +43,29 @@ match (a blank line, another layout, an escaped key, an escaped quote in a
 value), if a value does not decode, or if it is not UTF-8.  Both paths fold
 their rows with the same two functions, which make the checks no pattern
 can (a repeated sample_index within a key, n >= 1, c <= n and a repeated
-task) and name the line of each error.  An aggregated row's task name is
-interned, so every model's `TaskCounts` for one task shares one string.
+task) and name the line of each error.  Aggregated rows fold into one
+`TaskColumns` per model: interned task names, shared by every model's row
+for a task, and n and c in `array('q')`.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import json
 import math
 import re
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .files import write_atomic
-from .records import GoldAnswer, SampleRecord, TaskCounts, Value
+from .records import GoldAnswer, SampleRecord, TaskColumns, TaskCounts, Value
 
 FORMAT_NAME = "covertau-run-v2"
 _MANIFEST_KEYS = frozenset({"kind", "format", "run_id", "source_digests", "record_count", "verdict_source"})
@@ -132,7 +134,7 @@ class ParsedLog(Value, compare=3):
     __slots__ = ("records", "counts", "source", "digest")
 
     def __init__(self, records: dict[tuple[str, str], SampleTally] | None,
-                 counts: dict[str, list[TaskCounts]] | None, source: str = "<stream>",
+                 counts: dict[str, Sequence[TaskCounts]] | None, source: str = "<stream>",
                  digest: str | None = None) -> None:
         self._assign(records, counts, source, digest)
 
@@ -150,14 +152,9 @@ class RunManifest(Value):
         self._assign(run_id, source_digests, record_count, verdict_source)
 
     def to_json_obj(self) -> dict:
-        return {
-            "kind": "manifest",
-            "format": FORMAT_NAME,
-            "run_id": self.run_id,
-            "source_digests": dict(sorted(self.source_digests.items())),
-            "record_count": self.record_count,
-            "verdict_source": self.verdict_source,
-        }
+        return {"kind": "manifest", "format": FORMAT_NAME, "run_id": self.run_id,
+                "source_digests": dict(sorted(self.source_digests.items())), "record_count": self.record_count,
+                "verdict_source": self.verdict_source}
 
 
 def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
@@ -170,11 +167,11 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
     Every failure names the 1-based line number.
     """
     tallies: dict[tuple[str, str], SampleTally] = {}
-    counts: dict[str, dict[str, TaskCounts]] = {}
+    counts: dict[str, list] = {}
     return _parsed(_fold_lines(tallies, counts, lines, 1, None, source), tallies, counts, source)
 
 
-def _fold_lines(tallies: dict[tuple[str, str], SampleTally], counts: dict[str, dict[str, TaskCounts]],
+def _fold_lines(tallies: dict[tuple[str, str], SampleTally], counts: dict[str, list],
                 lines: Iterable[str], lineno: int, kind: str | None, source: str) -> str | None:
     """Fold `lines`, the first being line `lineno` of `source` and `kind`
     the schema of the lines before them, each through `json.loads` and its
@@ -199,18 +196,20 @@ def _fold_lines(tallies: dict[tuple[str, str], SampleTally], counts: dict[str, d
 
 
 def _parsed(kind: str | None, tallies: dict[tuple[str, str], SampleTally],
-            counts: dict[str, dict[str, TaskCounts]], source: str, digest: str | None = None) -> ParsedLog:
+            counts: dict[str, list], source: str, digest: str | None = None) -> ParsedLog:
     """The ParsedLog of a file of schema `kind` folded into `tallies` or `counts`."""
     if kind is None:
         raise ParseError(f"{source}: no records found")
     if kind == "samples":
         return ParsedLog(records=tallies, counts=None, source=source, digest=digest)
-    return ParsedLog(records=None, counts=_sorted_counts(counts), source=source, digest=digest)
+    return ParsedLog(records=None, counts=_views(counts), source=source, digest=digest)
 
 
-def _sorted_counts(per_model: Mapping[str, Mapping[str, TaskCounts]]) -> dict[str, list[TaskCounts]]:
-    """{model: {task: counts}} as per-model count lists, models and tasks sorted."""
-    return {m: [tc for _, tc in sorted(t.items())] for m, t in sorted(per_model.items())}
+def _views(per_model: dict[str, list]) -> dict[str, TaskColumns]:
+    """`_fold_rows`' columns, taken out of `per_model` one model at a time, as
+    a TaskColumns per model, models sorted; out-of-order rows sorted by task."""
+    return {model: TaskColumns(*columns) if seen is None else TaskColumns.select(*columns)
+            for model in sorted(per_model) for *columns, seen in [per_model.pop(model)]}
 
 
 def _parse_json_line(line: str, lineno: int, source: str) -> dict:
@@ -403,15 +402,8 @@ def apply_grading(
                 "has no verdict and no answer text"
             )
         used_gold = True
-        resolved.append(
-            SampleRecord(
-                model=rec.model,
-                task=rec.task,
-                sample_index=rec.sample_index,
-                answer=rec.answer,
-                correct=grade(rec.answer, gold[rec.task]),
-            )
-        )
+        verdict = grade(rec.answer, gold[rec.task])
+        resolved.append(SampleRecord(rec.model, rec.task, rec.sample_index, rec.answer, verdict))
     return resolved, ("flags+gold" if used_gold else "flags")
 
 
@@ -474,7 +466,7 @@ def cons_at_n(records: Sequence[SampleRecord], gold: Mapping[str, str]) -> Fract
 
 def counts_from_log(
     parsed: ParsedLog, gold: Mapping[str, str] | None = None
-) -> tuple[dict[str, list[TaskCounts]], str]:
+) -> tuple[dict[str, TaskColumns], str]:
     """Per-model counts of a parsed log plus the verdict source.
 
     Explicit flags win; unflagged answers are graded against gold, each
@@ -499,12 +491,11 @@ def counts_from_log(
                 f"sample_index={index}) has no verdict and no gold answer to grade against"
             )
         graded[key] = sum(count * grade_once(answer, gold[task]) for answer, count in tallies[key].answers.items())
-    per_model: dict[str, dict[str, TaskCounts]] = {}
-    for (model, task), tally in tallies.items():
-        n = tally.n + sum(tally.answers.values())
-        c = tally.c + graded.get((model, task), 0)
-        per_model.setdefault(model, {})[task] = TaskCounts(task=task, n=n, c=c)
-    return _sorted_counts(per_model), ("flags+gold" if graded else "flags")
+    per_model: dict[str, list] = {}
+    rows = [(model, task, tally.n + sum(tally.answers.values()), tally.c + graded.get((model, task), 0))
+            for (model, task), tally in sorted(tallies.items())]
+    _fold_rows(per_model, rows, tuple, 1, parsed.source)
+    return _views(per_model), ("flags+gold" if graded else "flags")
 
 
 def build_manifest(
@@ -528,12 +519,8 @@ def _implied_manifest(
 ) -> RunManifest:
     """The manifest that `counts`, whose body hashes to `run_id`, imply: the
     one derivation of record_count."""
-    return RunManifest(
-        run_id=run_id,
-        source_digests=dict(source_digests),
-        record_count=sum(tc.n for tcs in counts.values() for tc in tcs),
-        verdict_source=verdict_source,
-    )
+    record_count = sum(sum(TaskColumns.of(tcs).n) for tcs in counts.values())
+    return RunManifest(run_id, dict(source_digests), record_count, verdict_source)
 
 
 def _body_chunks(counts: Mapping[str, Sequence[TaskCounts]]) -> Iterator[str]:
@@ -541,11 +528,9 @@ def _body_chunks(counts: Mapping[str, Sequence[TaskCounts]]) -> Iterator[str]:
     lines sorted by task.  A model's lines share one prebuilt prefix, so only
     c, n and the task vary, and a name is escaped as `json.dumps` escapes it."""
     for model in sorted(counts):
-        head = f',"model":{_quote(model)},"n":'
-        yield "".join([
-            f'{{"c":{tc.c}{head}{tc.n},"task":{_quote(tc.task)}}}\n'
-            for tc in sorted(counts[model], key=attrgetter("task"))
-        ])
+        head, view = f',"model":{_quote(model)},"n":', TaskColumns.of(counts[model])
+        yield "".join([f'{{"c":{c}{head}{n},"task":{_quote(task)}}}\n'
+                       for task, n, c in zip(view.tasks, view.n, view.c)])
 
 
 def persist_run(
@@ -582,47 +567,51 @@ def _checked_run_chunks(header: str, counts: Mapping[str, Sequence[TaskCounts]],
         raise ValueError(f"manifest run_id={run_id} does not match the sha256 of the counts' canonical body")
 
 
-def load_run(path: str | Path) -> tuple[RunManifest, dict[str, list[TaskCounts]]]:
+def load_run(path: str | Path) -> tuple[RunManifest, dict[str, TaskColumns]]:
     """Load a persisted run: a covertau-run-v2 header, then an aggregated log.
 
     The body (every byte after the manifest line) must hash to the
     manifest's run_id, so a run file edited after it was written is
-    rejected rather than loaded under a stale id.  The body is then read as
-    `read_log` reads a raw log, its lines numbered from 2, and their total
-    n must be the manifest's record_count.
+    rejected rather than loaded under a stale id.  The body is read, and
+    hashed, as `read_log` reads a raw log, its lines numbered from 2; a line
+    in error is reported only once the rest of the body hashes to run_id.
+    The lines' total n must be the manifest's record_count.
     """
     path = Path(path)
     source = str(path)
-    data = path.read_bytes()
-    if not data:
-        raise ParseError(f"{path}: empty run file")
-    cut = data.find(b"\n") + 1 or len(data)
-    head = _parse_json_line(_decode_utf8(data[:cut], source, 1), 1, source)
-    if head.get("kind") != "manifest":
-        raise ParseError(f"{path}:1: missing manifest header; is this a raw log?")
-    if head.get("format") != FORMAT_NAME:
-        raise ParseError(f"{path}:1: unsupported run format {head.get('format')!r}; "
-                         "re-run covertau ingest on its source log")
-    if extra := sorted(head.keys() - _MANIFEST_KEYS):
-        raise ParseError(f"{path}:1: field {extra[0]!r} must be absent from a {FORMAT_NAME} manifest")
-    run_id = _require_str(head, "run_id", 1, source)
-    verdict_source = _require_str(head, "verdict_source", 1, source)
-    digests = {} if head.get("source_digests") is None else head["source_digests"]
-    if not (isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):
-        raise ParseError(f"{path}:1: field 'source_digests' must be a map of file names to digests")
-    if hashlib.sha256(memoryview(data)[cut:]).hexdigest() != run_id:
-        raise ParseError(
-            f"{path}:1: run_id does not match the sha256 of the lines after the manifest; "
-            "the run file was changed after it was written"
-        )
-    body = io.BytesIO(data)
-    body.seek(cut)
-    counts = _read_blocks(body, source, 2).counts
-    if counts is None:
-        # every line decoded, and the first nonblank one is per-completion
-        body.seek(cut)
-        lineno = next(i for i, line in enumerate(body, start=2) if line.decode("utf-8").strip())
-        raise ParseError(f"{path}:{lineno}: per-completion line; a run body holds aggregated (n, c) lines")
+    with path.open("rb") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError(f"{path}: empty run file")
+        head = _parse_json_line(_decode_utf8(first, source, 1), 1, source)
+        if head.get("kind") != "manifest":
+            raise ParseError(f"{path}:1: missing manifest header; is this a raw log?")
+        if head.get("format") != FORMAT_NAME:
+            raise ParseError(f"{path}:1: unsupported run format {head.get('format')!r}; "
+                             "re-run covertau ingest on its source log")
+        if extra := sorted(head.keys() - _MANIFEST_KEYS):
+            raise ParseError(f"{path}:1: field {extra[0]!r} must be absent from a {FORMAT_NAME} manifest")
+        run_id = _require_str(head, "run_id", 1, source)
+        verdict_source = _require_str(head, "verdict_source", 1, source)
+        digests = {} if head.get("source_digests") is None else head["source_digests"]
+        if not (isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):
+            raise ParseError(f"{path}:1: field 'source_digests' must be a map of file names to digests")
+        digest = hashlib.sha256()
+        try:
+            counts = _read_blocks(fh, source, 2, digest).counts
+        except ParseError:
+            while chunk := fh.read(_DIGEST_CHUNK):  # the rest of the body
+                digest.update(chunk)
+            if digest.hexdigest() == run_id:
+                raise
+        if digest.hexdigest() != run_id:
+            raise ParseError(f"{path}:1: run_id does not match the sha256 of the lines after the manifest; "
+                             "the run file was changed after it was written")
+        if counts is None:
+            # every line decoded, and the first nonblank one is per-completion
+            fh.seek(len(first))
+            lineno = next(i for i, line in enumerate(fh, start=2) if line.decode("utf-8").strip())
+            raise ParseError(f"{path}:{lineno}: per-completion line; a run body holds aggregated (n, c) lines")
     manifest = _implied_manifest(counts, run_id, digests, verdict_source)
     record_count = head.get("record_count")
     # == takes JSON true and 1.0 for the integer 1, so the type is checked too
@@ -667,19 +656,18 @@ def read_log(path: str | Path) -> ParsedLog:
         return _read_blocks(fh, str(path), 1, hashlib.sha256())
 
 
-def _read_blocks(fh: BinaryIO, source: str, lineno: int, digest=None) -> ParsedLog:
+def _read_blocks(fh: BinaryIO, source: str, lineno: int, digest) -> ParsedLog:
     """Parse the rest of a binary stream, its first line being line `lineno`
     of `source`, in blocks of about `_BLOCK` bytes, each cut after a "\n":
     by `_block_rows` where it can, else through `_fold_lines`, which also
     decodes a block that is not UTF-8 line by line; `digest` hashes each block."""
     tallies: dict[tuple[str, str], SampleTally] = {}
-    counts: dict[str, dict[str, TaskCounts]] = {}
+    counts: dict[str, list] = {}
     kind = None
     while block := fh.read(_BLOCK):
         if not block.endswith(b"\n"):
             block += fh.readline()
-        if digest is not None:
-            digest.update(block)
+        digest.update(block)
         try:
             text = str(block, "utf-8")
         except UnicodeDecodeError:
@@ -699,7 +687,7 @@ def _read_blocks(fh: BinaryIO, source: str, lineno: int, digest=None) -> ParsedL
         else:
             kind = _fold_lines(tallies, counts, text.split("\n")[:lines], lineno, kind, source)
         lineno += breaks
-    return _parsed(kind, tallies, counts, source, digest and digest.hexdigest())
+    return _parsed(kind, tallies, counts, source, digest.hexdigest())
 
 
 def _block_rows(text: str, lines: int, kind: str | None) -> tuple[str, list[tuple[str, ...]], itemgetter] | None:
@@ -790,24 +778,35 @@ def _fold_samples(tallies: dict[tuple[str, str], SampleTally], rows: Iterable[tu
         tally.stop = stop
 
 
-def _fold_rows(counts: dict[str, dict[str, TaskCounts]], rows: Iterable[tuple], fields: Callable,
-               lineno: int, source: str) -> None:
+def _fold_rows(counts: dict[str, list], rows: Iterable[tuple], fields: Callable, lineno: int, source: str) -> None:
     """Fold aggregated rows, on lines `lineno`, `lineno` + 1, ... of `source`,
-    into `counts`, rejecting an n below 1, a c outside [0, n] or a repeated
-    task on its line.  `fields` gives a row's (model, task, n, c), n and c
-    as ints or digits."""
-    model = per_model = None
+    into each model's columns [tasks, n, c, seen] in `counts`, rejecting an
+    n below 1, a c outside [0, n] or a repeated task on its line.  `fields`
+    gives (model, task, n, c), n and c as ints or digits, held in array('q')
+    until an n does not fit, then in lists.  `seen` is None while the tasks
+    ascend, as in a run body, then a dict of them (smaller than a set)."""
+    model = None
     for lineno, (name, task, n, c) in enumerate(map(fields, rows), lineno):
         if name != model:
-            model, per_model = name, counts.setdefault(name, {})
-        task = sys.intern(task)  # one string per task, shared by every model's row for it
-        try:  # TaskCounts rejects n < 1 and c outside [0, n]
-            tc = TaskCounts(task, int(n), int(c))
-        except ValueError as exc:
-            raise ParseError(f"{source}:{lineno}: {exc}") from exc
-        if task in per_model:
-            raise ParseError(f"{source}:{lineno}: duplicate aggregated line for (model={name!r}, task={task!r})")
-        per_model[task] = tc
+            model, cols = name, counts.get(name) or counts.setdefault(name, [[], array("q"), array("q"), None])
+            tasks, ns, cs, seen = cols
+        task, n, c = sys.intern(task), int(n), int(c)  # one string per task, shared by every model's row for it
+        if n < 1 or not 0 <= c <= n < 1 << 63:
+            try:  # TaskCounts rejects n < 1 and c outside [0, n]
+                TaskCounts(task, n, c)
+            except ValueError as exc:
+                raise ParseError(f"{source}:{lineno}: {exc}") from exc
+            if type(ns) is not list:
+                ns, cs = cols[1], cols[2] = list(ns), list(cs)
+        if seen is None and tasks and task <= tasks[-1]:
+            seen = cols[3] = dict.fromkeys(tasks)
+        if seen is not None:
+            if task in seen:
+                raise ParseError(f"{source}:{lineno}: duplicate aggregated line for (model={name!r}, task={task!r})")
+            seen[task] = None
+        tasks.append(task)
+        ns.append(n)
+        cs.append(c)
 
 
 def is_run_file(path: str | Path) -> bool:

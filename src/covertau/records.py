@@ -8,9 +8,11 @@ appear where a metric is explicitly defined as a floating-point quantity
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
-from operator import attrgetter
-from typing import Iterable, Sequence, Union
+from itertools import islice
+from operator import attrgetter, eq, le, lt
+from typing import Iterable, Iterator, Sequence, Union
 
 #: Inputs accepted wherever an exact rational is required.  Floats are
 #: deliberately excluded: float(0.2) is not the rational 1/5, and threshold
@@ -193,6 +195,71 @@ class TaskCounts(Value):
     def rate(self) -> Fraction:
         """Plug-in success estimate c/n as an exact rational."""
         return Fraction(self.c, self.n)
+
+
+def _take(column: Sequence, rows: Sequence[int]) -> Sequence:
+    """column[i] for each i of `rows`, in a column of the same type (a list or an array)."""
+    taken = column[:0]
+    taken.extend(map(column.__getitem__, rows))
+    return taken
+
+
+class TaskColumns(Value, SequenceABC):
+    """One model's per-task tallies as three columns: `tasks`, unique and in
+    sorted order, and each task's trial count `n` and correct count `c`
+    (lists of ints, or `array('q')` as the loaders build them).
+
+    A read-only `Sequence[TaskCounts]` that builds a `TaskCounts` only when
+    it is indexed or iterated.  It equals a list of the same `TaskCounts`,
+    either way round, and a slice of it is such a list.  It holds the
+    columns it is given, without a copy, so they must not change after.
+    """
+
+    __slots__ = ("tasks", "n", "c")
+    __hash__ = None  # as a list's
+
+    def __init__(self, tasks: Sequence[str], n: Sequence[int], c: Sequence[int]) -> None:
+        if not len(tasks) == len(n) == len(c):
+            raise ValueError(f"columns differ in length: {len(tasks)} tasks, {len(n)} n and {len(c)} c")
+        if not all(map(lt, tasks, islice(tasks, 1, None))):
+            raise ValueError("tasks must be unique and in sorted order")
+        if ({*map(type, n), *map(type, c)} - {int} or not all(map(le, c, n))
+                or tasks and (not tasks[0] or min(n) < 1 or min(c) < 0)):
+            for _ in map(TaskCounts, tasks, n, c):  # which raises for the first bad row
+                pass
+        self._assign(tasks, n, c)
+
+    @classmethod
+    def select(cls, tasks: Sequence[str], n: Sequence[int], c: Sequence[int],
+               rows: Sequence[int] | None = None) -> "TaskColumns":
+        """The columns of the rows (tasks[i], n[i], c[i]) for each i of `rows`,
+        which must leave the tasks in order; by default every row, sorted by task."""
+        if rows is None:
+            rows = sorted(range(len(tasks)), key=tasks.__getitem__)
+        return cls(*(_take(column, rows) for column in (tasks, n, c)))
+
+    @classmethod
+    def of(cls, counts: Sequence[TaskCounts]) -> "TaskColumns":
+        """`counts` if it is a TaskColumns, else the columns of its rows sorted by task."""
+        if isinstance(counts, cls):
+            return counts
+        return cls.select([tc.task for tc in counts], [tc.n for tc in counts], [tc.c for tc in counts])
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return TaskCounts._make(self.tasks[i], self.n[i], self.c[i])
+
+    def __iter__(self) -> Iterator[TaskCounts]:
+        return map(TaskCounts._make, self.tasks, self.n, self.c)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, TaskColumns)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
 
 
 class SuccessProfile(Value):

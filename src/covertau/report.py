@@ -4,10 +4,12 @@ Human-facing tables print metrics x100 with two decimals (cover/pass) and
 mark the top three per column; machine-readable outputs (JSON, CSV) keep
 raw [0, 1] values, with exact rationals rendered as "num/den" strings.
 
-`build_report` scales each task's c/n by L, the lcm of the aligned trial
-counts, straight from the counts, and places every task once on a
-`TaskTally`.  It counts all task columns once and reads the pooled table,
-the cover curves and the auc+ matrix off that count; a grouped report
+`build_report` reads each model's counts as one `TaskColumns` (a list of
+`TaskCounts` is turned into one once, by `align_profiles`), scales each
+task's c/n by L, the lcm of the aligned trial counts, straight from the
+columns, and places every task once on a `TaskTally`.  It counts all task
+columns once and reads the pooled table, the cover curves and the auc+
+matrix off that count; a grouped report
 adds one count per task group, and the bootstrap one per resample, the
 only count made in numpy.  Every table row comes from `TaskTally.table`,
 with one threshold rule: p >= tau is scaled p >= ceil(tau * L).  A pooled
@@ -20,10 +22,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import sub, truediv
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .curves import CoverCurve, PassCurve
@@ -34,7 +36,7 @@ from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: 
 from .dominance import build_cover_curve  # noqa: F401  (perfbench/spans.py wraps it)
 from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import pass_values
-from .records import RationalLike, TaskCounts, Value, as_thresholds
+from .records import RationalLike, TaskColumns, TaskCounts, Value, as_thresholds
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
 DEFAULT_K_GRID = tuple(2**i for i in range(14))  # 1 .. 2^13
@@ -65,34 +67,40 @@ class ReportBundle(Value):
 
 def align_profiles(
     counts: Mapping[str, Sequence[TaskCounts]],
-) -> tuple[dict[str, list[TaskCounts]], dict[str, tuple[str, ...]]]:
-    """Restrict every model's counts, in task order, to the task set all
-    models share: curves are only comparable over one task set.  The
-    returned map names each model's dropped tasks.  (The name predates
-    counts; perfbench/spans.py wraps it.)"""
+) -> tuple[dict[str, TaskColumns], dict[str, tuple[str, ...]]]:
+    """Restrict every model's counts, as `TaskColumns` in task order, to the
+    task set all models share: curves are only comparable over one task
+    set.  The returned map names each model's dropped tasks.  Builds no
+    task set when every model has the same tasks, else one.  (The name
+    predates counts; perfbench/spans.py wraps it.)"""
     if not counts:
         raise ValueError("no models to align")
+    views = {}
     for model, row in counts.items():
         if not model:
             raise ValueError("model identifier must be nonempty")
         if not row:
             raise ValueError(f"no task counts for model {model!r}")
-        if len({tc.task for tc in row}) != len(row):
-            raise ValueError(f"duplicate task in the counts for model {model!r}")
-    shared = set.intersection(*({tc.task for tc in row} for row in counts.values()))
+        try:  # a TaskColumns holds each task once; a list is sorted into one
+            views[model] = TaskColumns.of(row)
+        except ValueError:
+            raise ValueError(f"duplicate task in the counts for model {model!r}") from None
+    first, *rest = views.values()
+    if all(view.tasks == first.tasks for view in rest):
+        return views, {}
+    shared = set(first.tasks).intersection(*(view.tasks for view in rest))
     if not shared:
         raise ValueError(
             "task sets have empty intersection across models "
             f"{list(counts)}; nothing to compare"
         )
-    aligned = {}
     dropped: dict[str, tuple[str, ...]] = {}
-    for model, row in counts.items():
-        extra = tuple(sorted(tc.task for tc in row if tc.task not in shared))
-        if extra:
-            dropped[model] = extra
-        aligned[model] = sorted((tc for tc in row if tc.task in shared), key=lambda tc: tc.task)
-    return aligned, dropped
+    for model, view in views.items():
+        if len(view) > len(shared):
+            dropped[model] = tuple(task for task in view.tasks if task not in shared)
+            kept = [t for t, task in enumerate(view.tasks) if task in shared]
+            views[model] = TaskColumns.select(view.tasks, view.n, view.c, kept)
+    return views, dropped
 
 
 def build_report(
@@ -104,7 +112,9 @@ def build_report(
     seed: int = 0,
     provenance: Mapping[str, object] | None = None,
 ) -> ReportBundle:
-    """Compute the full report bundle from aggregated counts, over every model they hold."""
+    """Compute the full report bundle from aggregated counts, over every
+    model they hold: each model's `TaskColumns`, or a list of `TaskCounts`,
+    which is turned into one once."""
     models = sorted(counts)
     if bootstrap_resamples < 0:
         raise ValueError(f"bootstrap resample count must be >= 0, got {bootstrap_resamples}")
@@ -113,16 +123,15 @@ def build_report(
     tau_fracs = as_thresholds(taus, "tau")
 
     aligned, dropped = align_profiles({m: counts[m] for m in models})
-    tasks = [tc.task for tc in aligned[models[0]]]
-    scale = math.lcm(*{tc.n for row in aligned.values() for tc in row})
-    scaled = [[tc.c * (scale // tc.n) for tc in row] for row in aligned.values()]
+    columns = list(aligned.values())
+    tasks = columns[0].tasks
 
     notes: list[str] = []
-    for model in models:
-        low = [tc for tc in aligned[model] if tc.n < LOW_TRIAL_WARNING]
+    for model, view in zip(models, columns):
+        low = sum(map(LOW_TRIAL_WARNING.__gt__, view.n))
         if low:
             notes.append(
-                f"model {model!r}: {len(low)} task(s) with fewer than {LOW_TRIAL_WARNING} trials; "
+                f"model {model!r}: {low} task(s) with fewer than {LOW_TRIAL_WARNING} trials; "
                 f"cover estimates at high thresholds are coarse (granularity 1/n)"
             )
     for model, extra in sorted(dropped.items()):
@@ -131,7 +140,7 @@ def build_report(
             + ", ".join(extra)
         )
 
-    tally = TaskTally(models, scaled, scale, tau_fracs)
+    tally = TaskTally.of_columns(models, columns, tau_fracs)
     at_least = tally.at_least(range(len(tasks)))
     pooled, totals = tally.count_totals(at_least)
     aggregation, counts_per_group = "pooled", [pooled]
@@ -157,13 +166,13 @@ def build_report(
     cover_curves = {model: tally.cover_curve(i, row) for i, (model, row) in enumerate(zip(models, at_least))}
     dominance = None
     if len(models) >= 2:
-        dominance = _dominance(models, totals, len(tasks) * scale)
+        dominance = _dominance(models, totals, len(tasks) * tally.scale)
     else:
         notes.append("avg_auc_plus column absent: needs at least 2 models")
 
     # (n - c) / n is correctly rounded, as float(1 - Fraction(c, n)) is
-    pass_curves = {m: PassCurve(m, tuple(ks), pass_values([(tc.n - tc.c) / tc.n for tc in row], ks))
-                   for m, row in aligned.items()}
+    pass_curves = {m: PassCurve(m, tuple(ks), pass_values([*map(truediv, map(sub, view.n, view.c), view.n)], ks))
+                   for m, view in aligned.items()}
     crossovers = [
         find_crossover(pass_curves[a], pass_curves[b]) for i, a in enumerate(models) for b in models[i + 1 :]
     ]
@@ -298,6 +307,12 @@ def _fraction_json(value: Fraction) -> dict[str, object]:
 def bundle_json(bundle: ReportBundle) -> str:
     """Canonical JSON for the whole bundle (raw [0,1] values); `sort_keys`
     orders every key."""
+    return "".join(bundle_chunks(bundle))
+
+
+def bundle_chunks(bundle: ReportBundle) -> Iterator[str]:
+    """`bundle_json` in the pieces that `json.JSONEncoder.iterencode` yields,
+    so that a writer need not hold the whole text."""
     obj: dict[str, object] = {
         "models": list(bundle.models),
         "taus": [format_exact(t) for t in bundle.taus],
@@ -343,7 +358,8 @@ def bundle_json(bundle: ReportBundle) -> str:
             model: {metric: list(band) for metric, band in bands.items()}
             for model, bands in bundle.bootstrap.items()
         }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    yield "\n"
 
 
 def safe_filename(name: str) -> str:

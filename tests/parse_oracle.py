@@ -29,7 +29,6 @@ from covertau.ingest import (
     _parse_json_line,
     _require_str,
     _sample_fields,
-    _sorted_counts,
 )
 
 MANIFEST = {"kind": "manifest", "format": "covertau-run-v2", "source_digests": {}, "verdict_source": "aggregated"}
@@ -84,7 +83,8 @@ def parse_records(lines: Iterable[str], source: str = "<stream>") -> ParsedLog:
         for key, tally in tallies.items():
             tally.stop, tally.ahead = canonical_indices(seen[key])
         return ParsedLog(records=tallies, counts=None, source=source)
-    return ParsedLog(records=None, counts=_sorted_counts(counts), source=source)
+    return ParsedLog(records=None, counts={m: [tc for _, tc in sorted(t.items())] for m, t in sorted(counts.items())},
+                     source=source)
 
 
 def canonical_indices(indices: set[int]) -> tuple[int, set[int]]:

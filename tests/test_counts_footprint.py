@@ -1,7 +1,9 @@
 """What parsed counts and a persisted run body hold in memory: a slotted
-`TaskCounts`, one task string shared by every model's row for that task, and
-a run body rendered, hashed and written one model at a time."""
+`TaskCounts`, one task string shared by every model's row for that task,
+counts loaded as columns, and a run body rendered, hashed and written one
+model at a time."""
 
+import gc
 import json
 import pickle
 import tracemalloc
@@ -11,6 +13,7 @@ import pytest
 from covertau import TaskCounts, build_manifest, load_run, parse_records, persist_run
 from covertau import ingest
 from covertau.ingest import read_log
+from covertau.report import build_report
 
 
 def test_task_counts_has_no_instance_dict():
@@ -81,3 +84,24 @@ def test_body_is_rendered_one_model_at_a_time(tmp_path):
     assert len(chunks) == 10 and body == "".join(chunks).encode("utf-8")
     assert build_peak < len(body) / 2, f"build_manifest peaked at {build_peak / len(body):.2f}x the body"
     assert persist_peak < len(body) / 2, f"persist_run peaked at {persist_peak / len(body):.2f}x the body"
+
+
+def test_loaded_run_and_its_report_hold_a_few_bytes_per_row(tmp_path):
+    # 10 models x 2000 tasks.  Counts as columns peak at about 70 bytes per
+    # (model, task) row through load_run and build_report together; one
+    # TaskCounts per row, with a {task: TaskCounts} dict per model while the
+    # body is folded, peaked at about 177.  The bound leaves about 40% of
+    # headroom above the columns' measured peak.
+    counts = {f"model-{m}": [TaskCounts(f"task-{t:05d}", 256, (7 * m + t) % 257) for t in range(2000)]
+              for m in range(10)}
+    path = persist_run(build_manifest(counts, {"log": "0" * 64}, "aggregated"), counts, tmp_path / "run.jsonl")
+    del counts
+    # a first call compiles the layout pattern and fills the caches; its
+    # counts stay alive so that their task names stay interned, and the
+    # measured call adds none to the interpreter's table of interned strings,
+    # whose size depends on what else the process interned before
+    first = load_run(path)[1]
+    build_report(first)
+    gc.collect()
+    _, peak = _peak(lambda: build_report(load_run(path)[1]))
+    assert peak / 20_000 < 100, f"load_run and build_report peaked at {peak / 20_000:.0f} bytes per row"

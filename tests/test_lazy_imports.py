@@ -31,7 +31,7 @@ EXPORTS = {
                "cons_at_n", "counts_from_log", "grade", "load_run", "parse_gold", "parse_records", "persist_run"],
     "metrics": ["cover_at_tau", "estimate_success", "maj_at_n", "majority_threshold", "pass_at_k_exact",
                 "pass_at_k_unbiased"],
-    "records": ["GoldAnswer", "SampleRecord", "SuccessProfile", "TaskCounts", "as_unit_rational"],
+    "records": ["GoldAnswer", "SampleRecord", "SuccessProfile", "TaskColumns", "TaskCounts", "as_unit_rational"],
     "synth": ["GuesserSpec", "ProfileSpec", "make_profile", "simulate_completions", "simulate_guesser",
               "toy_model_a", "toy_model_b"],
 }

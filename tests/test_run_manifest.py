@@ -119,6 +119,26 @@ def test_edited_body_is_reported_before_a_malformed_manifest(tmp_path):
         load_run(path)
 
 
+@pytest.mark.parametrize("bad_line", [3, 2999], ids=["first-block", "last-block"])
+def test_edited_body_with_a_malformed_line_is_reported_as_edited(tmp_path, capsys, bad_line):
+    # about 120 KB of body, read in two blocks or more: the body is hashed as it
+    # is parsed, and the rest of it after the malformed line is hashed too
+    counts = {"m": [TaskCounts(f"task-{t:05d}", 4, t % 5) for t in range(3000)]}
+    path = _write(tmp_path, counts)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[bad_line - 1] = lines[bad_line - 1].replace('"n":4,', '"n":0,')
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ParseError, match=r"run\.jsonl:1: run_id does not match"):
+        load_run(path)
+    assert main(["compute", "--input", str(path)]) == 2
+    assert "run.jsonl:1: run_id does not match" in capsys.readouterr().err
+    # under a run_id that matches the edit, the same body is reported by its line
+    _rewrite_manifest(path, lambda obj: obj.__setitem__(
+        "run_id", hashlib.sha256(path.read_bytes().split(b"\n", 1)[1]).hexdigest()))
+    with pytest.raises(ParseError, match=rf"run\.jsonl:{bad_line}: n must be >= 1"):
+        load_run(path)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("record_count", 2)],

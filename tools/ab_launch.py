@@ -15,9 +15,11 @@ many of its modules have bytecode cached for this interpreter, and exits 2
 if one tree has none, some or all of them cached and the other does not:
 a launch that compiles covertau and one that reads its bytecode would time
 the cache, not the code.  For wall_s, cpu_s and rss_mb it prints each
-side's median and quartiles and the pairs each side won (lower wins).  The
-command runs in the current directory, and both sides write its outputs to
-the same paths in turn.
+side's median and quartiles and the pairs each side won (lower wins), then
+the median of the per-pair differences B - A against A's interquartile
+range: a claim that B is lower holds when B won at least 9 of 10 pairs and
+that median difference is below -IQR(A).  The command runs in the current
+directory, and both sides write its outputs to the same paths in turn.
 """
 
 import argparse
@@ -86,6 +88,9 @@ def main() -> None:
             q1, median, q3 = statistics.quantiles(values, n=4)
             print(f"{metric:7} {'AB'[side]} median {median:.4f}  quartiles [{q1:.4f}, {q3:.4f}]  "
                   f"won {won}/{args.pairs}  {tree}")
+        q1, _, q3 = statistics.quantiles(a, n=4)
+        print(f"{metric:7} B-A median {statistics.median(y - x for x, y in zip(a, b)):+.4f}  "
+              f"IQR(A) {q3 - q1:.4f}  B won {wins[1]}/{args.pairs}")
 
 
 if __name__ == "__main__":
