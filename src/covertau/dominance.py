@@ -17,16 +17,17 @@ widths are integers over L.  Row i of the whole auc+ matrix is then
 
 an integer sum in Python ints that is divided by V*L once, as a Fraction.
 
-Reports start from counts: p = c/n is the integer c * (L/n) over L = lcm
-of the trial counts, made from a model's count columns each time the tally
-reads them (`TaskTally.of_columns`).  A `TaskTally` places each task once
-on the grid of those integers (`scale_to_lcm` makes such integers of a
-profile's Fractions, and `build_cover_curve` counts one profile on its own
-tally).  Every report number is read off one count of the tally over a
-multiset of task columns (all of them for the pooled table, cover curves
-and auc+ matrix, a group's own, a bootstrap draw with replacement), by
-one formula per metric in `TaskTally.table`.  p >= tau is always scaled
-p >= ceil(tau * L), one threshold rule for point values and bands alike.
+A `TaskTally` starts from each model's per-task trial and pass counts n
+and c: p = c/n is the integer c * (L/n) over L = lcm of every n, made once
+per distinct (n, c) pair, and each task is placed once on the grid of
+those integers.  Reports pass their count columns; a profile's p = a/b in
+lowest terms counts as b trials with a passes (`build_cover_curve` counts
+one profile on its own tally, `bootstrap_bands` a set of them).  Every
+report number is read off one count of the tally over a multiset of task
+columns (all of them for the pooled table, cover curves and auc+ matrix, a
+group's own, a bootstrap draw with replacement), by one formula per metric
+in `TaskTally.table`.  p >= tau is always scaled p >= ceil(tau * L), one
+threshold rule for point values and bands alike.
 Point counts run on Python ints.  Only a bootstrap resample is counted in
 numpy, into the same `Count` of Python ints.
 """
@@ -34,14 +35,15 @@ numpy, into the same `Count` of Python ints.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul, sub
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .curves import CoverCurve, PassCurve
-from .records import RationalLike, SuccessProfile, TaskColumns, Value, as_thresholds, format_tau
+from .records import RationalLike, SuccessProfile, Value, as_thresholds, format_tau
 
 # numpy is imported only by the bootstrap: commands that draw no resample
 # (`--version`, `ingest`, reports without `--bootstrap`) start without it
@@ -118,61 +120,41 @@ def _excess_totals(heights: Sequence[Sequence[int]], widths: Sequence[int]) -> t
     return areas, totals
 
 
-def _task_grid(scaled: Sequence[Sequence[int]], scale: int) -> tuple[list[int], Sequence[int]]:
-    """Tasks whose p values are scaled[i][t] / scale, on the grid of their
-    distinct values plus 0 and scale.  Returns (grid, cells): model i's task t
-    at grid position g is cells[i * T + t] = i * len(grid) + g, a cell of one
-    flat tally, held as int64 that numpy reads without a copy."""
-    from array import array  # an extension module: commands that make no report do not load it
-
-    grid = sorted(set().union(*scaled, (0, scale)))
-    position = {point: g for g, point in enumerate(grid)}
+def _task_grid(n: Sequence[Sequence[int]], c: Sequence[Sequence[int]], scale: int) -> tuple[list[int], Sequence[int]]:
+    """Tasks whose p values are c[i][t] / n[i][t], each n dividing `scale`,
+    on the grid of their distinct values c * (scale // n) plus 0 and scale;
+    each distinct (n, c) pair is scaled once.  Returns (grid, cells): model
+    i's task t at grid position g is cells[i * T + t] = i * len(grid) + g, a
+    cell of one flat tally, held as int64 that numpy reads without a copy."""
+    point = {(tn, tc): tc * (scale // tn) for tn, tc in set().union(*map(zip, n, c))}
+    grid = sorted({0, scale, *point.values()})
+    position = {x: g for g, x in enumerate(grid)}
+    at = {pair: position[x] for pair, x in point.items()}
     size = len(grid)
-    return grid, array("q", (i * size + position[x] for i, row in enumerate(scaled) for x in row))
-
-
-class _Scaled:
-    """The integers c * (scale // n) of one model's count columns, made
-    again on each pass over them rather than held."""
-
-    __slots__ = ("n", "c", "scale")
-
-    def __init__(self, n: Sequence[int], c: Sequence[int], scale: int) -> None:
-        self.n, self.c, self.scale = n, c, scale
-
-    def __len__(self) -> int:
-        return len(self.n)
-
-    def __iter__(self) -> Iterator[int]:
-        return map(mul, self.c, map(self.scale.__floordiv__, self.n))
+    return grid, array("q", (i * size + at[pair] for i, row in enumerate(map(zip, n, c)) for pair in row))
 
 
 class TaskTally:
-    """Tasks whose p values are scaled[i][t] / scale (rows over one task set,
-    one row per model), placed once on the grid of their distinct values
-    plus 0 and scale, with each tau's grid position and the grid widths.
-    `at_least` counts any multiset of task columns on it; `count`, `table`
-    and `cover_curve` read every report number off such a count."""
+    """Tasks whose p values are c[i][t] / n[i][t] (rows over one task set,
+    one row per model, of trial and pass counts), scaled to integers over
+    `scale`, the lcm of every n, and placed once on the grid of their
+    distinct values plus 0 and scale, with each tau's grid position and the
+    grid widths.  `at_least` counts any multiset of task columns on it;
+    `count`, `table` and `cover_curve` read every report number off such a
+    count."""
 
-    def __init__(self, models: Sequence[str], scaled: Sequence[Sequence[int]], scale: int,
+    def __init__(self, models: Sequence[str], n: Sequence[Sequence[int]], c: Sequence[Sequence[int]],
                  taus: Sequence[Fraction]) -> None:
         self.models = tuple(models)
-        self.scale = scale
-        self.grid, self.cells = _task_grid(scaled, scale)
-        self.rows = [memoryview(self.cells)[i * len(row):(i + 1) * len(row)] for i, row in enumerate(scaled)]
+        self.scale = scale = math.lcm(*set().union(*n))
+        self.grid, self.cells = _task_grid(n, c, scale)
+        self.rows = [memoryview(self.cells)[i * len(row):(i + 1) * len(row)] for i, row in enumerate(n)]
         # p >= tau is scaled p >= ceil(tau * scale): the first grid point at or above it
         self.tau_at = [bisect_left(self.grid, math.ceil(tau * scale)) for tau in taus]
         self.widths = list(map(sub, self.grid[1:], self.grid))
         self.metric_names = ("pass@1", *(f"cov@{format_tau(tau)}" for tau in taus))
         if len(self.models) >= 2:
             self.metric_names += ("avg_auc_plus",)
-
-    @classmethod
-    def of_columns(cls, models: Sequence[str], columns: Sequence[TaskColumns], taus: Sequence[Fraction]) -> TaskTally:
-        """The tally of each model's count columns over one task set: p = c / n,
-        scaled by the lcm of every n."""
-        scale = math.lcm(*set().union(*(view.n for view in columns)))
-        return cls(models, [_Scaled(view.n, view.c, scale) for view in columns], scale, taus)
 
     def at_least(self, columns: Sequence[int]) -> list[list[int]]:
         """at_least[i][g]: tasks at `columns`, repeats counted, of model i
@@ -218,11 +200,17 @@ class TaskTally:
 
 
 def build_cover_curve(profile: SuccessProfile) -> CoverCurve:
-    """Cover curve of a profile, its p values scaled to integers over the
-    lcm of their denominators and counted on a one-model task tally."""
-    (scaled,), scale = scale_to_lcm([profile.probabilities])
-    tally = TaskTally([profile.model], [scaled], scale, ())
-    return tally.cover_curve(0, tally.at_least(range(len(scaled)))[0])
+    """Cover curve of a profile, counted on a one-model task tally."""
+    tally = _profile_tally([profile], ())
+    return tally.cover_curve(0, tally.at_least(range(profile.num_tasks))[0])
+
+
+def _profile_tally(profiles: Sequence[SuccessProfile], taus: Sequence[Fraction]) -> TaskTally:
+    """The tally of profiles over one task tuple, each p = a / b in lowest
+    terms counted as b trials with a passes."""
+    rows = [prof.probabilities for prof in profiles]
+    return TaskTally([prof.model for prof in profiles], [[p.denominator for p in row] for row in rows],
+                     [[p.numerator for p in row] for row in rows], taus)
 
 
 def _avg_excess(excess: Sequence[int], scale: int) -> tuple[Sequence[int], int]:
@@ -396,14 +384,10 @@ def bootstrap_bands(
     seed: int = 0,
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """`scaled_bootstrap_bands` of the tally of profiles that share one task
-    tuple, their p values scaled to integers over the lcm of their
-    denominators; a repeated threshold in `taus` is a ValueError."""
+    tuple; a repeated threshold in `taus` is a ValueError."""
     if not profiles:
         raise ValueError("no profiles")
     for prof in profiles[1:]:
         if prof.tasks != profiles[0].tasks:
             raise ValueError("bootstrap requires profiles aligned to the same task set")
-    tau_fracs = as_thresholds(taus, "tau")
-    scaled, scale = scale_to_lcm([prof.probabilities for prof in profiles])
-    tally = TaskTally([p.model for p in profiles], scaled, scale, tau_fracs)
-    return scaled_bootstrap_bands(tally, resamples, seed)
+    return scaled_bootstrap_bands(_profile_tally(profiles, as_thresholds(taus, "tau")), resamples, seed)

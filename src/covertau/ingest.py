@@ -13,6 +13,7 @@ A file holds either per-completion lines or aggregated lines, never both.
 Persisted runs are canonical JSON (sorted keys, no spaces), so re-saving
 unchanged data is byte-identical.  A run stores its counts once, in its
 body; the manifest adds provenance, the body's sha256 and its record_count.
+Saving refuses what loading could not give back equal (`_implied_manifest`).
 The body is rendered, hashed and written one model at a time:
 `build_manifest` hashes each model's chunk as it is rendered, and
 `persist_run` writes the manifest line and then each chunk, and checks the
@@ -207,8 +208,10 @@ def _parsed(kind: str | None, tallies: dict[tuple[str, str], SampleTally],
 
 def _views(per_model: dict[str, list]) -> dict[str, TaskColumns]:
     """`_fold_rows`' columns, taken out of `per_model` one model at a time, as
-    a TaskColumns per model, models sorted; out-of-order rows sorted by task."""
-    return {model: TaskColumns(*columns) if seen is None else TaskColumns.select(*columns)
+    a TaskColumns per model, models sorted; out-of-order rows sorted by task.
+    In-order columns are not checked again: the fold has checked each row
+    and seen the tasks ascend."""
+    return {model: TaskColumns._make(*columns) if seen is None else TaskColumns.select(*columns)
             for model in sorted(per_model) for *columns, seen in [per_model.pop(model)]}
 
 
@@ -518,9 +521,30 @@ def _implied_manifest(
     counts: Mapping[str, Sequence[TaskCounts]], run_id: str, source_digests: Mapping[str, str], verdict_source: str
 ) -> RunManifest:
     """The manifest that `counts`, whose body hashes to `run_id`, imply: the
-    one derivation of record_count."""
+    one derivation of record_count.  It refuses, naming the model or field,
+    what `load_run` could not give back equal: a model name that is not a
+    nonempty string, a model with no tasks, or provenance that
+    `_provenance_fault` finds at fault."""
+    for model, tcs in counts.items():
+        if not (isinstance(model, str) and model):
+            raise ValueError(f"model name {model!r} must be a nonempty string")
+        if not tcs:
+            raise ValueError(f"model {model!r} has no counts; a run holds only models with tasks")
+    if fault := _provenance_fault(source_digests, verdict_source):
+        raise ValueError(fault)
     record_count = sum(sum(TaskColumns.of(tcs).n) for tcs in counts.values())
     return RunManifest(run_id, dict(source_digests), record_count, verdict_source)
+
+
+def _provenance_fault(source_digests: object, verdict_source: object) -> str | None:
+    """The first fault of a run's provenance fields, in the order `load_run`
+    checks them, or None: one rule for writing a run and for reading it."""
+    if not (isinstance(verdict_source, str) and verdict_source):
+        return "field 'verdict_source' must be a nonempty string"
+    if not (isinstance(source_digests, Mapping)
+            and all(isinstance(name, str) and isinstance(d, str) for name, d in source_digests.items())):
+        return "field 'source_digests' must be a map of file names to digests"
+    return None
 
 
 def _body_chunks(counts: Mapping[str, Sequence[TaskCounts]]) -> Iterator[str]:
@@ -592,10 +616,10 @@ def load_run(path: str | Path) -> tuple[RunManifest, dict[str, TaskColumns]]:
         if extra := sorted(head.keys() - _MANIFEST_KEYS):
             raise ParseError(f"{path}:1: field {extra[0]!r} must be absent from a {FORMAT_NAME} manifest")
         run_id = _require_str(head, "run_id", 1, source)
-        verdict_source = _require_str(head, "verdict_source", 1, source)
+        verdict_source = head.get("verdict_source")
         digests = {} if head.get("source_digests") is None else head["source_digests"]
-        if not (isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):
-            raise ParseError(f"{path}:1: field 'source_digests' must be a map of file names to digests")
+        if fault := _provenance_fault(digests, verdict_source):
+            raise ParseError(f"{path}:1: {fault}")
         digest = hashlib.sha256()
         try:
             counts = _read_blocks(fh, source, 2, digest).counts

@@ -140,7 +140,7 @@ def build_report(
             + ", ".join(extra)
         )
 
-    tally = TaskTally.of_columns(models, columns, tau_fracs)
+    tally = TaskTally(models, [view.n for view in columns], [view.c for view in columns], tau_fracs)
     at_least = tally.at_least(range(len(tasks)))
     pooled, totals = tally.count_totals(at_least)
     aggregation, counts_per_group = "pooled", [pooled]

@@ -113,7 +113,7 @@ def tallies(draw):
     tasks, models = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     scaled = [draw(st.lists(st.integers(0, scale), min_size=tasks, max_size=tasks)) for _ in range(models)]
     taus = draw(st.lists(st.fractions(0, 1), max_size=3, unique=True))
-    return TaskTally([f"m{i}" for i in range(models)], scaled, scale, taus)
+    return TaskTally([f"m{i}" for i in range(models)], [[scale] * tasks] * models, scaled, taus)
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,7 +138,7 @@ def test_tally_built_curves_pass_the_public_checks(tally, data):
 def test_grid_dtype_switches_to_python_ints_at_2_62():
     # a resample of T tasks sums at most T * scale: the switch is at T * scale = 2**62
     for tasks, scale, dtype in ((1, 2**62 - 1, np.int64), (1, 2**62, object), (2, 2**61, object)):
-        tally = TaskTally(["A", "B"], [[1] * tasks, [0] * tasks], scale, [F(1, 2)])
+        tally = TaskTally(["A", "B"], [[scale] * tasks] * 2, [[1] * tasks, [0] * tasks], [F(1, 2)])
         (columns, widths_dtype, count), = resample_counts(tally, 1, 0)
         assert widths_dtype == dtype and count == tally.count(tally.at_least(columns))
 
@@ -147,7 +147,7 @@ def test_excess_over_four_models_switches_to_python_ints():
     # one model at p = 1 and four at 0: its excess is 4 * T * scale, past 2**63,
     # though T * scale alone is below 2**62
     scale = 2**61 + 1
-    tally = TaskTally([f"m{i}" for i in range(5)], [[scale], [0], [0], [0], [0]], scale, [])
+    tally = TaskTally([f"m{i}" for i in range(5)], [[scale]] * 5, [[scale], [0], [0], [0], [0]], [])
     (columns, widths_dtype, count), = resample_counts(tally, 1, 0)
     assert widths_dtype == object and count == tally.count(tally.at_least(columns))
     assert count[3] == [4 * scale, 0, 0, 0, 0]
@@ -169,7 +169,7 @@ def test_bootstrap_draws_one_resample_row_at_a_time():
     # alone would be 22.9 MiB
     models, tasks, scale = 6, 3000, 240
     scaled = np.random.default_rng(5).integers(0, scale + 1, size=(models, tasks)).tolist()
-    tally = TaskTally([f"m{i}" for i in range(models)], scaled, scale, [F(1, 5), F(4, 5)])
+    tally = TaskTally([f"m{i}" for i in range(models)], [[scale] * tasks] * models, scaled, [F(1, 5), F(4, 5)])
     tracemalloc.start()
     try:
         scaled_bootstrap_bands(tally, resamples=1000, seed=3)

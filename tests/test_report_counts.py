@@ -190,7 +190,7 @@ def test_report_builds_no_profile_and_no_fraction_round_trip(monkeypatch):
     # the patches do see the profile path
     bootstrap_bands([covertau.metrics.estimate_success(counts[m], m) for m in "AB"], [F(1, 2)], resamples=1)
     assert calls.count("SuccessProfile") == 2
-    assert calls.count("estimate_success") == 2 and calls.count("scale_to_lcm") == 1
+    assert calls.count("estimate_success") == 2 and calls.count("scale_to_lcm") == 0
 
 
 @pytest.mark.parametrize("resamples", [-1, -5])

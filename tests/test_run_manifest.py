@@ -4,12 +4,14 @@ checks on save and on load."""
 import hashlib
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertau import ParseError, RunManifest, TaskCounts, build_manifest, load_run, persist_run
+from covertau import ParseError, RunManifest, TaskColumns, TaskCounts, build_manifest, load_run, persist_run
 from covertau import ingest
 from covertau.cli import main
 from covertau.ingest import read_log
@@ -243,3 +245,74 @@ def test_run_body_gets_the_raw_log_schema_checks(tmp_path, capsys, body, lineno,
         load_run(path)
     assert main(["compute", "--input", str(path)]) == 2
     assert f"run.jsonl:{lineno + 1}: {error}" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize(
+    "counts, digests, verdict_source, message",
+    [
+        ({"a": [], "b": ONE_RECORD["m"]}, {}, "flags", "model 'a' has no counts"),
+        ({"a": []}, {}, "flags", "model 'a' has no counts"),
+        ({"": ONE_RECORD["m"]}, {}, "flags", "model name '' must be a nonempty string"),
+        (ONE_RECORD, {"x": 1}, "flags", "field 'source_digests' must be a map of file names to digests"),
+        (ONE_RECORD, {1: "ab"}, "flags", "field 'source_digests' must be a map of file names to digests"),
+        (ONE_RECORD, {}, "", "field 'verdict_source' must be a nonempty string"),
+        (ONE_RECORD, {}, None, "field 'verdict_source' must be a nonempty string"),
+    ],
+    ids=["empty-model-beside-another", "only-an-empty-model", "empty-model-name", "digest-not-a-string",
+         "file-name-not-a-string", "empty-verdict-source", "no-verdict-source"],
+)
+def test_run_that_would_not_load_back_equal_is_refused_before_writing(tmp_path, counts, digests, verdict_source,
+                                                                      message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_manifest(counts, digests, verdict_source)
+    # a manifest made by hand, with the body's own run_id, is refused too
+    run_id = hashlib.sha256("".join(ingest._body_chunks(counts)).encode("utf-8")).hexdigest()
+    manifest = RunManifest(run_id, digests, sum(tc.n for tcs in counts.values() for tc in tcs), verdict_source)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        persist_run(manifest, counts, tmp_path / "run.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+# counts, source digests and verdict sources both valid and not
+loose_counts = st.dictionaries(
+    st.one_of(names, st.just("")), st.dictionaries(names, trials, max_size=4), min_size=1, max_size=4
+).map(lambda per_model: {m: [TaskCounts(t, n, c) for t, (n, c) in ts.items()] for m, ts in per_model.items()})
+loose_digests = st.one_of(
+    st.dictionaries(names, st.text(max_size=4), max_size=3),
+    st.dictionaries(st.one_of(names, st.integers()), st.one_of(st.text(max_size=4), st.integers(), st.none()),
+                    max_size=3),
+)
+loose_verdicts = st.one_of(names, st.sampled_from(["", None, 7]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loose_counts, loose_digests, loose_verdicts)
+def test_whatever_build_manifest_accepts_loads_back_equal(counts, digests, verdict_source):
+    try:
+        manifest = build_manifest(counts, digests, verdict_source)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded_manifest, loaded = load_run(persist_run(manifest, counts, Path(tmp) / "run.jsonl"))
+    assert loaded_manifest == manifest
+    assert loaded == {m: sorted(tcs, key=lambda t: t.task) for m, tcs in counts.items()}
+
+
+def test_in_order_run_body_is_not_checked_again_as_columns(tmp_path, monkeypatch):
+    # the fold checks each row and sees the tasks ascend; rows out of order
+    # are sorted into checked columns
+    counts = {m: [TaskCounts(f"t{j}", 4, (j + i) % 5) for j in range(6)] for i, m in enumerate("ab")}
+    path = _write(tmp_path, counts)
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(reversed(json_dumps_body(counts).splitlines(keepends=True))), encoding="utf-8")
+    calls = []
+    init = TaskColumns.__init__
+
+    def counting_init(self, *columns):
+        calls.append(len(columns[0]))
+        init(self, *columns)
+
+    monkeypatch.setattr(TaskColumns, "__init__", counting_init)
+    assert load_run(path)[1] == counts and calls == []
+    assert read_log(log).counts == counts and calls == [6, 6]

@@ -8,10 +8,11 @@ checkouts whose outputs are byte-identical print the same digests.
 
 Run from the repository root, with the covertau to test on PYTHONPATH:
 
-    PYTHONPATH=<checkout>/src python tools/output_digest.py --seed 3
+    PYTHONPATH=<checkout>/src python tools/output_digest.py --seed 3 5 7
 
-It prints one line per workload and a last line for all of them, each
-"<sha256>  <name>".  perfbench/ is read, never written.
+For each seed it prints one line per workload and a last line for all of
+them, each "<sha256>  <name>"; with more than one seed, each seed's lines
+follow a "seed N" line.  perfbench/ is read, never written.
 """
 
 from __future__ import annotations
@@ -62,17 +63,20 @@ def workload_digest(name: str, seed: int, work: Path) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, required=True, help="benchmark seed of every workload")
+    parser.add_argument("--seed", type=int, nargs="+", required=True, help="benchmark seeds, each of every workload")
     args = parser.parse_args(argv)
 
     print(f"covertau {covertau.__version__} from {Path(covertau.__file__).parent}", file=sys.stderr)
-    total = hashlib.sha256()
-    for name in workloads.WORKLOADS:
-        with tempfile.TemporaryDirectory() as tmp:
-            digest = workload_digest(name, args.seed, Path(tmp))
-        total.update(f"{name} {digest}\n".encode())
-        print(f"{digest}  {name}", flush=True)
-    print(f"{total.hexdigest()}  all")
+    for seed in args.seed:
+        if len(args.seed) > 1:
+            print(f"seed {seed}", flush=True)
+        total = hashlib.sha256()
+        for name in workloads.WORKLOADS:
+            with tempfile.TemporaryDirectory() as tmp:
+                digest = workload_digest(name, seed, Path(tmp))
+            total.update(f"{name} {digest}\n".encode())
+            print(f"{digest}  {name}", flush=True)
+        print(f"{total.hexdigest()}  all", flush=True)
     return 0
 
 
