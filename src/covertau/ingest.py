@@ -66,7 +66,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .files import write_atomic
-from .records import GoldAnswer, SampleRecord, TaskColumns, TaskCounts, Value
+from .records import GoldAnswer, SampleRecord, TaskColumns, TaskCounts, Value, count_columns, has_surrogate_pair
 
 FORMAT_NAME = "covertau-run-v2"
 _MANIFEST_KEYS = frozenset({"kind", "format", "run_id", "source_digests", "record_count", "verdict_source"})
@@ -209,9 +209,9 @@ def _parsed(kind: str | None, tallies: dict[tuple[str, str], SampleTally],
 def _views(per_model: dict[str, list]) -> dict[str, TaskColumns]:
     """`_fold_rows`' columns, taken out of `per_model` one model at a time, as
     a TaskColumns per model, models sorted; out-of-order rows sorted by task.
-    In-order columns are not checked again: the fold has checked each row
-    and seen the tasks ascend."""
-    return {model: TaskColumns._make(*columns) if seen is None else TaskColumns.select(*columns)
+    No column is checked again: the fold has checked each row, and seen the
+    tasks ascend or kept them unique."""
+    return {model: TaskColumns._make(*columns) if seen is None else TaskColumns._take(*columns)
             for model in sorted(per_model) for *columns, seen in [per_model.pop(model)]}
 
 
@@ -509,8 +509,6 @@ def build_manifest(
     """Manifest for aggregated counts; run_id is the sha256 of the canonical
     body, hashed one model's chunk at a time as `_body_chunks` yields it, so
     identical data yields an identical manifest."""
-    if not counts:
-        raise ValueError("no counts to persist")
     digest = hashlib.sha256()
     for chunk in _body_chunks(counts):
         digest.update(chunk.encode("utf-8"))
@@ -522,17 +520,11 @@ def _implied_manifest(
 ) -> RunManifest:
     """The manifest that `counts`, whose body hashes to `run_id`, imply: the
     one derivation of record_count.  It refuses, naming the model or field,
-    what `load_run` could not give back equal: a model name that is not a
-    nonempty string, a model with no tasks, or provenance that
-    `_provenance_fault` finds at fault."""
-    for model, tcs in counts.items():
-        if not (isinstance(model, str) and model):
-            raise ValueError(f"model name {model!r} must be a nonempty string")
-        if not tcs:
-            raise ValueError(f"model {model!r} has no counts; a run holds only models with tasks")
+    what `load_run` could not give back equal: counts that `count_columns`
+    refuses, or provenance that `_provenance_fault` finds at fault."""
+    record_count = sum(sum(view.n) for _, view in count_columns(counts))
     if fault := _provenance_fault(source_digests, verdict_source):
         raise ValueError(fault)
-    record_count = sum(sum(TaskColumns.of(tcs).n) for tcs in counts.values())
     return RunManifest(run_id, dict(source_digests), record_count, verdict_source)
 
 
@@ -544,15 +536,20 @@ def _provenance_fault(source_digests: object, verdict_source: object) -> str | N
     if not (isinstance(source_digests, Mapping)
             and all(isinstance(name, str) and isinstance(d, str) for name, d in source_digests.items())):
         return "field 'source_digests' must be a map of file names to digests"
+    if has_surrogate_pair(verdict_source):
+        return "field 'verdict_source' holds a surrogate pair, which JSON reads back as one character"
+    if any(map(has_surrogate_pair, [*source_digests, *source_digests.values()])):
+        return "field 'source_digests' holds a surrogate pair, which JSON reads back as one character"
     return None
 
 
 def _body_chunks(counts: Mapping[str, Sequence[TaskCounts]]) -> Iterator[str]:
-    """The canonical body, one chunk per model in sorted order: its aggregated
-    lines sorted by task.  A model's lines share one prebuilt prefix, so only
-    c, n and the task vary, and a name is escaped as `json.dumps` escapes it."""
-    for model in sorted(counts):
-        head, view = f',"model":{_quote(model)},"n":', TaskColumns.of(counts[model])
+    """The canonical body, one chunk per model of `count_columns`, in sorted
+    order: its aggregated lines sorted by task.  A model's lines share one
+    prebuilt prefix, so only c, n and the task vary, and a name is escaped as
+    `json.dumps` escapes it."""
+    for model, view in count_columns(counts):
+        head = f',"model":{_quote(model)},"n":'
         yield "".join([f'{{"c":{c}{head}{n},"task":{_quote(task)}}}\n'
                        for task, n, c in zip(view.tasks, view.n, view.c)])
 

@@ -8,11 +8,12 @@ appear where a metric is explicitly defined as a floating-point quantity
 from __future__ import annotations
 
 import re
+from array import array
 from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter, eq, le, lt
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 #: Inputs accepted wherever an exact rational is required.  Floats are
 #: deliberately excluded: float(0.2) is not the rational 1/5, and threshold
@@ -25,6 +26,7 @@ ONE = Fraction(1)
 # so that no integer `as_rational` builds, or `format_tau` prints, has over 2000 digits
 _MAX_CHARS = _MAX_EXPONENT = 1000  # of a string `as_rational` reads, and of its exponent
 _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # Fraction's exponent, which int() reads
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 def as_rational(value: RationalLike, name: str = "value") -> Fraction:
@@ -194,11 +196,10 @@ class TaskCounts(Value):
         return Fraction(self.c, self.n)
 
 
-def _take(column: Sequence, rows: Sequence[int]) -> Sequence:
-    """column[i] for each i of `rows`, in a column of the same type (a list or an array)."""
-    taken = column[:0]
-    taken.extend(map(column.__getitem__, rows))
-    return taken
+def _pick(column: Sequence, rows: Sequence[int]) -> Sequence:
+    """column[i] for each i of `rows`: in an array of the column's type if it is one, else in a list."""
+    items = map(column.__getitem__, rows)
+    return array(column.typecode, items) if isinstance(column, array) else list(items)
 
 
 class TaskColumns(Value, SequenceABC):
@@ -227,20 +228,22 @@ class TaskColumns(Value, SequenceABC):
         self._assign(tasks, n, c)
 
     @classmethod
-    def select(cls, tasks: Sequence[str], n: Sequence[int], c: Sequence[int],
-               rows: Sequence[int] | None = None) -> "TaskColumns":
-        """The columns of the rows (tasks[i], n[i], c[i]) for each i of `rows`,
-        which must leave the tasks in order; by default every row, sorted by task."""
+    def _take(cls, tasks: Sequence[str], n: Sequence[int], c: Sequence[int],
+              rows: Sequence[int] | None = None) -> "TaskColumns":
+        """The columns of the rows (tasks[i], n[i], c[i]) for each i of `rows`, by
+        default every row sorted by task, unchecked: the rows must be checked
+        already, and `rows` must leave the tasks unique and in order."""
         if rows is None:
             rows = sorted(range(len(tasks)), key=tasks.__getitem__)
-        return cls(*(_take(column, rows) for column in (tasks, n, c)))
+        return cls._make(*(_pick(column, rows) for column in (tasks, n, c)))
 
     @classmethod
     def of(cls, counts: Sequence[TaskCounts]) -> "TaskColumns":
-        """`counts` if it is a TaskColumns, else the columns of its rows sorted by task."""
+        """`counts` if it is a TaskColumns, else its rows sorted by task, checked as columns."""
         if isinstance(counts, cls):
             return counts
-        return cls.select([tc.task for tc in counts], [tc.n for tc in counts], [tc.c for tc in counts])
+        rows = sorted(counts, key=attrgetter("task"))
+        return cls([tc.task for tc in rows], [tc.n for tc in rows], [tc.c for tc in rows])
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -257,6 +260,37 @@ class TaskColumns(Value, SequenceABC):
         if isinstance(other, (list, TaskColumns)):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented
+
+
+def has_surrogate_pair(text: str) -> bool:
+    """Whether `text` holds a high surrogate then a low one, which JSON reads back as one character."""
+    return not text.isascii() and _SURROGATE_PAIR.search(text) is not None
+
+
+def count_columns(counts: Mapping[str, Sequence[TaskCounts]]) -> Iterator[tuple[str, TaskColumns]]:
+    """The one rule for a `{model: counts}` map: (model, its counts as one
+    `TaskColumns`) per model in sorted order.  It refuses, naming the model,
+    an empty map, a model name that is not a nonempty string, a model with no
+    tasks, a repeated task and a name that `has_surrogate_pair`.  It checks
+    the names first and each model's counts as it yields them, so that a run
+    writer holds one model's columns at a time."""
+    if not counts:
+        raise ValueError("no models in the counts")
+    for model in counts:
+        if not (isinstance(model, str) and model):
+            raise ValueError(f"model name {model!r} must be a nonempty string")
+    for model in sorted(counts):
+        if not counts[model]:
+            raise ValueError(f"no task counts for model {model!r}")
+        try:  # a TaskColumns holds each task once; a list is sorted into one
+            view = TaskColumns.of(counts[model])
+        except ValueError:
+            raise ValueError(f"duplicate task in the counts for model {model!r}") from None
+        names = (model, *view.tasks)
+        if has_surrogate_pair("\0".join(names)):  # "\0" pairs with no surrogate
+            raise ValueError(f"name {next(filter(has_surrogate_pair, names))!r} in the counts for model {model!r} "
+                             "holds a surrogate pair, which JSON reads back as one character")
+        yield model, view
 
 
 class SuccessProfile(Value):

@@ -4,17 +4,17 @@ Human-facing tables print metrics x100 with two decimals (cover/pass) and
 mark the top three per column; machine-readable outputs (JSON, CSV) keep
 raw [0, 1] values, with exact rationals rendered as "num/den" strings.
 
-`build_report` reads each model's counts as one `TaskColumns` (a list of
-`TaskCounts` is turned into one once, by `align_profiles`), scales each
-task's c/n by L, the lcm of the aligned trial counts, straight from the
-columns, and places every task once on a `TaskTally`.  It counts all task
-columns once and reads the pooled table, the cover curves and the auc+
-matrix off that count; a grouped report
-adds one count per task group, and the bootstrap one per resample, the
-only count made in numpy.  Every table row comes from `TaskTally.table`,
-with one threshold rule: p >= tau is scaled p >= ceil(tau * L).  A pooled
-table is the table of one group holding every task.  Pass curves read
-(n - c) / n, and a Fraction is formed only for a value that is written out.
+`build_report` reads each model's counts as one `TaskColumns` (checked, and
+a list of `TaskCounts` turned into one once, by `records.count_columns`),
+scales each task's c/n by L, the lcm of the aligned trial counts, straight
+from the columns, and places every task once on a `TaskTally`.  It counts
+all task columns once and reads the pooled table, the cover curves and the
+auc+ matrix off that count; a grouped report adds one count per task
+group, and the bootstrap one per resample, the only count made in numpy.
+Every table row comes from `TaskTally.table`, with one threshold rule:
+p >= tau is scaled p >= ceil(tau * L).  A pooled table is the table of one
+group holding every task.  Pass curves read (n - c) / n, and a Fraction is
+formed only for a value that is written out.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: 
 from .dominance import build_cover_curve  # noqa: F401  (perfbench/spans.py wraps it)
 from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
 from .metrics import pass_values
-from .records import RationalLike, TaskColumns, TaskCounts, Value, as_thresholds
+from .records import RationalLike, TaskColumns, TaskCounts, Value, as_thresholds, count_columns
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
 DEFAULT_K_GRID = tuple(2**i for i in range(14))  # 1 .. 2^13
@@ -68,38 +68,24 @@ class ReportBundle(Value):
 def align_profiles(
     counts: Mapping[str, Sequence[TaskCounts]],
 ) -> tuple[dict[str, TaskColumns], dict[str, tuple[str, ...]]]:
-    """Restrict every model's counts, as `TaskColumns` in task order, to the
+    """Restrict every model's counts, as `count_columns` gives them, to the
     task set all models share: curves are only comparable over one task
-    set.  The returned map names each model's dropped tasks.  Builds no
-    task set when every model has the same tasks, else one.  (The name
-    predates counts; perfbench/spans.py wraps it.)"""
-    if not counts:
-        raise ValueError("no models to align")
-    views = {}
-    for model, row in counts.items():
-        if not model:
-            raise ValueError("model identifier must be nonempty")
-        if not row:
-            raise ValueError(f"no task counts for model {model!r}")
-        try:  # a TaskColumns holds each task once; a list is sorted into one
-            views[model] = TaskColumns.of(row)
-        except ValueError:
-            raise ValueError(f"duplicate task in the counts for model {model!r}") from None
+    set.  The returned map names each model's dropped tasks; both maps are
+    in sorted model order.  Builds no task set when every model has the same
+    tasks, else one.  (The name predates counts; perfbench/spans.py wraps it.)"""
+    views = dict(count_columns(counts))
     first, *rest = views.values()
     if all(view.tasks == first.tasks for view in rest):
         return views, {}
     shared = set(first.tasks).intersection(*(view.tasks for view in rest))
     if not shared:
-        raise ValueError(
-            "task sets have empty intersection across models "
-            f"{list(counts)}; nothing to compare"
-        )
+        raise ValueError(f"task sets have empty intersection across models {list(views)}; nothing to compare")
     dropped: dict[str, tuple[str, ...]] = {}
     for model, view in views.items():
         if len(view) > len(shared):
             dropped[model] = tuple(task for task in view.tasks if task not in shared)
             kept = [t for t, task in enumerate(view.tasks) if task in shared]
-            views[model] = TaskColumns.select(view.tasks, view.n, view.c, kept)
+            views[model] = TaskColumns._take(view.tasks, view.n, view.c, kept)
     return views, dropped
 
 
@@ -114,16 +100,15 @@ def build_report(
 ) -> ReportBundle:
     """Compute the full report bundle from aggregated counts, over every
     model they hold: each model's `TaskColumns`, or a list of `TaskCounts`,
-    which is turned into one once."""
-    models = sorted(counts)
+    which `records.count_columns` checks and turns into one once."""
     if bootstrap_resamples < 0:
         raise ValueError(f"bootstrap resample count must be >= 0, got {bootstrap_resamples}")
     if group_delimiter == "":
         raise ValueError("group delimiter must be a nonempty string, got ''")
     tau_fracs = as_thresholds(taus, "tau")
 
-    aligned, dropped = align_profiles({m: counts[m] for m in models})
-    columns = list(aligned.values())
+    aligned, dropped = align_profiles(counts)
+    models, columns = list(aligned), list(aligned.values())
     tasks = columns[0].tasks
 
     notes: list[str] = []
@@ -134,7 +119,7 @@ def build_report(
                 f"model {model!r}: {low} task(s) with fewer than {LOW_TRIAL_WARNING} trials; "
                 f"cover estimates at high thresholds are coarse (granularity 1/n)"
             )
-    for model, extra in sorted(dropped.items()):
+    for model, extra in dropped.items():
         notes.append(
             f"model {model!r}: dropped {len(extra)} task(s) outside the shared task set: "
             + ", ".join(extra)

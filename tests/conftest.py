@@ -5,8 +5,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+# Every phase but explain, which only adds notes to a failure's report: on a
+# failing property it ran for minutes and grew to hundreds of MB.  No check
+# is loosened; a failure is still found, shrunk and reported.
+settings.register_profile("covertau", phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("covertau")
 
 
 @pytest.hookimpl(hookwrapper=True)

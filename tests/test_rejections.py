@@ -6,7 +6,9 @@ types, the helpers of each module, and one command through `main`.
 suite never runs.
 """
 
+import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from covertau import (
     GuesserSpec,
     PassCurve,
     ProfileSpec,
+    RunManifest,
     SampleRecord,
     SuccessProfile,
     TaskCounts,
@@ -30,12 +33,13 @@ from covertau import (
     maj_at_n,
     make_profile,
     majority_threshold,
+    persist_run,
     toy_model_a,
 )
 from covertau.cli import main
 from covertau.ingest import ParseError
 from covertau.plots import cover_curves_svg, pass_curves_svg
-from covertau.records import as_rational
+from covertau.records import as_rational, has_surrogate_pair
 from covertau.report import align_profiles, build_report, render_dominance_text
 
 F = Fraction
@@ -62,7 +66,7 @@ CASES = {
     # ingest
     "grading-no-answer": (lambda: apply_grading([SampleRecord("m", "t", 0)], {"t": "1"}),
                           r"sample_index=0\) has no verdict and no answer text"),
-    "manifest-no-counts": (lambda: build_manifest({}, {}, "flags"), "no counts to persist"),
+    "manifest-no-counts": (lambda: build_manifest({}, {}, "flags"), "no models in the counts"),
     # metrics
     "maj-empty": (lambda: maj_at_n([]), "no task counts"),
     "majority-threshold": (lambda: majority_threshold(0), "n must be >= 1, got 0"),
@@ -82,8 +86,8 @@ CASES = {
     "profile-restrict": (lambda: toy_model_a(4).restrict(["x"]), "restriction leaves no tasks for model 'A'"),
     "gold-task": (lambda: GoldAnswer("", "1"), "task identifier must be nonempty"),
     # report
-    "align-nothing": (lambda: align_profiles({}), "no models to align"),
-    "align-model": (lambda: align_profiles({"": [COUNTS]}), "model identifier must be nonempty"),
+    "align-nothing": (lambda: align_profiles({}), "no models in the counts"),
+    "align-model": (lambda: align_profiles({"": [COUNTS]}), "model name '' must be a nonempty string"),
     "align-no-counts": (lambda: align_profiles({"m": []}), "no task counts for model 'm'"),
     "align-repeated-task": (lambda: align_profiles({"m": [COUNTS, COUNTS]}), "duplicate task in the counts for model 'm'"),
     "report-repeated-tau": (lambda: build_report({"m": [COUNTS]}, taus=("0.2", "1/5")), "tau gives threshold 0.2 more than once"),
@@ -105,6 +109,46 @@ CASES = {
 def test_rejection_raises_its_message(make, message):
     with pytest.raises((ValueError, TypeError), match=message):
         make()
+
+
+PAIR = "\ud800\udfff"  # a high surrogate, then a low one: JSON reads their escapes back as one character
+
+# every fault of the one counts-map rule, `records.count_columns`
+MAP_FAULTS = {
+    "no-models": ({}, "no models in the counts"),
+    "empty-model-name": ({"": [COUNTS]}, "model name '' must be a nonempty string"),
+    "int-beside-str-model-name": ({1: [COUNTS], "a": [COUNTS]}, "model name 1 must be a nonempty string"),
+    "int-model-names": ({1: [COUNTS], 2: [COUNTS]}, "model name 1 must be a nonempty string"),
+    "model-without-tasks": ({"a": [COUNTS], "m": []}, "no task counts for model 'm'"),
+    "repeated-task": ({"m": [COUNTS, COUNTS]}, "duplicate task in the counts for model 'm'"),
+    "pair-in-model-name": ({"m" + PAIR: [COUNTS]},
+                           f"name {'m' + PAIR!r} in the counts for model {'m' + PAIR!r} holds a surrogate pair"),
+    "pair-in-task-name": ({"m": [COUNTS, TaskCounts(PAIR, 1, 0)]},
+                          f"name {PAIR!r} in the counts for model 'm' holds a surrogate pair"),
+}
+# a manifest whose run_id and record_count are those of an empty body
+EMPTY_MANIFEST = RunManifest(hashlib.sha256(b"").hexdigest(), {}, 0, "flags")
+MAP_READERS = {
+    "build_report": lambda counts, path: build_report(counts),
+    "build_manifest": lambda counts, path: build_manifest(counts, {}, "flags"),
+    "persist_run": lambda counts, path: persist_run(EMPTY_MANIFEST, counts, path),
+}
+
+
+@pytest.mark.parametrize("counts, message", MAP_FAULTS.values(), ids=MAP_FAULTS.keys())
+@pytest.mark.parametrize("read", MAP_READERS.values(), ids=MAP_READERS.keys())
+def test_counts_map_fault_raises_the_rules_message(tmp_path, read, counts, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read(counts, tmp_path / "run.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, paired", [
+    (PAIR, True), ("a" + PAIR + "b", True), ("\udbff\udc00", True),
+    ("", False), ("\ud800", False), ("\udfff\ud800", False), ("\ud800x\udfff", False), ("\U000103ff", False),
+])
+def test_surrogate_pair_is_a_high_surrogate_then_a_low_one(text, paired):
+    assert has_surrogate_pair(text) is paired
 
 
 @pytest.mark.parametrize("text, message", [

@@ -8,13 +8,14 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertau import ParseError, RunManifest, TaskColumns, TaskCounts, build_manifest, load_run, persist_run
 from covertau import ingest
 from covertau.cli import main
 from covertau.ingest import read_log
+from covertau.records import has_surrogate_pair
 
 
 def json_dumps_body(counts):
@@ -45,10 +46,23 @@ counts_maps = st.dictionaries(
 })
 
 
+PAIR = "\ud800\udfff"  # a high surrogate, then a low one: JSON reads their escapes back as one character
+
+
+def paired_name(counts, *texts):
+    """Whether a model or task name of `counts`, or one of `texts`, holds a surrogate pair."""
+    names = [*counts, *(tc.task for tcs in counts.values() for tc in tcs), *texts]
+    return any(isinstance(name, str) and has_surrogate_pair(name) for name in names)
+
+
 @settings(max_examples=300, deadline=None)
 @given(counts_maps)
 def test_template_renderer_matches_json_dumps(counts):
-    assert "".join(ingest._body_chunks(counts)) == json_dumps_body(counts)
+    if paired_name(counts):  # a name that a run file would not give back is refused
+        with pytest.raises(ValueError, match="holds a surrogate pair"):
+            "".join(ingest._body_chunks(counts))
+    else:
+        assert "".join(ingest._body_chunks(counts)) == json_dumps_body(counts)
 
 
 def test_odd_names_round_trip_byte_identically(tmp_path):
@@ -251,23 +265,32 @@ def test_run_body_gets_the_raw_log_schema_checks(tmp_path, capsys, body, lineno,
 @pytest.mark.parametrize(
     "counts, digests, verdict_source, message",
     [
-        ({"a": [], "b": ONE_RECORD["m"]}, {}, "flags", "model 'a' has no counts"),
-        ({"a": []}, {}, "flags", "model 'a' has no counts"),
+        ({"a": [], "b": ONE_RECORD["m"]}, {}, "flags", "no task counts for model 'a'"),
+        ({"a": []}, {}, "flags", "no task counts for model 'a'"),
         ({"": ONE_RECORD["m"]}, {}, "flags", "model name '' must be a nonempty string"),
+        ({}, {}, "flags", "no models in the counts"),
+        ({PAIR: [TaskCounts("t", 1, 0)]}, {}, "flags", f"name {PAIR!r} in the counts for model {PAIR!r} holds a "
+                                                       "surrogate pair, which JSON reads back as one character"),
+        ({"m": [TaskCounts(PAIR, 1, 0)]}, {}, "flags", f"name {PAIR!r} in the counts for model 'm' holds a "
+                                                       "surrogate pair, which JSON reads back as one character"),
         (ONE_RECORD, {"x": 1}, "flags", "field 'source_digests' must be a map of file names to digests"),
         (ONE_RECORD, {1: "ab"}, "flags", "field 'source_digests' must be a map of file names to digests"),
+        (ONE_RECORD, {PAIR: "ab"}, "flags", "field 'source_digests' holds a surrogate pair"),
+        (ONE_RECORD, {"x": "a" + PAIR}, "flags", "field 'source_digests' holds a surrogate pair"),
         (ONE_RECORD, {}, "", "field 'verdict_source' must be a nonempty string"),
         (ONE_RECORD, {}, None, "field 'verdict_source' must be a nonempty string"),
+        (ONE_RECORD, {}, "flags" + PAIR, "field 'verdict_source' holds a surrogate pair"),
     ],
-    ids=["empty-model-beside-another", "only-an-empty-model", "empty-model-name", "digest-not-a-string",
-         "file-name-not-a-string", "empty-verdict-source", "no-verdict-source"],
+    ids=["empty-model-beside-another", "only-an-empty-model", "empty-model-name", "no-models", "paired-model-name",
+         "paired-task-name", "digest-not-a-string", "file-name-not-a-string", "paired-file-name", "paired-digest",
+         "empty-verdict-source", "no-verdict-source", "paired-verdict-source"],
 )
 def test_run_that_would_not_load_back_equal_is_refused_before_writing(tmp_path, counts, digests, verdict_source,
                                                                       message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build_manifest(counts, digests, verdict_source)
     # a manifest made by hand, with the body's own run_id, is refused too
-    run_id = hashlib.sha256("".join(ingest._body_chunks(counts)).encode("utf-8")).hexdigest()
+    run_id = hashlib.sha256(json_dumps_body(counts).encode("utf-8")).hexdigest()
     manifest = RunManifest(run_id, digests, sum(tc.n for tcs in counts.values() for tc in tcs), verdict_source)
     with pytest.raises(ValueError, match=re.escape(message)):
         persist_run(manifest, counts, tmp_path / "run.jsonl")
@@ -288,11 +311,13 @@ loose_verdicts = st.one_of(names, st.sampled_from(["", None, 7]))
 
 @settings(max_examples=300, deadline=None)
 @given(loose_counts, loose_digests, loose_verdicts)
+@example({PAIR: [TaskCounts('"', 1, 0)]}, {}, "flags")  # read back, the model name would be "\U000103ff"
 def test_whatever_build_manifest_accepts_loads_back_equal(counts, digests, verdict_source):
     try:
         manifest = build_manifest(counts, digests, verdict_source)
     except ValueError:
         return
+    assert not paired_name(counts, verdict_source, *digests, *digests.values())
     with tempfile.TemporaryDirectory() as tmp:
         loaded_manifest, loaded = load_run(persist_run(manifest, counts, Path(tmp) / "run.jsonl"))
     assert loaded_manifest == manifest
@@ -300,8 +325,8 @@ def test_whatever_build_manifest_accepts_loads_back_equal(counts, digests, verdi
 
 
 def test_in_order_run_body_is_not_checked_again_as_columns(tmp_path, monkeypatch):
-    # the fold checks each row and sees the tasks ascend; rows out of order
-    # are sorted into checked columns
+    # the fold checks each row and sees the tasks ascend, or keeps them
+    # unique; rows out of order are sorted without a second check
     counts = {m: [TaskCounts(f"t{j}", 4, (j + i) % 5) for j in range(6)] for i, m in enumerate("ab")}
     path = _write(tmp_path, counts)
     log = tmp_path / "log.jsonl"
@@ -315,4 +340,4 @@ def test_in_order_run_body_is_not_checked_again_as_columns(tmp_path, monkeypatch
 
     monkeypatch.setattr(TaskColumns, "__init__", counting_init)
     assert load_run(path)[1] == counts and calls == []
-    assert read_log(log).counts == counts and calls == [6, 6]
+    assert read_log(log).counts == counts and calls == []

@@ -59,10 +59,26 @@ def test_report_of_views_is_the_report_of_lists(first, second):
 
 
 def test_out_of_order_rows_are_sorted_by_task():
-    view = TaskColumns.select(["b", "c", "a"], array("q", [2, 3, 1]), array("q", [0, 3, 1]))
+    view = TaskColumns._take(["b", "c", "a"], array("q", [2, 3, 1]), array("q", [0, 3, 1]))
     assert view == [TaskCounts("a", 1, 1), TaskCounts("b", 2, 0), TaskCounts("c", 3, 3)]
     assert view.n == array("q", [1, 2, 3]) and view.c == array("q", [1, 0, 3])
-    assert TaskColumns.select(view.tasks, view.n, view.c, [0, 2]) == [view[0], view[2]]
+    assert TaskColumns._take(view.tasks, view.n, view.c, [0, 2]) == [view[0], view[2]]
+
+
+def test_take_builds_no_checked_columns(monkeypatch):
+    # its callers hand it rows that are checked already
+    monkeypatch.setattr(TaskColumns, "__init__", lambda self, *columns: pytest.fail("columns checked again"))
+    assert TaskColumns._take(["b", "a"], [1, 2], [0, 2]) == [TaskCounts("a", 2, 2), TaskCounts("b", 1, 0)]
+
+
+def test_tuple_columns_are_taken_into_lists():
+    view = TaskColumns._take(("t2", "t1"), (4, 5), (1, 2))
+    assert (view.tasks, view.n, view.c) == (["t1", "t2"], [5, 4], [2, 1])
+    counts = {"a": TaskColumns(("t1", "t2"), (4, 4), (1, 2)), "b": TaskColumns(("t1",), (4,), (1,))}
+    lists = {"a": [TaskCounts("t1", 4, 1), TaskCounts("t2", 4, 2)], "b": [TaskCounts("t1", 4, 1)]}
+    bundle = build_report(counts)
+    assert bundle.dropped_tasks == {"a": ("t2",)}
+    assert bundle_json(bundle) == bundle_json(build_report(lists))
 
 
 @pytest.mark.parametrize(
