@@ -37,7 +37,7 @@ _IMPORTS = {
                "parse_gold", "persist_run", "read_log"),
     "metrics": ("check_k_grid",),
     "plots": ("cover_curves_svg", "pass_curves_svg"),
-    "records": ("as_thresholds", "as_unit_rational"),
+    "records": ("as_thresholds", "as_unit_rational", "check_name"),
     "report": ("DEFAULT_K_GRID", "DEFAULT_TAUS", "build_report", "bundle_chunks", "bundle_json", "cover_curve_csv",
                "metrics_csv", "pass_curve_csv", "render_dominance_text", "render_metrics_table", "safe_filename"),
     "synth": ("GuesserSpec", "ProfileSpec", "completions_log", "guesser_gold", "guesser_log", "guesser_profile",
@@ -134,8 +134,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from collections import Counter
 
     _load("files", "records", "synth")
-    if args.model == "":
-        raise ValueError("--model must be a nonempty string, got ''")
+    if args.model is not None:
+        check_name(args.model, "--model")
     for flag, count in (("--tasks", args.tasks), ("--trials", args.trials)):
         if count < 1:
             raise ValueError(f"{flag} must be >= 1, got {count}")
@@ -202,13 +202,17 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report(args: argparse.Namespace, **options):
+def _report(args: argparse.Namespace, min_models: int = 1, **options):
     """The report bundle of `args.input` under the shared input flags plus
-    a command's own `build_report` options."""
+    a command's own `build_report` options; a selection of fewer than
+    `min_models` models is refused before any report is built."""
     counts, provenance = _load_counts(args.input, args.gold)
     if unknown := sorted(set(args.model or ()) - set(counts)):
         raise ValueError(f"--model names unknown models {unknown}; known models: {sorted(counts)}")
     selected = {model: counts[model] for model in args.model or counts}
+    if len(selected) < min_models:
+        where = f"; --model selects only {args.model[0]!r}" if args.model else " in the run"
+        raise ValueError(f"{args.command} needs at least {min_models} models{where}")
     return build_report(selected, ks=_parse_ks(args.k), provenance=provenance, **options)
 
 
@@ -229,9 +233,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     sys.stdout.write(render_metrics_table(bundle))
     if args.out_dir:
         out = Path(args.out_dir)
+        table = metrics_csv(bundle)  # rendered first; a bundle.json that fails as it streams leaves no file
         out.mkdir(parents=True, exist_ok=True)
         write_atomic(out / "bundle.json", bundle_chunks(bundle))
-        write_atomic(out / "metrics.csv", metrics_csv(bundle))
+        write_atomic(out / "metrics.csv", table)
         print(f"wrote {out / 'bundle.json'} and {out / 'metrics.csv'}")
     return 0
 
@@ -247,24 +252,24 @@ def _cmd_curves(args: argparse.Namespace) -> int:
                 f"models {stems[stem]!r} and {model!r} would both write cover_curve_{stem}.csv "
                 f"and pass_curve_{stem}.csv; select one of them with --model"
             )
+    # every file is rendered before the first is written, so a failure leaves none
+    texts = {}
+    for stem, model in stems.items():
+        texts[f"cover_curve_{stem}.csv"] = cover_curve_csv(bundle.cover_curves[model])
+        texts[f"pass_curve_{stem}.csv"] = pass_curve_csv(bundle.pass_curves[model])
+    texts["cover_curves.svg"] = cover_curves_svg(list(bundle.cover_curves.values()))
+    texts["pass_curves.svg"] = pass_curves_svg(list(bundle.pass_curves.values()))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for stem, model in stems.items():
-        write_atomic(out / f"cover_curve_{stem}.csv", cover_curve_csv(bundle.cover_curves[model]))
-        write_atomic(out / f"pass_curve_{stem}.csv", pass_curve_csv(bundle.pass_curves[model]))
-    write_atomic(out / "cover_curves.svg", cover_curves_svg(list(bundle.cover_curves.values())))
-    write_atomic(out / "pass_curves.svg", pass_curves_svg(list(bundle.pass_curves.values())))
+    for name, text in texts.items():
+        write_atomic(out / name, text)
     print(f"wrote curve tables and SVG plots for {len(bundle.models)} model(s) to {out}")
     return 0
 
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
     _load(*_REPORT_MODULES)
-    if args.model and len(set(args.model)) < 2:
-        raise ValueError(f"dominance needs at least 2 models; --model selects only {args.model[0]!r}")
-    bundle = _report(args, **_table_options(args))
-    if bundle.dominance is None:
-        raise ValueError("dominance needs at least 2 models in the run")
+    bundle = _report(args, min_models=2, **_table_options(args))
     sys.stdout.write(render_dominance_text(bundle))
     if args.out_dir:
         out = Path(args.out_dir)

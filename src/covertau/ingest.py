@@ -41,12 +41,13 @@ an answer), true or false, and integers of at most 18 digits without a
 leading zero; a value that holds a backslash is then decoded as JSON string
 text.  A block goes line by line through `json.loads` if a line does not
 match (a blank line, another layout, an escaped key, an escaped quote in a
-value), if a value does not decode, or if it is not UTF-8.  Both paths fold
-their rows with the same two functions, which make the checks no pattern
-can (a repeated sample_index within a key, n >= 1, c <= n and a repeated
-task) and name the line of each error.  Aggregated rows fold into one
-`TaskColumns` per model: interned task names, shared by every model's row
-for a task, and n and c in `array('q')`.
+value), if a value does not decode, if a decoded model or task is refused
+by `records.check_name`, or if it is not UTF-8.  Both paths fold their rows
+with the same two functions, which make the checks no pattern can (a
+repeated sample_index within a key, n >= 1, c <= n and a repeated task) and
+name the line of each error.  Aggregated rows fold into one `TaskColumns`
+per model: interned task names, shared by every model's row for a task, and
+n and c in `array('q')`.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .files import write_atomic
-from .records import GoldAnswer, SampleRecord, TaskColumns, TaskCounts, Value, count_columns, has_surrogate_pair
+from .records import GoldAnswer, SampleRecord, TaskColumns, TaskCounts, Value, check_name, count_columns
 
 FORMAT_NAME = "covertau-run-v2"
 _MANIFEST_KEYS = frozenset({"kind", "format", "run_id", "source_digests", "record_count", "verdict_source"})
@@ -254,10 +255,10 @@ def _line_kind(obj: object, kind: str | None, lineno: int, source: str) -> str:
 
 
 def _require_str(obj: dict, key: str, lineno: int, source: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise ParseError(f"{source}:{lineno}: field {key!r} must be a nonempty string")
-    return value
+    try:
+        return check_name(obj.get(key), f"field {key!r}")
+    except ValueError as exc:
+        raise ParseError(f"{source}:{lineno}: {exc}") from None
 
 
 def _require_int(obj: dict, key: str, lineno: int, source: str) -> int:
@@ -307,7 +308,9 @@ def parse_gold(lines: Iterable[str], source: str = "<gold>") -> dict[str, str]:
         if not line:
             continue
         obj = _parse_json_line(line, lineno, source)
-        task, answer = _require_str(obj, "task", lineno, source), _require_str(obj, "answer", lineno, source)
+        task, answer = _require_str(obj, "task", lineno, source), obj.get("answer")
+        if not (isinstance(answer, str) and answer):  # an answer is graded, not written: not a name
+            raise ParseError(f"{source}:{lineno}: field 'answer' must be a nonempty string")
         try:  # GoldAnswer rejects an answer of whitespace only
             entry = GoldAnswer(task=task, answer=answer)
         except ValueError as exc:
@@ -531,15 +534,15 @@ def _implied_manifest(
 def _provenance_fault(source_digests: object, verdict_source: object) -> str | None:
     """The first fault of a run's provenance fields, in the order `load_run`
     checks them, or None: one rule for writing a run and for reading it."""
-    if not (isinstance(verdict_source, str) and verdict_source):
-        return "field 'verdict_source' must be a nonempty string"
     if not (isinstance(source_digests, Mapping)
             and all(isinstance(name, str) and isinstance(d, str) for name, d in source_digests.items())):
         return "field 'source_digests' must be a map of file names to digests"
-    if has_surrogate_pair(verdict_source):
-        return "field 'verdict_source' holds a surrogate pair, which JSON reads back as one character"
-    if any(map(has_surrogate_pair, [*source_digests, *source_digests.values()])):
-        return "field 'source_digests' holds a surrogate pair, which JSON reads back as one character"
+    try:
+        check_name(verdict_source, "field 'verdict_source'")
+        for name in (*source_digests, *source_digests.values()):
+            check_name(name, "file name or digest in field 'source_digests'")
+    except ValueError as exc:
+        return str(exc)
     return None
 
 
@@ -724,11 +727,13 @@ def _block_rows(text: str, lines: int, kind: str | None) -> tuple[str, list[tupl
     if kind not in (None, schema) or len(rows := pattern.findall(text)) != lines:
         return None
     if "\\" in text:
-        # row k is line k: rebuild only the rows whose line holds a backslash
+        # row k is line k: rebuild only the rows whose line holds a backslash, the one way to write a surrogate
         try:
             for k in [k for k, line in enumerate(text.split("\n")) if "\\" in line]:
-                rows[k] = tuple([_unescape(v) if "\\" in v else v for v in rows[k]])
-        except ValueError:  # a bad escape, or a backslash that escapes the closing quote
+                rows[k] = row = tuple([_unescape(v) if "\\" in v else v for v in rows[k]])
+                for name in fields(row)[:2]:
+                    check_name(name, "name")
+        except ValueError:  # a bad escape, a backslash that escapes the closing quote, or a name refused
             return None
     return schema, rows, fields
 

@@ -3,6 +3,10 @@
 All probabilities are exact rationals (`fractions.Fraction`).  Floats only
 appear where a metric is explicitly defined as a floating-point quantity
 (pass@k evaluation) or at export time.
+
+Every model, task and source name is checked by one rule, `check_name`: a
+nonempty str that UTF-8 can encode.  Each type here that holds a name
+applies it when it is built, and so do the readers and writers of files.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ ONE = Fraction(1)
 # so that no integer `as_rational` builds, or `format_tau` prints, has over 2000 digits
 _MAX_CHARS = _MAX_EXPONENT = 1000  # of a string `as_rational` reads, and of its exponent
 _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # Fraction's exponent, which int() reads
-_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the code points that UTF-8 cannot encode
 
 
 def as_rational(value: RationalLike, name: str = "value") -> Fraction:
@@ -89,6 +93,17 @@ def format_tau(tau: Fraction) -> str:
             s = str(scaled.numerator).rjust(digits + 1, "0")
             return f"{s[:-digits]}.{s[-digits:]}"
     return f"{tau.numerator}/{tau.denominator}"
+
+
+def check_name(value: object, what: str) -> str:
+    """`value` if it is a name, else a ValueError that names `what`: the one
+    rule for a model, task or source name.  A name is a nonempty str with no
+    code point in U+D800-U+DFFF, that is, a str that UTF-8 can encode."""
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{what} must be a nonempty string, got {value!r}")
+    if not value.isascii() and _SURROGATE.search(value):
+        raise ValueError(f"{what} {value!r} holds a surrogate code point, which UTF-8 cannot encode")
+    return value
 
 
 _setattr = object.__setattr__
@@ -160,10 +175,8 @@ class SampleRecord(Value):
 
     def __init__(self, model: str, task: str, sample_index: int, answer: str | None = None,
                  correct: bool | None = None) -> None:
-        if not model:
-            raise ValueError("model identifier must be nonempty")
-        if not task:
-            raise ValueError("task identifier must be nonempty")
+        check_name(model, "model")
+        check_name(task, "task")
         if sample_index < 0:
             raise ValueError(f"sample_index must be >= 0, got {sample_index}")
         self._assign(model, task, sample_index, answer, correct)
@@ -179,8 +192,7 @@ class TaskCounts(Value):
     __slots__ = ("task", "n", "c")
 
     def __init__(self, task: str, n: int, c: int) -> None:
-        if not task:
-            raise ValueError("task identifier must be nonempty")
+        check_name(task, "task")
         if type(n) is not int or type(c) is not int:  # True or 2.0 would persist as true or 2.0
             name, value = ("n", n) if type(n) is not int else ("c", c)
             raise ValueError(f"{name} must be an integer for task {task!r}, got {value!r}")
@@ -219,10 +231,12 @@ class TaskColumns(Value, SequenceABC):
     def __init__(self, tasks: Sequence[str], n: Sequence[int], c: Sequence[int]) -> None:
         if not len(tasks) == len(n) == len(c):
             raise ValueError(f"columns differ in length: {len(tasks)} tasks, {len(n)} n and {len(c)} c")
+        for task in tasks:
+            check_name(task, "task")
         if not all(map(lt, tasks, islice(tasks, 1, None))):
             raise ValueError("tasks must be unique and in sorted order")
         if ({*map(type, n), *map(type, c)} - {int} or not all(map(le, c, n))
-                or tasks and (not tasks[0] or min(n) < 1 or min(c) < 0)):
+                or tasks and (min(n) < 1 or min(c) < 0)):
             for _ in map(TaskCounts, tasks, n, c):  # which raises for the first bad row
                 pass
         self._assign(tasks, n, c)
@@ -262,34 +276,25 @@ class TaskColumns(Value, SequenceABC):
         return NotImplemented
 
 
-def has_surrogate_pair(text: str) -> bool:
-    """Whether `text` holds a high surrogate then a low one, which JSON reads back as one character."""
-    return not text.isascii() and _SURROGATE_PAIR.search(text) is not None
-
-
 def count_columns(counts: Mapping[str, Sequence[TaskCounts]]) -> Iterator[tuple[str, TaskColumns]]:
     """The one rule for a `{model: counts}` map: (model, its counts as one
-    `TaskColumns`) per model in sorted order.  It refuses, naming the model,
-    an empty map, a model name that is not a nonempty string, a model with no
-    tasks, a repeated task and a name that `has_surrogate_pair`.  It checks
-    the names first and each model's counts as it yields them, so that a run
-    writer holds one model's columns at a time."""
+    `TaskColumns`) per model in sorted order.  It refuses an empty map, a
+    name that `check_name` refuses and, naming the model, a model with no
+    tasks and a repeated task.  It checks the model names first and each
+    model's counts, task names too, as it yields them, so that a run writer
+    holds one model's columns at a time."""
     if not counts:
         raise ValueError("no models in the counts")
-    for model in counts:
-        if not (isinstance(model, str) and model):
-            raise ValueError(f"model name {model!r} must be a nonempty string")
-    for model in sorted(counts):
+    for model in sorted([check_name(model, "model") for model in counts]):
         if not counts[model]:
             raise ValueError(f"no task counts for model {model!r}")
         try:  # a TaskColumns holds each task once; a list is sorted into one
             view = TaskColumns.of(counts[model])
         except ValueError:
             raise ValueError(f"duplicate task in the counts for model {model!r}") from None
-        names = (model, *view.tasks)
-        if has_surrogate_pair("\0".join(names)):  # "\0" pairs with no surrogate
-            raise ValueError(f"name {next(filter(has_surrogate_pair, names))!r} in the counts for model {model!r} "
-                             "holds a surrogate pair, which JSON reads back as one character")
+        if not "".join(view.tasks).isascii():  # else no task can hold a surrogate
+            for task in view.tasks:
+                check_name(task, "task")
         yield model, view
 
 
@@ -303,14 +308,12 @@ class SuccessProfile(Value):
     __slots__ = ("model", "entries")
 
     def __init__(self, model: str, entries: tuple[tuple[str, Fraction], ...]) -> None:
-        if not model:
-            raise ValueError("model identifier must be nonempty")
+        check_name(model, "model")
         if not entries:
             raise ValueError(f"profile for {model!r} has no tasks")
         seen: set[str] = set()
         for task, p in entries:
-            if not task:
-                raise ValueError(f"task identifier must be nonempty in profile for {model!r}")
+            check_name(task, "task")
             if task in seen:
                 raise ValueError(f"duplicate task {task!r} in profile for {model!r}")
             seen.add(task)
@@ -357,8 +360,7 @@ class GoldAnswer(Value):
     __slots__ = ("task", "answer")
 
     def __init__(self, task: str, answer: str) -> None:
-        if not task:
-            raise ValueError("task identifier must be nonempty")
+        check_name(task, "task")
         if not answer.strip():
             raise ValueError(f"gold answer for task {task!r} is empty")
         self._assign(task, answer)

@@ -37,7 +37,7 @@ from itertools import chain, count
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .records import RationalLike, SampleRecord, SuccessProfile, Value, as_unit_rational
+from .records import RationalLike, SampleRecord, SuccessProfile, Value, as_unit_rational, check_name
 
 # numpy is imported inside the functions that compute with it, so that
 # commands which never do (`--version`, `ingest`) start without loading it
@@ -62,8 +62,7 @@ class GuesserSpec(Value):
             raise ValueError(f"tasks must be >= 1, got {tasks}")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        if not model:
-            raise ValueError("model identifier must be nonempty")
+        check_name(model, "model")
         self._assign(support_size, tasks, trials, seed, model)
 
     @property

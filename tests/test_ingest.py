@@ -353,7 +353,8 @@ class TestRawFiles:
         run.write_text('{"format":"covertau-run-v2","kind":"manifest","record_count":1,"run_id":"0",'
                        '"source_digests":{}}\n', encoding="utf-8")
         assert main(["compute", "--input", str(run), "--gold", str(tmp_path / "gold.jsonl")]) == 2
-        assert capsys.readouterr().err == f"error: {run}:1: field 'verdict_source' must be a nonempty string\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {run}:1: field 'verdict_source' must be a nonempty string, got None\n"
 
     def test_undecodable_first_line_is_not_a_run_file(self, tmp_path, capsys):
         path = tmp_path / "log.jsonl"

@@ -328,7 +328,7 @@ class TestDegenerateInputs:
             SuccessProfile(model="m", entries=())
 
     def test_empty_task_identifier_rejected(self):
-        with pytest.raises(ValueError, match="task identifier must be nonempty"):
+        with pytest.raises(ValueError, match="task must be a nonempty string, got ''"):
             SuccessProfile.from_pairs("m", [("t", F(1, 2)), ("", F(1, 2))])
 
     def test_probability_out_of_range_rejected(self):

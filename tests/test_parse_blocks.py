@@ -24,8 +24,9 @@ import parse_oracle
 from covertau import ingest, load_run
 from covertau.ingest import ParseError, read_log
 
-# the first two need no JSON escape when written with ensure_ascii off
-MODELS = ("m", "mé", "m\\n", 'm"q')
+# the first two need no JSON escape when written with ensure_ascii off; the
+# last, a lone surrogate, is not a name, and is always written as an escape
+MODELS = ("m", "mé", "m\\n", 'm"q', "m\ud800")
 TASKS = ("t", "τ", "t 2")
 # the key text inside answers, escapes and non-ASCII text, some graded and some
 # not; the first four need no JSON escape when written with ensure_ascii off
@@ -50,7 +51,7 @@ def templates(draw):
     ascii_only = not plain and draw(st.booleans())
 
     def text(value):
-        return json.dumps(value, ensure_ascii=ascii_only)
+        return json.dumps(value, ensure_ascii=ascii_only or value == MODELS[-1])
 
     pairs = [('"model"', text(draw(st.sampled_from(MODELS[:3] if plain else MODELS)))),
              ('"task"', text(draw(st.sampled_from(TASKS)))),
@@ -160,15 +161,35 @@ def escaped_rows(key, value):
 
 
 @pytest.mark.parametrize("key", ["model", "task", "answer"])
-@pytest.mark.parametrize("value", ["a\\b", "é", "a\nb", "a\x01b", "a\\", "\\\\", "\ud800"])
+@pytest.mark.parametrize("value", ["a\\b", "é", "a\nb", "a\x01b", "a\\", "\\\\"])
 def test_an_escaped_value_is_read_on_the_block_path(tmp_path, loads_calls, key, value):
-    # a value may end in an escaped backslash, or decode to a lone surrogate
+    # a value may end in an escaped backslash
     check_readers(tmp_path, escaped_rows(key, value))
     ingest._unescape.cache_clear()
     loads_calls.clear()
     read_log(tmp_path / "log.jsonl")
     assert loads_calls["loads"] == 0
     assert loads_calls["decodes"] == 1  # the one distinct escaped value
+
+
+def test_an_escaped_lone_surrogate_is_an_answer_on_the_block_path(tmp_path, loads_calls):
+    # an answer is graded, never written, so it need not be a name
+    check_readers(tmp_path, escaped_rows("answer", "\ud800"))
+    ingest._unescape.cache_clear()
+    loads_calls.clear()
+    assert read_log(tmp_path / "log.jsonl").records[("m", "t")].answers["\ud800"] == 1
+    assert loads_calls["loads"] == 0
+    assert loads_calls["decodes"] == 1
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("key", ["model", "task"])
+def test_an_escaped_lone_surrogate_name_is_refused_on_its_line(tmp_path, key, block):
+    with mock.patch.object(ingest, "_BLOCK", block):
+        check_readers(tmp_path, escaped_rows(key, "\ud800"))
+        with pytest.raises(ParseError, match=rf"log\.jsonl:3: field '{key}' '\\ud800' holds a surrogate code point, "
+                                             "which UTF-8 cannot encode$"):
+            read_log(tmp_path / "log.jsonl")
 
 
 @pytest.mark.parametrize("key", ["model", "task", "answer"])

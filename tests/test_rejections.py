@@ -39,7 +39,7 @@ from covertau import (
 from covertau.cli import main
 from covertau.ingest import ParseError
 from covertau.plots import cover_curves_svg, pass_curves_svg
-from covertau.records import as_rational, has_surrogate_pair
+from covertau.records import TaskColumns, as_rational, check_name
 from covertau.report import align_profiles, build_report, render_dominance_text
 
 F = Fraction
@@ -76,18 +76,18 @@ CASES = {
     "pass-svg-empty": (lambda: pass_curves_svg([]), "no curves to plot"),
     # records
     "rational-type": (lambda: as_rational([1], "x"), "x must be a Fraction, int, or string, got list"),
-    "record-model": (lambda: SampleRecord("", "t", 0), "model identifier must be nonempty"),
-    "record-task": (lambda: SampleRecord("m", "", 0), "task identifier must be nonempty"),
+    "record-model": (lambda: SampleRecord("", "t", 0), "model must be a nonempty string, got ''"),
+    "record-task": (lambda: SampleRecord("m", "", 0), "task must be a nonempty string, got ''"),
     "record-index": (lambda: SampleRecord("m", "t", -1), "sample_index must be >= 0, got -1"),
-    "counts-task": (lambda: TaskCounts("", 1, 0), "task identifier must be nonempty"),
-    "profile-model": (lambda: SuccessProfile("", (("t", F(1)),)), "model identifier must be nonempty"),
+    "counts-task": (lambda: TaskCounts("", 1, 0), "task must be a nonempty string, got ''"),
+    "profile-model": (lambda: SuccessProfile("", (("t", F(1)),)), "model must be a nonempty string, got ''"),
     "profile-repeated-task": (lambda: SuccessProfile("m", (("t", F(1)), ("t", F(0)))), "duplicate task 't'"),
     "profile-float": (lambda: SuccessProfile("m", (("t", 0.5),)), "p for task 't' must be a Fraction, got float"),
     "profile-restrict": (lambda: toy_model_a(4).restrict(["x"]), "restriction leaves no tasks for model 'A'"),
-    "gold-task": (lambda: GoldAnswer("", "1"), "task identifier must be nonempty"),
+    "gold-task": (lambda: GoldAnswer("", "1"), "task must be a nonempty string, got ''"),
     # report
     "align-nothing": (lambda: align_profiles({}), "no models in the counts"),
-    "align-model": (lambda: align_profiles({"": [COUNTS]}), "model name '' must be a nonempty string"),
+    "align-model": (lambda: align_profiles({"": [COUNTS]}), "model must be a nonempty string, got ''"),
     "align-no-counts": (lambda: align_profiles({"m": []}), "no task counts for model 'm'"),
     "align-repeated-task": (lambda: align_profiles({"m": [COUNTS, COUNTS]}), "duplicate task in the counts for model 'm'"),
     "report-repeated-tau": (lambda: build_report({"m": [COUNTS]}, taus=("0.2", "1/5")), "tau gives threshold 0.2 more than once"),
@@ -112,19 +112,22 @@ def test_rejection_raises_its_message(make, message):
 
 
 PAIR = "\ud800\udfff"  # a high surrogate, then a low one: JSON reads their escapes back as one character
+LONE = "\ud800"  # a lone surrogate, which UTF-8 cannot encode
+SURROGATE = "which UTF-8 cannot encode"
 
 # every fault of the one counts-map rule, `records.count_columns`
 MAP_FAULTS = {
     "no-models": ({}, "no models in the counts"),
-    "empty-model-name": ({"": [COUNTS]}, "model name '' must be a nonempty string"),
-    "int-beside-str-model-name": ({1: [COUNTS], "a": [COUNTS]}, "model name 1 must be a nonempty string"),
-    "int-model-names": ({1: [COUNTS], 2: [COUNTS]}, "model name 1 must be a nonempty string"),
+    "empty-model-name": ({"": [COUNTS]}, "model must be a nonempty string, got ''"),
+    "int-beside-str-model-name": ({1: [COUNTS], "a": [COUNTS]}, "model must be a nonempty string, got 1"),
+    "int-model-names": ({1: [COUNTS], 2: [COUNTS]}, "model must be a nonempty string, got 1"),
     "model-without-tasks": ({"a": [COUNTS], "m": []}, "no task counts for model 'm'"),
     "repeated-task": ({"m": [COUNTS, COUNTS]}, "duplicate task in the counts for model 'm'"),
-    "pair-in-model-name": ({"m" + PAIR: [COUNTS]},
-                           f"name {'m' + PAIR!r} in the counts for model {'m' + PAIR!r} holds a surrogate pair"),
-    "pair-in-task-name": ({"m": [COUNTS, TaskCounts(PAIR, 1, 0)]},
-                          f"name {PAIR!r} in the counts for model 'm' holds a surrogate pair"),
+    "pair-in-model-name": ({"m" + PAIR: [COUNTS]}, f"model {'m' + PAIR!r} holds a surrogate code point, {SURROGATE}"),
+    "lone-surrogate-in-model-name": ({LONE: [COUNTS]}, f"model {LONE!r} holds a surrogate code point, {SURROGATE}"),
+    # a view built without its constructor, as the loaders build theirs
+    "lone-surrogate-in-task-name": ({"m": TaskColumns._make(["t", LONE], [1, 1], [0, 0])},
+                                    f"task {LONE!r} holds a surrogate code point, {SURROGATE}"),
 }
 # a manifest whose run_id and record_count are those of an empty body
 EMPTY_MANIFEST = RunManifest(hashlib.sha256(b"").hexdigest(), {}, 0, "flags")
@@ -143,12 +146,13 @@ def test_counts_map_fault_raises_the_rules_message(tmp_path, read, counts, messa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("text, paired", [
-    (PAIR, True), ("a" + PAIR + "b", True), ("\udbff\udc00", True),
-    ("", False), ("\ud800", False), ("\udfff\ud800", False), ("\ud800x\udfff", False), ("\U000103ff", False),
+@pytest.mark.parametrize("text", [
+    PAIR, "a" + PAIR + "b", "\udbff\udc00", "\ud800", "\udfff\ud800", "\ud800x\udfff", "é\udcff",
 ])
-def test_surrogate_pair_is_a_high_surrogate_then_a_low_one(text, paired):
-    assert has_surrogate_pair(text) is paired
+def test_a_name_with_any_surrogate_is_refused(text):
+    with pytest.raises(ValueError, match=re.escape(f"name {text!r} holds a surrogate code point, {SURROGATE}")):
+        check_name(text, "name")
+    assert check_name("\U000103ff", "name") == "\U000103ff"  # what JSON reads back from the escapes of PAIR
 
 
 @pytest.mark.parametrize("text, message", [

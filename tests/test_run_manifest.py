@@ -15,7 +15,6 @@ from covertau import ParseError, RunManifest, TaskColumns, TaskCounts, build_man
 from covertau import ingest
 from covertau.cli import main
 from covertau.ingest import read_log
-from covertau.records import has_surrogate_pair
 
 
 def json_dumps_body(counts):
@@ -38,36 +37,49 @@ names = st.lists(
 trials = st.one_of(st.integers(1, 300), st.integers(1, 2**70)).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, n))
 )
-counts_maps = st.dictionaries(
-    names, st.dictionaries(names, trials, min_size=1, max_size=5), min_size=1, max_size=4
-).map(lambda per_model: {
-    # tasks in any order: the renderer sorts them
-    m: [TaskCounts(task=t, n=n, c=c) for t, (n, c) in reversed(ts.items())] for m, ts in per_model.items()
-})
+# {model: {task: (n, c)}}, names drawn as above
+count_rows = st.dictionaries(names, st.dictionaries(names, trials, min_size=1, max_size=5), min_size=1, max_size=4)
+
+
+def task_counts(rows):
+    """The `TaskCounts` lists of `count_rows`, tasks in any order: the renderer sorts them."""
+    return {m: [TaskCounts(t, n, c) for t, (n, c) in reversed(ts.items())] for m, ts in rows.items()}
 
 
 PAIR = "\ud800\udfff"  # a high surrogate, then a low one: JSON reads their escapes back as one character
+LONE = "\ud800"
+SURROGATE = "holds a surrogate code point, which UTF-8 cannot encode"
 
 
-def paired_name(counts, *texts):
-    """Whether a model or task name of `counts`, or one of `texts`, holds a surrogate pair."""
-    names = [*counts, *(tc.task for tcs in counts.values() for tc in tcs), *texts]
-    return any(isinstance(name, str) and has_surrogate_pair(name) for name in names)
+def utf8_encodes(text):
+    """Whether UTF-8 can encode `text`: whether it holds no surrogate code point."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def unwritable(rows, *texts):
+    """Whether a model or task name of `rows`, or one of `texts`, is a str that UTF-8 cannot encode."""
+    names = [*rows, *(t for ts in rows.values() for t in ts), *texts]
+    return any(isinstance(name, str) and not utf8_encodes(name) for name in names)
 
 
 @settings(max_examples=300, deadline=None)
-@given(counts_maps)
-def test_template_renderer_matches_json_dumps(counts):
-    if paired_name(counts):  # a name that a run file would not give back is refused
-        with pytest.raises(ValueError, match="holds a surrogate pair"):
-            "".join(ingest._body_chunks(counts))
+@given(count_rows)
+def test_template_renderer_matches_json_dumps(rows):
+    if unwritable(rows):  # a name that UTF-8 cannot write is refused, by TaskCounts or by the counts-map rule
+        with pytest.raises(ValueError, match=SURROGATE):
+            "".join(ingest._body_chunks(task_counts(rows)))
     else:
+        counts = task_counts(rows)
         assert "".join(ingest._body_chunks(counts)) == json_dumps_body(counts)
 
 
 def test_odd_names_round_trip_byte_identically(tmp_path):
     counts = {
-        'q"uote\\': [TaskCounts("t\x00\n", 3, 1), TaskCounts("é\ud800", 2**65, 7)],
+        'q"uote\\': [TaskCounts("t\x00\n", 3, 1), TaskCounts("é\u2028\U000103ff", 2**65, 7)],
         "漢\U0001f600\x1f": [TaskCounts("t\x00\n", 1, 1)],
     }
     manifest = build_manifest(counts, {"lög": "0" * 64}, "flags")
@@ -78,6 +90,8 @@ def test_odd_names_round_trip_byte_identically(tmp_path):
     assert loaded == {m: sorted(tcs, key=lambda t: t.task) for m, tcs in counts.items()}
     second = persist_run(loaded_manifest, loaded, tmp_path / "two.jsonl")
     assert first.read_bytes() == second.read_bytes()
+    with pytest.raises(ValueError, match=f"task 'é\\\\ud800' {SURROGATE}"):  # UTF-8 cannot write it
+        TaskCounts("é\ud800", 2**65, 7)
 
 
 def _write(tmp_path, counts):
@@ -267,23 +281,28 @@ def test_run_body_gets_the_raw_log_schema_checks(tmp_path, capsys, body, lineno,
     [
         ({"a": [], "b": ONE_RECORD["m"]}, {}, "flags", "no task counts for model 'a'"),
         ({"a": []}, {}, "flags", "no task counts for model 'a'"),
-        ({"": ONE_RECORD["m"]}, {}, "flags", "model name '' must be a nonempty string"),
+        ({"": ONE_RECORD["m"]}, {}, "flags", "model must be a nonempty string, got ''"),
         ({}, {}, "flags", "no models in the counts"),
-        ({PAIR: [TaskCounts("t", 1, 0)]}, {}, "flags", f"name {PAIR!r} in the counts for model {PAIR!r} holds a "
-                                                       "surrogate pair, which JSON reads back as one character"),
-        ({"m": [TaskCounts(PAIR, 1, 0)]}, {}, "flags", f"name {PAIR!r} in the counts for model 'm' holds a "
-                                                       "surrogate pair, which JSON reads back as one character"),
+        ({PAIR: [TaskCounts("t", 1, 0)]}, {}, "flags", f"model {PAIR!r} {SURROGATE}"),
+        ({LONE: [TaskCounts("t", 1, 0)]}, {}, "flags", f"model {LONE!r} {SURROGATE}"),
+        # a view built without its constructor, as the loaders build theirs
+        ({"m": TaskColumns._make([PAIR], [1], [0])}, {}, "flags", f"task {PAIR!r} {SURROGATE}"),
         (ONE_RECORD, {"x": 1}, "flags", "field 'source_digests' must be a map of file names to digests"),
         (ONE_RECORD, {1: "ab"}, "flags", "field 'source_digests' must be a map of file names to digests"),
-        (ONE_RECORD, {PAIR: "ab"}, "flags", "field 'source_digests' holds a surrogate pair"),
-        (ONE_RECORD, {"x": "a" + PAIR}, "flags", "field 'source_digests' holds a surrogate pair"),
-        (ONE_RECORD, {}, "", "field 'verdict_source' must be a nonempty string"),
-        (ONE_RECORD, {}, None, "field 'verdict_source' must be a nonempty string"),
-        (ONE_RECORD, {}, "flags" + PAIR, "field 'verdict_source' holds a surrogate pair"),
+        (ONE_RECORD, {"x": ""}, "flags", "file name or digest in field 'source_digests' must be a nonempty string, "
+                                         "got ''"),
+        (ONE_RECORD, {PAIR: "ab"}, "flags", f"file name or digest in field 'source_digests' {PAIR!r} {SURROGATE}"),
+        (ONE_RECORD, {"x": "a" + LONE}, "flags", f"file name or digest in field 'source_digests' {'a' + LONE!r} "
+                                                 f"{SURROGATE}"),
+        (ONE_RECORD, {}, "", "field 'verdict_source' must be a nonempty string, got ''"),
+        (ONE_RECORD, {}, None, "field 'verdict_source' must be a nonempty string, got None"),
+        (ONE_RECORD, {}, "flags" + PAIR, f"field 'verdict_source' {'flags' + PAIR!r} {SURROGATE}"),
+        (ONE_RECORD, {}, LONE, f"field 'verdict_source' {LONE!r} {SURROGATE}"),
     ],
     ids=["empty-model-beside-another", "only-an-empty-model", "empty-model-name", "no-models", "paired-model-name",
-         "paired-task-name", "digest-not-a-string", "file-name-not-a-string", "paired-file-name", "paired-digest",
-         "empty-verdict-source", "no-verdict-source", "paired-verdict-source"],
+         "lone-surrogate-model-name", "paired-task-name", "digest-not-a-string", "file-name-not-a-string",
+         "empty-digest", "paired-file-name", "lone-surrogate-digest", "empty-verdict-source", "no-verdict-source",
+         "paired-verdict-source", "lone-surrogate-verdict-source"],
 )
 def test_run_that_would_not_load_back_equal_is_refused_before_writing(tmp_path, counts, digests, verdict_source,
                                                                       message):
@@ -298,9 +317,8 @@ def test_run_that_would_not_load_back_equal_is_refused_before_writing(tmp_path, 
 
 
 # counts, source digests and verdict sources both valid and not
-loose_counts = st.dictionaries(
-    st.one_of(names, st.just("")), st.dictionaries(names, trials, max_size=4), min_size=1, max_size=4
-).map(lambda per_model: {m: [TaskCounts(t, n, c) for t, (n, c) in ts.items()] for m, ts in per_model.items()})
+loose_rows = st.dictionaries(st.one_of(names, st.just("")), st.dictionaries(names, trials, max_size=4), min_size=1,
+                             max_size=4)
 loose_digests = st.one_of(
     st.dictionaries(names, st.text(max_size=4), max_size=3),
     st.dictionaries(st.one_of(names, st.integers()), st.one_of(st.text(max_size=4), st.integers(), st.none()),
@@ -310,14 +328,15 @@ loose_verdicts = st.one_of(names, st.sampled_from(["", None, 7]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(loose_counts, loose_digests, loose_verdicts)
-@example({PAIR: [TaskCounts('"', 1, 0)]}, {}, "flags")  # read back, the model name would be "\U000103ff"
-def test_whatever_build_manifest_accepts_loads_back_equal(counts, digests, verdict_source):
+@given(loose_rows, loose_digests, loose_verdicts)
+@example({PAIR: {'"': (1, 0)}}, {}, "flags")  # read back, the model name would be "\U000103ff"
+def test_whatever_build_manifest_accepts_loads_back_equal(rows, digests, verdict_source):
     try:
+        counts = task_counts(rows)
         manifest = build_manifest(counts, digests, verdict_source)
     except ValueError:
         return
-    assert not paired_name(counts, verdict_source, *digests, *digests.values())
+    assert not unwritable(rows, verdict_source, *digests, *digests.values())
     with tempfile.TemporaryDirectory() as tmp:
         loaded_manifest, loaded = load_run(persist_run(manifest, counts, Path(tmp) / "run.jsonl"))
     assert loaded_manifest == manifest

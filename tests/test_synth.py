@@ -151,7 +151,7 @@ class TestSimulateGuesser:
         assert 0 <= score <= 1
 
     def test_empty_model_rejected(self):
-        with pytest.raises(ValueError, match="model identifier must be nonempty"):
+        with pytest.raises(ValueError, match="model must be a nonempty string, got ''"):
             GuesserSpec(support_size=2, tasks=2, trials=2, seed=0, model="")
 
     def test_small_support_rejected(self):
@@ -216,6 +216,17 @@ class TestLogEmission:
 model_names = st.text(
     alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\n\x7fé文 '), st.characters()), min_size=1, max_size=12
 )
+
+
+def utf8_encodes(text):
+    """Whether UTF-8 can encode `text`: whether it holds no surrogate code point."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 rationals = st.integers(1, 60).flatmap(lambda b: st.integers(0, b).map(lambda a: F(a, b)))
 
 
@@ -236,6 +247,10 @@ class TestStreamingEmitters:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 40), st.integers(1, 5), st.integers(1, 300), st.integers(0, 2**64), model_names)
     def test_guesser_log_equals_record_path(self, support, tasks, trials, seed, model):
+        if not utf8_encodes(model):  # not a name
+            with pytest.raises(ValueError, match="^model .* holds a surrogate code point"):
+                GuesserSpec(support_size=support, tasks=tasks, trials=trials, seed=seed, model=model)
+            return
         spec = GuesserSpec(support_size=support, tasks=tasks, trials=trials, seed=seed, model=model)
         chunks = list(guesser_log(spec))
         assert len(chunks) == tasks
@@ -245,9 +260,18 @@ class TestStreamingEmitters:
     @given(profile_specs(), st.integers(1, 300), st.integers(0, 2**64),
            st.none() | st.lists(model_names, min_size=5, max_size=5, unique=True))
     def test_completions_log_equals_record_path(self, spec, trials, seed, task_names):
+        if not utf8_encodes(spec.model):  # not a name
+            with pytest.raises(ValueError, match="^model .* holds a surrogate code point"):
+                make_profile(spec)
+            return
         prof = make_profile(spec)
         if task_names is not None:  # task names that JSON must escape too
-            prof = SuccessProfile.from_pairs(prof.model, zip(task_names, prof.probabilities))
+            pairs = list(zip(task_names, prof.probabilities))
+            if not all(utf8_encodes(task) for task, _ in pairs):
+                with pytest.raises(ValueError, match="^task .* holds a surrogate code point"):
+                    SuccessProfile.from_pairs(prof.model, pairs)
+                return
+            prof = SuccessProfile.from_pairs(prof.model, pairs)
         chunks = list(completions_log(prof, trials, seed))
         assert len(chunks) == spec.tasks
         assert "".join(chunks) == records_to_jsonl(simulate_completions(prof, trials, seed))

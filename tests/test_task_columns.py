@@ -87,7 +87,8 @@ def test_tuple_columns_are_taken_into_lists():
         (["b", "a"], [1, 1], [0, 0], "tasks must be unique and in sorted order"),
         (["a", "a"], [1, 1], [0, 0], "tasks must be unique and in sorted order"),
         (["a"], [1, 2], [0], "columns differ in length: 1 tasks, 2 n and 1 c"),
-        ([""], [1], [0], "task identifier must be nonempty"),
+        ([""], [1], [0], "task must be a nonempty string, got ''"),
+        (["a", "b\ud800"], [1, 1], [0, 0], "task 'b\\\\ud800' holds a surrogate code point, which UTF-8 cannot encode"),
         (["a", "b"], [1, 0], [0, 0], "n must be >= 1 for task 'b', got 0"),
         (["a", "b"], [2, 2], [1, 3], r"need 0 <= c <= n for task 'b', got c=3, n=2"),
         (["a"], [2], [-1], r"need 0 <= c <= n for task 'a', got c=-1, n=2"),
