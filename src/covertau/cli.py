@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 
@@ -143,6 +144,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"--tasks must be at most {MAX_TASKS}, got {args.tasks}")
     if args.tasks * args.trials > MAX_RECORDS:
         raise ValueError(f"--tasks x --trials must be at most {MAX_RECORDS} records, got {args.tasks * args.trials}")
+    if args.gold_out and args.kind != "guesser":
+        raise ValueError("--gold-out applies to the guesser kind only")
+    out = Path(args.out)
+    if args.gold_out and os.path.realpath(args.gold_out) == os.path.realpath(out):
+        raise ValueError(f"--out {args.out} and --gold-out {args.gold_out} name the same file; "
+                         "give the gold answers a path of their own")
     if args.kind == "guesser":
         if not 2 <= args.support <= MAX_DENOMINATOR:
             raise ValueError(f"--support must lie in [2, 2**63], got {args.support}")
@@ -153,13 +160,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             model=args.model or "guesser",
         )
-        profile, log = guesser_profile(spec), guesser_log(spec)
+        profile, files = guesser_profile(spec), {out: guesser_log(spec)}
         if args.gold_out:
-            lines = "".join(
+            files[Path(args.gold_out)] = "".join(
                 json.dumps({"answer": a, "task": t}, sort_keys=True, separators=(",", ":")) + "\n"
                 for t, a in sorted(guesser_gold(spec).items())
             )
-            write_atomic(Path(args.gold_out), lines)
     else:
         names = {"constant-p": ("p",), "two-point": ("low", "high", "ratio")}.get(args.kind, ())
         profile_spec = ProfileSpec(
@@ -170,10 +176,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             **{name: _simulate_value(args, name) for name in names},
         )
         profile = make_profile(profile_spec)
-        log = completions_log(profile, args.trials, args.seed)
-        if args.gold_out:
-            raise ValueError("--gold-out applies to the guesser kind only")
-    write_atomic(Path(args.out), log)
+        files = {out: completions_log(profile, args.trials, args.seed)}
+    write_atomic(files)
 
     counts = Counter(profile.probabilities)
     print(f"model {profile.model}: {profile.num_tasks} tasks, {args.trials} trials each")
@@ -225,6 +229,15 @@ def _table_options(args: argparse.Namespace) -> dict[str, object]:
     return {"taus": _parse_taus(args.tau), "seed": args.seed, "bootstrap_resamples": args.bootstrap}
 
 
+def _write_out_dir(out_dir: str, texts: dict[str, str | Iterable[str]]) -> Path:
+    """Make `out_dir` and land `texts`, by file name, in it with one
+    `write_atomic`; a directory made here is left, empty, if that fails."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_atomic({out / name: text for name, text in texts.items()})
+    return out
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     _load(*_REPORT_MODULES)
     if args.group_delimiter == "":
@@ -232,11 +245,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     bundle = _report(args, group_delimiter=args.group_delimiter, **_table_options(args))
     sys.stdout.write(render_metrics_table(bundle))
     if args.out_dir:
-        out = Path(args.out_dir)
-        table = metrics_csv(bundle)  # rendered first; a bundle.json that fails as it streams leaves no file
-        out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "bundle.json", bundle_chunks(bundle))
-        write_atomic(out / "metrics.csv", table)
+        out = _write_out_dir(args.out_dir, {"bundle.json": bundle_chunks(bundle), "metrics.csv": metrics_csv(bundle)})
         print(f"wrote {out / 'bundle.json'} and {out / 'metrics.csv'}")
     return 0
 
@@ -252,17 +261,13 @@ def _cmd_curves(args: argparse.Namespace) -> int:
                 f"models {stems[stem]!r} and {model!r} would both write cover_curve_{stem}.csv "
                 f"and pass_curve_{stem}.csv; select one of them with --model"
             )
-    # every file is rendered before the first is written, so a failure leaves none
     texts = {}
     for stem, model in stems.items():
         texts[f"cover_curve_{stem}.csv"] = cover_curve_csv(bundle.cover_curves[model])
         texts[f"pass_curve_{stem}.csv"] = pass_curve_csv(bundle.pass_curves[model])
     texts["cover_curves.svg"] = cover_curves_svg(list(bundle.cover_curves.values()))
     texts["pass_curves.svg"] = pass_curves_svg(list(bundle.pass_curves.values()))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        write_atomic(out / name, text)
+    out = _write_out_dir(args.out_dir, texts)
     print(f"wrote curve tables and SVG plots for {len(bundle.models)} model(s) to {out}")
     return 0
 
@@ -272,9 +277,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
     bundle = _report(args, min_models=2, **_table_options(args))
     sys.stdout.write(render_dominance_text(bundle))
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "dominance.json", bundle_chunks(bundle))
+        out = _write_out_dir(args.out_dir, {"dominance.json": bundle_chunks(bundle)})
         print(f"wrote {out / 'dominance.json'}")
     return 0
 

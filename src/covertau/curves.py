@@ -29,7 +29,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
 
-from .metrics import _check_k, check_k_grid, pass_values
+from .metrics import check_k_grid, pass_values
 from .records import ONE, ZERO, RationalLike, SuccessProfile, Value, as_unit_rational
 
 
@@ -86,7 +86,7 @@ class PassCurve(Value):
 
 
 def pass_curve(profile: SuccessProfile, ks: Sequence[int]) -> PassCurve:
-    """Pointwise pass@k of a profile over an ascending k grid; `PassCurve`
+    """Pointwise pass@k of a profile over an ascending k grid; `pass_values`
     checks the grid."""
     return PassCurve(profile.model, tuple(ks), pass_values([float(ONE - p) for p in profile.probabilities], ks))
 
@@ -98,7 +98,7 @@ def beta_weighted_pass(curve: CoverCurve, k: int) -> float:
         integral over [a,b] of k(1-tau)^(k-1) dtau = (1-a)^k - (1-b)^k
     which recovers pass@k of the generating profile.
     """
-    _check_k(k)
+    check_k_grid((k,), "k")
     total = 0.0
     bps, vals = curve.breakpoints, curve.values
     for j in range(1, len(bps)):
@@ -129,7 +129,7 @@ def beta_mass_below(tau: RationalLike, k: int) -> float:
     Grows with k for any fixed tau > 0; this is the concentration at 0
     that makes large-k pass@k a breadth-only statistic.
     """
-    _check_k(k)
+    check_k_grid((k,), "k")
     t = as_unit_rational(tau, "tau")
     return 1.0 - float(ONE - t) ** k
 

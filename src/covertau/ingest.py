@@ -562,12 +562,12 @@ def persist_run(
 ) -> Path:
     """Write a self-contained aggregated run file (manifest line + body).
 
-    The write is atomic (temp file + rename) and canonical, so a fixed
-    input always produces identical bytes.  The manifest's record_count
-    must be the counts' total n, and its run_id the sha256 of their body,
-    or `load_run` would reject the file it wrote.  The body is rendered,
-    hashed and written one model at a time; run_id is checked after the
-    last chunk, and a mismatch leaves neither the target nor a temp file.
+    One checked chunk stream, landed by `files.write_atomic`, canonical, so
+    a fixed input always produces identical bytes.  The manifest's
+    record_count must be the counts' total n, and its run_id the sha256 of
+    their body, or `load_run` would reject the file it wrote.  The body is
+    rendered, hashed and written one model at a time; run_id is checked
+    after the last chunk, and a mismatch leaves neither target nor temp.
     """
     implied = _implied_manifest(counts, manifest.run_id, manifest.source_digests, manifest.verdict_source)
     if manifest != implied:
@@ -575,7 +575,7 @@ def persist_run(
     # the implied manifest's own values: a given record_count of True equals 1 but would be written as true
     header = json.dumps(implied.to_json_obj(), sort_keys=True, separators=(",", ":"))
     path = Path(path)
-    write_atomic(path, _checked_run_chunks(header, counts, manifest.run_id))
+    write_atomic({path: _checked_run_chunks(header, counts, manifest.run_id)})
     return path
 
 

@@ -40,11 +40,11 @@ def pass_at_k_exact(profile: SuccessProfile, k: int) -> float:
 
 
 def pass_values(qs: Sequence[float], ks: Sequence[int]) -> tuple[float, ...]:
-    """Plug-in pass@k at each k of `ks` from per-task complements qs[i] =
-    float(1 - p_i).  `fsum` rounds each sum once, so a model and a
-    permutation of its counts get equal pass@k and no crossover."""
-    for k in ks:
-        _check_k(k)
+    """Plug-in pass@k at each k of the grid `ks`, which `check_k_grid`
+    checks, from per-task complements qs[i] = float(1 - p_i).  `fsum` rounds
+    each sum once, so a model and a permutation of its counts get equal
+    pass@k and no crossover."""
+    check_k_grid(ks, "k")
     return tuple(math.fsum(1.0 - q**k for q in qs) / len(qs) for k in ks)
 
 
@@ -58,7 +58,7 @@ def pass_at_k_unbiased(counts: TaskCounts, k: int, exact: bool = False):
 
     Requires 1 <= k <= n: above n the estimator is undefined.
     """
-    _check_k(k)
+    check_k_grid((k,), "k")
     if k > counts.n:
         raise ValueError(f"k={k} exceeds trial count n={counts.n} for task {counts.task!r}")
     n = counts.n
@@ -110,10 +110,3 @@ def check_k_grid(ks: Sequence[int], name: str = "k") -> Sequence[int]:
     if ks[-1] >= _FLOAT_LIMIT:
         raise ValueError(f"{name} values must convert to a float; one has {len(str(ks[-1]))} digits")
     return ks
-
-
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k >= _FLOAT_LIMIT:
-        raise ValueError(f"k must convert to a float; it has {len(str(k))} digits")

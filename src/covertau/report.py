@@ -35,7 +35,7 @@ from .dominance import (CrossoverResult, DominanceReport, TaskTally, _dominance,
 from .dominance import avg_auc_plus, bootstrap_bands, dominance_report  # noqa: F401  (perfbench/spans.py wraps them)
 from .dominance import build_cover_curve  # noqa: F401  (perfbench/spans.py wraps it)
 from .metrics import cover_at_tau, estimate_success  # noqa: F401  (perfbench/spans.py wraps them)
-from .metrics import pass_values
+from .metrics import check_k_grid, pass_values
 from .records import RationalLike, TaskColumns, TaskCounts, Value, as_thresholds, count_columns
 
 DEFAULT_TAUS = (Fraction(1, 5), Fraction(4, 5))
@@ -105,7 +105,7 @@ def build_report(
         raise ValueError(f"bootstrap resample count must be >= 0, got {bootstrap_resamples}")
     if group_delimiter == "":
         raise ValueError("group delimiter must be a nonempty string, got ''")
-    tau_fracs = as_thresholds(taus, "tau")
+    tau_fracs, ks = as_thresholds(taus, "tau"), check_k_grid(tuple(ks), "k")
 
     aligned, dropped = align_profiles(counts)
     models, columns = list(aligned), list(aligned.values())
@@ -156,7 +156,7 @@ def build_report(
         notes.append("avg_auc_plus column absent: needs at least 2 models")
 
     # (n - c) / n is correctly rounded, as float(1 - Fraction(c, n)) is
-    pass_curves = {m: PassCurve(m, tuple(ks), pass_values([*map(truediv, map(sub, view.n, view.c), view.n)], ks))
+    pass_curves = {m: PassCurve(m, ks, pass_values([*map(truediv, map(sub, view.n, view.c), view.n)], ks))
                    for m, view in aligned.items()}
     crossovers = [
         find_crossover(pass_curves[a], pass_curves[b]) for i, a in enumerate(models) for b in models[i + 1 :]
@@ -179,7 +179,7 @@ def build_report(
     return ReportBundle(
         models=tuple(models),
         taus=tau_fracs,
-        k_grid=tuple(ks),
+        k_grid=ks,
         aggregation=aggregation,
         metric_names=tally.metric_names,
         metrics=metrics,

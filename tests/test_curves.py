@@ -145,7 +145,7 @@ class TestBetaWeightedPass:
         )
 
     def test_bad_k_rejected(self):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="k values must be >= 1"):
             beta_weighted_pass(build_cover_curve(toy_model_a(tasks=2)), 0)
 
 

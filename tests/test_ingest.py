@@ -595,7 +595,7 @@ class TestRunFileIntegrity:
 class TestWriteAtomic:
     def test_chunks_are_written_in_order(self, tmp_path):
         target = tmp_path / "log.jsonl"
-        write_atomic(target, (f"{i}\n" for i in range(5)))
+        write_atomic({target: (f"{i}\n" for i in range(5))})
         assert target.read_text(encoding="utf-8") == "0\n1\n2\n3\n4\n"
 
     def test_chunk_iterable_that_raises_keeps_target_and_removes_temp(self, tmp_path):
@@ -607,7 +607,7 @@ class TestWriteAtomic:
             raise RuntimeError("draw failed")
 
         with pytest.raises(RuntimeError, match="draw failed"):
-            write_atomic(target, chunks())
+            write_atomic({target: chunks()})
         assert target.read_text(encoding="utf-8") == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["log.jsonl"]
 
@@ -615,7 +615,7 @@ class TestWriteAtomic:
         target = tmp_path / "bundle.json"
         stale = tmp_path / "bundle.json.tmp"
         stale.write_text("left by another writer", encoding="utf-8")
-        write_atomic(target, "fresh\n")
+        write_atomic({target: "fresh\n"})
         assert target.read_text(encoding="utf-8") == "fresh\n"
         assert stale.read_text(encoding="utf-8") == "left by another writer"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle.json", "bundle.json.tmp"]
@@ -629,14 +629,14 @@ class TestWriteAtomic:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            write_atomic(target, "new\n")
+            write_atomic({target: "new\n"})
         assert target.read_text(encoding="utf-8") == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
     def test_file_mode_follows_umask(self, tmp_path):
         old = os.umask(0o027)
         try:
-            write_atomic(tmp_path / "run.jsonl", "x\n")
+            write_atomic({tmp_path / "run.jsonl": "x\n"})
         finally:
             os.umask(old)
         assert (tmp_path / "run.jsonl").stat().st_mode & 0o777 == 0o640

@@ -52,7 +52,7 @@ def test_float_limit_is_the_least_int_past_float_range():
     with pytest.raises(OverflowError):
         float(_FLOAT_LIMIT)
     assert pass_values([0.5, 1.0], [_FLOAT_LIMIT - 1]) == (0.5,)
-    with pytest.raises(ValueError, match="k must convert to a float; it has 309 digits"):
+    with pytest.raises(ValueError, match="k values must convert to a float; one has 309 digits"):
         pass_values([0.5], [_FLOAT_LIMIT])
 
 

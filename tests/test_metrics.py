@@ -147,7 +147,7 @@ class TestPassAtKExact:
         assert pass_at_k_exact(prof, 2**20) >= 1 - 1e-6
 
     def test_bad_k_rejected(self):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="k values must be >= 1"):
             pass_at_k_exact(profile(F(1, 2)), 0)
 
 
@@ -210,7 +210,7 @@ class TestPassAtKUnbiased:
             pass_at_k_unbiased(TaskCounts(task="t", n=4, c=2), 5)
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="k values must be >= 1"):
             pass_at_k_unbiased(TaskCounts(task="t", n=4, c=2), 0)
 
 

@@ -288,7 +288,7 @@ class TestStreamingEmitters:
         path = tmp_path / "guesser.jsonl"
         tracemalloc.start()
         try:
-            write_atomic(path, guesser_log(spec))
+            write_atomic({path: guesser_log(spec)})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
