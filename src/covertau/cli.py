@@ -73,6 +73,9 @@ MAX_BOOTSTRAP = 100_000  # resamples a report may draw; each counts the task tal
 MAX_TASKS = 10**6
 MAX_RECORDS = 10**8  # tasks x trials
 MAX_DENOMINATOR = 2**63  # p = a/b is drawn as int64 integers in 0..b-1
+# the `simulate` flags that only one kind takes; given to another, each is refused
+KIND_FLAGS = {"guesser": ("gold_out",), "constant-p": ("p",), "two-point": ("low", "high", "ratio"),
+              "uniform-random": ()}
 
 
 def _parse_taus(raw: list[str] | None) -> tuple[Fraction, ...]:
@@ -144,8 +147,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"--tasks must be at most {MAX_TASKS}, got {args.tasks}")
     if args.tasks * args.trials > MAX_RECORDS:
         raise ValueError(f"--tasks x --trials must be at most {MAX_RECORDS} records, got {args.tasks * args.trials}")
-    if args.gold_out and args.kind != "guesser":
-        raise ValueError("--gold-out applies to the guesser kind only")
+    for kind, names in KIND_FLAGS.items():
+        for name in names:
+            if kind != args.kind and getattr(args, name) is not None:
+                raise ValueError(f"--{name.replace('_', '-')} applies to the {kind} kind only")
     out = Path(args.out)
     if args.gold_out and os.path.realpath(args.gold_out) == os.path.realpath(out):
         raise ValueError(f"--out {args.out} and --gold-out {args.gold_out} name the same file; "
@@ -167,15 +172,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 for t, a in sorted(guesser_gold(spec).items())
             )
     else:
-        names = {"constant-p": ("p",), "two-point": ("low", "high", "ratio")}.get(args.kind, ())
-        profile_spec = ProfileSpec(
+        profile = make_profile(ProfileSpec(
             kind=args.kind,
             tasks=args.tasks,
             seed=args.seed,
             model=args.model or args.kind,
-            **{name: _simulate_value(args, name) for name in names},
-        )
-        profile = make_profile(profile_spec)
+            **{name: _simulate_value(args, name) for name in KIND_FLAGS[args.kind]},
+        ))
         files = {out: completions_log(profile, args.trials, args.seed)}
     write_atomic(files)
 
@@ -303,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="write a synthetic completion log")
-    sim.add_argument("--kind", required=True, choices=["guesser", "constant-p", "two-point", "uniform-random"])
+    sim.add_argument("--kind", required=True, choices=list(KIND_FLAGS))
     sim.add_argument("--tasks", type=int, required=True)
     sim.add_argument("--trials", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)

@@ -43,7 +43,7 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .curves import CoverCurve, PassCurve
-from .records import RationalLike, SuccessProfile, Value, as_thresholds, format_tau
+from .records import BOOTSTRAP_STREAM, RationalLike, SuccessProfile, Value, as_thresholds, format_tau, random_stream
 
 # numpy is imported only by the bootstrap: commands that draw no resample
 # (`--version`, `ingest`, reports without `--bootstrap`) start without it
@@ -348,8 +348,8 @@ def scaled_bootstrap_bands(
     """Percentile bands from resampling the tally's tasks with replacement.
 
     Resample r uses task indices idx[r], row r of one (resamples, T) integer
-    draw from Philox keyed on (seed mod 2**64, 0x626F6F74), drawn row by row
-    as each is counted.  Each resampled multiset is counted exactly, as the
+    draw from `random_stream(seed, BOOTSTRAP_STREAM)`, Philox keyed on
+    (seed mod 2**64, "boot"), drawn row by row as each is counted.  Each resampled multiset is counted exactly, as the
     point estimates are, and its `table` read, each cov@tau and AvgAUC+
     rounded to a float once; bands are their BAND_LEVELS quantiles.
     Returns {model: {"cov@<tau>": (lo, hi), "avg_auc_plus": (lo, hi)}}.
@@ -364,7 +364,7 @@ def scaled_bootstrap_bands(
     # int64 cannot wrap below 2**62
     bound = max(m - 1, 1) * t_count * tally.scale
     widths = np.array(tally.widths, dtype=np.int64 if bound < 2**62 else object)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x626F6F74], dtype=np.uint64)))
+    rng = random_stream(seed, BOOTSTRAP_STREAM)
     samples = {name: np.empty((resamples, m)) for name in tally.metric_names if name != "pass@1"}  # not banded
     for r in range(resamples):
         # row r of the one-shot draw: Philox keeps its buffered half-word in

@@ -653,16 +653,13 @@ def digest_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _decode_utf8(data: bytes | memoryview, source: str, first_lineno: int) -> str:
-    """`data`, whose first line is line `first_lineno` of `source`, decoded as
-    UTF-8; an undecodable byte is a ParseError that names its line."""
+def _decode_utf8(line: bytes, source: str, lineno: int) -> str:
+    """`line`, line `lineno` of `source`, decoded as UTF-8; an undecodable
+    byte is a ParseError that names the line."""
     try:
-        return str(data, "utf-8")
+        return str(line, "utf-8")
     except UnicodeDecodeError as exc:
-        before = bytes(data[: exc.start])
-        lineno = first_lineno + before.count(b"\n")
-        column = exc.start - (before.rfind(b"\n") + 1)
-        raise ParseError(f"{source}:{lineno}: invalid UTF-8 ({exc.reason} at byte {column})") from None
+        raise ParseError(f"{source}:{lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def decode_lines(fh: BinaryIO, source: str) -> Iterator[str]:
@@ -683,8 +680,9 @@ def read_log(path: str | Path) -> ParsedLog:
 def _read_blocks(fh: BinaryIO, source: str, lineno: int, digest) -> ParsedLog:
     """Parse the rest of a binary stream, its first line being line `lineno`
     of `source`, in blocks of about `_BLOCK` bytes, each cut after a "\n":
-    by `_block_rows` where it can, else through `_fold_lines`, which also
-    decodes a block that is not UTF-8 line by line; `digest` hashes each block."""
+    by `_block_rows` where it is UTF-8 and its layout reads it, else line by
+    line through `_fold_lines`, each line decoded there, so that an
+    undecodable line is refused in its turn; `digest` hashes each block."""
     tallies: dict[tuple[str, str], SampleTally] = {}
     counts: dict[str, list] = {}
     kind = None
@@ -692,24 +690,21 @@ def _read_blocks(fh: BinaryIO, source: str, lineno: int, digest) -> ParsedLog:
         if not block.endswith(b"\n"):
             block += fh.readline()
         digest.update(block)
+        breaks = block.count(b"\n")
+        lines = breaks + (not block.endswith(b"\n"))
         try:
-            text = str(block, "utf-8")
+            read = _block_rows(str(block, "utf-8"), lines, kind)
         except UnicodeDecodeError:
-            # decoded line by line, the checked fold raises at the first
-            # undecodable line or at an error on a line before it
-            decoded = (_decode_utf8(raw, source, i) for i, raw in enumerate(block.split(b"\n"), start=lineno))
-            _fold_lines(tallies, counts, decoded, lineno, kind, source)
-            raise
-        breaks = text.count("\n")
-        lines = breaks + (not text.endswith("\n"))
-        if read := _block_rows(text, lines, kind):
+            read = None
+        if read:
             kind, rows, fields = read
             if kind == "samples":
                 _fold_samples(tallies, rows, fields, lineno, source)
             else:
                 _fold_rows(counts, rows, fields, lineno, source)
         else:
-            kind = _fold_lines(tallies, counts, text.split("\n")[:lines], lineno, kind, source)
+            decoded = (_decode_utf8(raw, source, i) for i, raw in enumerate(block.split(b"\n")[:lines], start=lineno))
+            kind = _fold_lines(tallies, counts, decoded, lineno, kind, source)
         lineno += breaks
     return _parsed(kind, tallies, counts, source, digest.hexdigest())
 

@@ -7,6 +7,12 @@ appear where a metric is explicitly defined as a floating-point quantity
 Every model, task and source name is checked by one rule, `check_name`: a
 nonempty str that UTF-8 can encode.  Each type here that holds a name
 applies it when it is built, and so do the readers and writers of files.
+
+Every random draw comes from one constructor, `random_stream(seed,
+stream)`: numpy's Philox generator keyed on (seed mod 2**64, stream), so
+seeds that differ by a multiple of 2**64 draw alike.  A simulated log's
+task i draws from stream i; every other use draws from a named stream
+below, the ASCII of its name, far above the 10**6 tasks `simulate` allows.
 """
 
 from __future__ import annotations
@@ -17,7 +23,12 @@ from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter, eq, le, lt
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+
+# numpy is imported only by `random_stream`, so that commands which draw
+# nothing (`--version`, `ingest`, reports without `--bootstrap`) start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Inputs accepted wherever an exact rational is required.  Floats are
 #: deliberately excluded: float(0.2) is not the rational 1/5, and threshold
@@ -104,6 +115,20 @@ def check_name(value: object, what: str) -> str:
     if not value.isascii() and _SURROGATE.search(value):
         raise ValueError(f"{what} {value!r} holds a surrogate code point, which UTF-8 cannot encode")
     return value
+
+
+#: the streams of the draws that are not a simulated task's: the bootstrap's resamples, "boot",
+#: and the uniform-random profile's p values, "prof"
+BOOTSTRAP_STREAM = 0x626F6F74
+PROFILE_STREAM = 0x70726F66
+
+
+def random_stream(seed: int, stream: int) -> np.random.Generator:
+    """numpy's Philox generator keyed on (seed mod 2**64, stream), the one
+    source of every random draw."""
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, stream], dtype=np.uint64)))
 
 
 _setattr = object.__setattr__

@@ -1,11 +1,13 @@
 """Synthetic profiles and Monte-Carlo completion logs.
 
-The random source is numpy's Philox counter-based generator.  Streams are
-split per task: task i uses key (seed, i), and trial j is the j-th draw of
-that stream, so generating tasks in parallel reproduces the serial output
-bit for bit.  Bernoulli(p) draws for rational p = a/b are exact:
-integers(0, b) < a, with no float thresholding.  The guesser draws from the
-same stream at p = 1/m: its draws 0..m-1 are its labels, and gold is "0".
+Draws come from `records.random_stream`: task i of a log draws from stream
+i, and trial j is the j-th draw of that stream, so generating tasks in
+parallel reproduces the serial output bit for bit.  The uniform-random
+profile draws its p values from `PROFILE_STREAM`, a stream of their own,
+independent of every task's trials.  Bernoulli(p) draws for rational
+p = a/b are exact: integers(0, b) < a, with no float thresholding.  The
+guesser draws from the same streams at p = 1/m: its draws 0..m-1 are its
+labels, and gold is "0".
 
 Two canned regimes:
 
@@ -37,14 +39,14 @@ from itertools import chain, count
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .records import RationalLike, SampleRecord, SuccessProfile, Value, as_unit_rational, check_name
+from .records import (PROFILE_STREAM, RationalLike, SampleRecord, SuccessProfile, Value, as_unit_rational,
+                      check_name, random_stream)
 
-# numpy is imported inside the functions that compute with it, so that
-# commands which never do (`--version`, `ingest`) start without loading it
+# numpy is loaded by `random_stream`, so that commands which draw nothing
+# (`--version`, `ingest`) start without it
 if TYPE_CHECKING:
     import numpy as np
 
-_MASK64 = (1 << 64) - 1
 SLICE = 65_536  # trials drawn and rendered at a time; Philox continues its stream across slices
 
 PROFILE_KINDS = ("constant-p", "two-point", "uniform-random", "user-list")
@@ -114,8 +116,7 @@ def make_profile(spec: ProfileSpec) -> SuccessProfile:
         n_high = int(ratio * spec.tasks)
         pairs = [(t, high if i < n_high else low) for i, t in enumerate(ids)]
     elif spec.kind == "uniform-random":
-        rng = _task_rng(spec.seed, 0)
-        draws = rng.random(spec.tasks)
+        draws = random_stream(spec.seed, PROFILE_STREAM).random(spec.tasks)
         pairs = [(t, Fraction(float(x))) for t, x in zip(ids, draws)]
     else:  # user-list
         if spec.values is None or len(spec.values) != spec.tasks:
@@ -136,17 +137,10 @@ def toy_model_b(tasks: int = 100, model: str = "B") -> SuccessProfile:
     )
 
 
-def _task_rng(seed: int, task_index: int) -> np.random.Generator:
-    import numpy as np
-
-    key = np.array([seed & _MASK64, task_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _draws(entries: Iterable[tuple[str, Fraction]], trials: int,
            seed: int) -> Iterator[tuple[str, Fraction, Iterator[np.ndarray]]]:
     """(task, p, slices) per task: `trials` integers in 0..b-1 for p = a/b from
-    Philox key (seed, i) of the i-th task, so draws < a are exact Bernoulli(p)
+    `random_stream(seed, i)` of the i-th task, so draws < a are exact Bernoulli(p)
     verdicts, in consecutive slices of at most SLICE.  `trials` is checked
     now; the draws are made lazily."""
     if trials < 1:
@@ -154,7 +148,7 @@ def _draws(entries: Iterable[tuple[str, Fraction]], trials: int,
 
     def slices(rng: np.random.Generator, bound: int) -> Iterator[np.ndarray]:
         return (rng.integers(0, bound, size=min(SLICE, trials - start)) for start in range(0, trials, SLICE))
-    return ((task, p, slices(_task_rng(seed, i), p.denominator)) for i, (task, p) in enumerate(entries))
+    return ((task, p, slices(random_stream(seed, i), p.denominator)) for i, (task, p) in enumerate(entries))
 
 
 def simulate_completions(profile: SuccessProfile, trials: int, seed: int) -> list[SampleRecord]:

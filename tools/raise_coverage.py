@@ -28,12 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "covertau"
 
 #: (file, enclosing function, statement source) -> why no test can run it
-ALLOWED = {
-    ("ingest.py", "_read_blocks", "raise"): (
-        "a block cut at line ends that is not UTF-8 has a line that is not UTF-8, "
-        "so decoding it line by line raises before this re-raise"
-    ),
-}
+ALLOWED: dict[tuple[str, str, str], str] = {}
 
 
 def raises(path: Path) -> list[tuple[str, int, int, str]]:
